@@ -10,7 +10,6 @@ bounds, both generically and for fixed-excitation spin chains.
 from .bounds import (
     LEVY_CONSTANT,
     DistanceTailBound,
-    FilteredDistanceTailBound,
     LipschitzReport,
     average_distance_bound,
     distance_tail_bound,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,65 +116,22 @@ def average_distance_bound(
     )
 
 
-@dataclass(frozen=True)
-class FilteredDistanceTailBound:
-    """Distance tail after conditioning on an almost-certain measurement."""
-
-    support_dim: int
-    filtered_effective_env_dim: float
-    dim_subspace: int
-    miss_weight: float
-    epsilon: float
-    threshold: float
-    tail_bound: float
-
-    @property
-    def vacuous(self) -> bool:
-        return self.tail_bound >= 1.0 or self.threshold >= 2.0
-
-    @property
-    def tail_bound_clamped(self) -> float:
-        return min(self.tail_bound, 1.0)
-
-    def table_row(self) -> dict:
-        return {
-            "d_S": self.support_dim,
-            "d_R": self.dim_subspace,
-            "d_E_eff": self.filtered_effective_env_dim,
-            "epsilon": self.epsilon,
-            "eta": self.threshold,
-            "eta_prime": self.tail_bound,
-            "source_formula": "filtered_distance_tail",
-        }
-
-
 def filtered_distance_tail_bound(
     support_dim: int,
     filtered_effective_env_dim: float,
     dim_subspace: int,
     miss_weight: float,
     epsilon: float,
-) -> FilteredDistanceTailBound:
+) -> DistanceTailBound:
     """Filtered variant: threshold gains the 4 sqrt(miss_weight) penalty for
-    the filter's failure probability; the tail exponent is unchanged.
+    the filter's failure probability; the tail exponent is unchanged.  The
+    result's ``dim_system`` and ``effective_env_dim`` are the filter's support
+    dimension and filtered effective environment dimension.
     """
     if not 0.0 <= miss_weight <= 1.0:
         raise ValueError("miss_weight must lie in [0, 1]")
-    threshold = (
-        epsilon
-        + math.sqrt(support_dim / filtered_effective_env_dim)
-        + 4.0 * math.sqrt(miss_weight)
-    )
-    tail = 2.0 * math.exp(-LEVY_CONSTANT * dim_subspace * epsilon**2)
-    return FilteredDistanceTailBound(
-        support_dim=support_dim,
-        filtered_effective_env_dim=filtered_effective_env_dim,
-        dim_subspace=dim_subspace,
-        miss_weight=miss_weight,
-        epsilon=epsilon,
-        threshold=threshold,
-        tail_bound=tail,
-    )
+    plain = distance_tail_bound(support_dim, dim_subspace, filtered_effective_env_dim, epsilon)
+    return replace(plain, threshold=plain.threshold + 4.0 * math.sqrt(miss_weight))
 
 
 def expectation_tail_bound(op_norm: float, dim_subspace: int, epsilon: float) -> float:

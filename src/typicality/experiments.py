@@ -1,16 +1,19 @@
 """Monte Carlo harness and exact doubled-space purity oracle.
 
-Trials are pure functions of (config, seed, trial index); any partition of the
-trial range across workers reassembles to identical results, so output files
-are byte-stable under ``workers``.  Each trial is evaluated with fixed-shape
-linear algebra on purpose: batching trials through BLAS can change summation
-order with the batch size, which would break that contract.
+Every Monte Carlo run evaluates its trials through one kernel,
+``_trial_block``.  Trial i draws its state from the stream keyed by
+(seed, i), so its record depends only on (config, seed, i): any partition of
+the trial range across workers reassembles to identical results, and output
+files are byte-stable under ``workers``.  Batching trials keeps that contract
+only while each trial's arithmetic is unchanged; folding trials into one
+matrix product can change the summation order with the batch size.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -268,53 +271,40 @@ def bound_confrontation_report(
 # -- trial evaluation --------------------------------------------------------
 
 
-def _distance_block(
+def _trial_block(
     sub: ConstraintSubspace,
     mean_state: np.ndarray,
-    ops: np.ndarray | None,
+    ops_conj: np.ndarray | None,
+    observables: np.ndarray | None,
     seed: int,
     start: int,
     count: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    distances = np.empty(count)
-    purities = np.empty(count)
-    devs = np.empty(count) if ops is not None else None
+) -> np.ndarray:
+    """Records of trials ``start .. start + count - 1``, one row per trial.
+
+    Columns: trace distance to ``mean_state``, purity, max Weyl-coefficient
+    deviation from ``mean_state`` (NaN when ``ops_conj`` is None), then
+    Tr(O rho) for each observable.
+    """
+    n_obs = 0 if observables is None else observables.shape[0]
+    rows = np.full((count, 3 + n_obs), np.nan)
     for i in range(count):
         coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
         rho = reduced_state_from_coords(sub, coords)
         diff = rho - mean_state
-        distances[i] = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-        purities[i] = purity(rho)
-        if devs is not None:
-            devs[i] = float(np.max(np.abs(np.einsum("xab,ab->x", ops.conj(), diff))))
-    return distances, purities, devs
-
-
-def _expectation_block(
-    sub: ConstraintSubspace,
-    mean_state: np.ndarray,
-    observables: np.ndarray,
-    ops: np.ndarray | None,
-    seed: int,
-    start: int,
-    count: int,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    targets = np.einsum("oab,ba->o", observables, mean_state).real
-    deviations = np.empty((count, observables.shape[0]))
-    devs = np.empty(count) if ops is not None else None
-    for i in range(count):
-        coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
-        rho = reduced_state_from_coords(sub, coords)
-        values = np.einsum("oab,ba->o", observables, rho).real
-        deviations[i] = values - targets
-        if devs is not None:
-            diff = rho - mean_state
-            devs[i] = float(np.max(np.abs(np.einsum("xab,ab->x", ops.conj(), diff))))
-    return deviations, devs
+        row = rows[i]
+        row[0] = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+        row[1] = purity(rho)
+        if ops_conj is not None:
+            row[2] = float(np.max(np.abs(np.einsum("xab,ab->x", ops_conj, diff))))
+        if n_obs:
+            row[3:] = np.einsum("oab,ba->o", observables, rho).real
+    return rows
 
 
 def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, trials))
+    """Contiguous (start, count) blocks, at most one per worker and per CPU."""
+    workers = max(1, min(workers, trials, os.cpu_count() or 1))
     base, extra = divmod(trials, workers)
     blocks = []
     start = 0
@@ -325,13 +315,21 @@ def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _run_blocks(fn, common_args: tuple, trials: int, workers: int) -> list:
+def _run_trials(common_args: tuple, trials: int, workers: int) -> np.ndarray:
+    """``_trial_block`` rows of trials ``0 .. trials - 1``, in trial order."""
     blocks = _split_blocks(trials, workers)
-    if len(blocks) == 1 or workers == 1:
-        return [fn(*common_args, start, count) for start, count in blocks]
+    if len(blocks) == 1:
+        return _trial_block(*common_args, 0, trials)
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(fn, *common_args, start, count) for start, count in blocks]
-        return [f.result() for f in futures]
+        futures = [pool.submit(_trial_block, *common_args, start, count) for start, count in blocks]
+        return np.concatenate([f.result() for f in futures])
+
+
+def _weyl_conj(config: ExperimentConfig, dim_system: int) -> np.ndarray | None:
+    """Conjugated Weyl stack when the coefficient family is tracked, else None."""
+    if config.track_coefficients and dim_system <= _COEFF_TRACK_MAX_DIM:
+        return weyl_basis(dim_system).conj()
+    return None
 
 
 @dataclass
@@ -357,19 +355,13 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceExperimentResul
     ensemble = canonical_ensemble(sub)
     filt = resolve_filter(config.filter, config.subspace, cap=config.cap)
     filtered = apply_filter(sub, filt) if filt is not None else None
-    ops = None
-    if config.track_coefficients and sub.shape.dim_system <= _COEFF_TRACK_MAX_DIM:
-        ops = weyl_basis(sub.shape.dim_system)
-
-    results = _run_blocks(
-        _distance_block,
-        (sub, ensemble.system_state, ops, config.seed),
-        config.trials,
-        config.workers,
+    ops_conj = _weyl_conj(config, sub.shape.dim_system)
+    rows = _run_trials(
+        (sub, ensemble.system_state, ops_conj, None, config.seed), config.trials, config.workers
     )
-    distances = np.concatenate([r[0] for r in results])
-    purities = np.concatenate([r[1] for r in results])
-    devs = np.concatenate([r[2] for r in results]) if ops is not None else None
+    distances, purities, devs = rows.T.copy()
+    if ops_conj is None:
+        devs = None
 
     eps = suggested_epsilon(sub.dim_subspace) if config.epsilon is None else config.epsilon
     tail = distance_tail_bound(
@@ -425,23 +417,20 @@ def run_expectation_experiment(
     obs = np.stack([require_hermitian(o) for o in observables])
     if obs.shape[1] != d_s:
         raise ShapeMismatchError("observables must act on the system space")
-    ops = weyl_basis(d_s) if config.track_coefficients and d_s <= _COEFF_TRACK_MAX_DIM else None
+    ops_conj = _weyl_conj(config, d_s)
 
-    results = _run_blocks(
-        _expectation_block,
-        (sub, ensemble.system_state, obs, ops, config.seed),
-        config.trials,
-        config.workers,
+    rows = _run_trials(
+        (sub, ensemble.system_state, ops_conj, obs, config.seed), config.trials, config.workers
     )
-    deviations = np.concatenate([r[0] for r in results])
-    devs = np.concatenate([r[1] for r in results]) if ops is not None else None
+    targets = np.einsum("oab,ba->o", obs, ensemble.system_state).real
+    deviations = rows[:, 3:] - targets
+    devs = rows[:, 2].copy() if ops_conj is not None else None
 
     d_r = sub.dim_subspace
     eps = suggested_epsilon(d_r) if config.epsilon is None else config.epsilon
     stats = []
     mean_values = []
     obs_rows = []
-    targets = np.einsum("oab,ba->o", obs, ensemble.system_state).real
     for idx in range(obs.shape[0]):
         signed = deviations[:, idx]
         samples = np.abs(signed)
@@ -520,13 +509,8 @@ def mc_average_purity(
     sub: ConstraintSubspace, trials: int, seed: int, workers: int = 1
 ) -> tuple[float, float]:
     """Monte Carlo mean system purity and its standard error."""
-    results = _run_blocks(
-        _distance_block,
-        (sub, np.zeros((sub.shape.dim_system,) * 2, dtype=complex), None, seed),
-        trials,
-        workers,
-    )
-    purities = np.concatenate([r[1] for r in results])
+    zero = np.zeros((sub.shape.dim_system,) * 2, dtype=complex)
+    purities = _run_trials((sub, zero, None, None, seed), trials, workers)[:, 1].copy()
     return float(purities.mean()), float(purities.std(ddof=1) / np.sqrt(trials))
 
 

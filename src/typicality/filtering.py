@@ -21,6 +21,8 @@ from .errors import OperatorRangeError, ShapeMismatchError
 from .linalg import (
     HERMITICITY_ATOL,
     BipartiteShape,
+    complex_matrix_from_json,
+    complex_matrix_to_json,
     partial_trace,
     require_hermitian,
     sqrt_psd,
@@ -233,9 +235,7 @@ def _subspace_root(sub: ConstraintSubspace, f: MeasurementFilter) -> np.ndarray:
 def filter_to_json_dict(f: MeasurementFilter) -> dict:
     obj: dict = {
         "coordinates": f.coords,
-        "matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in f.matrix
-        ],
+        "matrix": complex_matrix_to_json(f.matrix),
     }
     if f.shape is not None:
         obj["dimS"] = f.shape.dim_system
@@ -244,9 +244,7 @@ def filter_to_json_dict(f: MeasurementFilter) -> dict:
 
 
 def filter_from_json_dict(obj: dict) -> MeasurementFilter:
-    matrix = np.array(
-        [[complex(re, im) for re, im in row] for row in obj["matrix"]], dtype=complex
-    )
+    matrix = complex_matrix_from_json(obj["matrix"])
     coords = obj["coordinates"]
     shape = None
     if coords == "composite":

@@ -158,6 +158,20 @@ def sqrt_psd(m: np.ndarray, clip_to_unit: bool = True) -> np.ndarray:
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
+def complex_matrix_to_json(m: np.ndarray) -> list:
+    """JSON form of a complex array: nested lists ending in [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def complex_matrix_from_json(obj) -> np.ndarray:
+    """Inverse of :func:`complex_matrix_to_json`, bitwise exact (signed zeros too)."""
+    pairs = np.asarray(obj, dtype=float)
+    if pairs.ndim < 2 or pairs.shape[-1] != 2:
+        raise ShapeMismatchError(f"expected [re, im] pairs, got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Gaussian Hermitian matrix, for property tests and Lipschitz probes."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

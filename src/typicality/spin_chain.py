@@ -127,13 +127,17 @@ def canonical_weights(m: SpinChainModel) -> np.ndarray:
     return weights
 
 
-def exact_canonical_state(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
-    """Dense diagonal reduced state of the shell's equiprobable state."""
+def _count_diagonal(m: SpinChainModel, weights: np.ndarray, cap: int) -> np.ndarray:
+    """Dense diagonal system operator giving each string the weight of its count."""
     check_cap(m.dim_system, cap)
-    weights = canonical_weights(m)
     sys_strings = np.arange(m.dim_system, dtype=np.uint32)
     diag = weights[np.bitwise_count(sys_strings)]
     return np.diag(diag.astype(complex))
+
+
+def exact_canonical_state(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+    """Dense diagonal reduced state of the shell's equiprobable state."""
+    return _count_diagonal(m, canonical_weights(m), cap)
 
 
 def product_weights(m: SpinChainModel) -> np.ndarray:
@@ -149,11 +153,7 @@ def product_approximation(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP
     Approaches :func:`exact_canonical_state` as the chain grows at fixed k
     and p; exact already at k=1.
     """
-    check_cap(m.dim_system, cap)
-    weights = product_weights(m)
-    sys_strings = np.arange(m.dim_system, dtype=np.uint32)
-    diag = weights[np.bitwise_count(sys_strings)]
-    return np.diag(diag.astype(complex))
+    return _count_diagonal(m, product_weights(m), cap)
 
 
 def temperature(m: SpinChainModel) -> float:

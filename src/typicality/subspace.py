@@ -20,6 +20,8 @@ from .linalg import (
     INVARIANT_ATOL,
     BipartiteShape,
     check_cap,
+    complex_matrix_from_json,
+    complex_matrix_to_json,
 )
 
 #: Residual norm below which a vector is declared linearly dependent.
@@ -170,17 +172,13 @@ class ConstraintSubspace:
         return {
             "dimS": self.shape.dim_system,
             "dimE": self.shape.dim_environment,
-            "basis": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.basis
-            ],
+            "basis": complex_matrix_to_json(self.basis),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ConstraintSubspace":
         shape = BipartiteShape(int(obj["dimS"]), int(obj["dimE"]))
-        rows = np.array(
-            [[complex(re, im) for re, im in row] for row in obj["basis"]], dtype=complex
-        )
+        rows = complex_matrix_from_json(obj["basis"])
         return from_basis_vectors(shape, rows, cap=max(DEFAULT_DIMENSION_CAP, shape.dim))
 
     def save(self, path) -> None:

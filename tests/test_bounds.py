@@ -75,6 +75,7 @@ def test_filtered_bound_reduces_and_degenerates():
     eps = 0.1
     plain = distance_tail_bound(4, 70, 17.5, eps)
     filtered = filtered_distance_tail_bound(4, 17.5, 70, 0.0, eps)
+    assert filtered == plain
     assert filtered.threshold == pytest.approx(plain.threshold, rel=1e-12)
     assert filtered.tail_bound == pytest.approx(plain.tail_bound, rel=1e-12)
     degenerate = filtered_distance_tail_bound(4, 17.5, 70, 1.0, eps)

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from typicality import experiments
 from typicality.experiments import (
     ExperimentConfig,
     SummaryStats,
+    _split_blocks,
     exact_average_purity,
     mc_average_purity,
     purity_inequality_check,
@@ -270,6 +272,31 @@ def test_experiment_deterministic_across_workers():
     write_trials_csv(buf_a, serial)
     write_trials_csv(buf_b, parallel)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+def test_split_blocks_caps_blocks_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+    blocks = _split_blocks(10**6, 10_000)
+    assert blocks == [(0, 250_000), (250_000, 250_000), (500_000, 250_000), (750_000, 250_000)]
+    assert _split_blocks(3, 10_000) == [(0, 1), (1, 1), (2, 1)]
+    assert _split_blocks(10, 3) == [(0, 4), (4, 3), (7, 3)]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert _split_blocks(10, 8) == [(0, 10)]
+
+
+def test_monte_carlo_runs_share_trial_records():
+    z = np.diag([1.0, -1.0]).astype(complex)
+    cfg = ExperimentConfig(subspace=CHAIN_SPEC, trials=300, seed=41, epsilon=0.3)
+    distance_run = run_distance_experiment(cfg)
+    purities = distance_run.purities
+    assert mc_average_purity(resolve_subspace(CHAIN_SPEC), trials=300, seed=41) == (
+        float(purities.mean()),
+        float(purities.std(ddof=1) / np.sqrt(300)),
+    )
+    expectation_run = run_expectation_experiment(cfg, [z])
+    assert expectation_run.family_stats == SummaryStats.from_samples(
+        distance_run.max_coeff_devs, [0.3]
+    )
 
 
 def test_trial_values_match_direct_sampling():

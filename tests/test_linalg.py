@@ -1,10 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from typicality.errors import DimensionCapError, HermiticityError, ShapeMismatchError
 from typicality.linalg import (
     BipartiteShape,
     check_density_matrix,
+    complex_matrix_from_json,
+    complex_matrix_to_json,
     hs_norm,
     kron,
     operator_norm,
@@ -164,3 +171,35 @@ def test_sqrt_psd_squares_back():
     x = (basis * eigs) @ basis.conj().T
     root = sqrt_psd(x)
     assert np.max(np.abs(root @ root - x)) < 1e-10
+
+
+def _reference_encode(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _reference_decode(obj):
+    return np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
+
+
+@given(
+    arrays(
+        complex,
+        array_shapes(min_dims=2, max_dims=2, max_side=6),
+        elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [-0.0j, 1e-310 - 2.5j]]))
+def test_complex_matrix_json_codec_is_bitwise(m):
+    text = json.dumps(complex_matrix_to_json(m))
+    assert text == json.dumps(_reference_encode(m))
+    back = complex_matrix_from_json(json.loads(text))
+    assert back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
+    assert back.tobytes() == _reference_decode(json.loads(text)).tobytes()
+
+
+def test_complex_matrix_from_json_rejects_non_pairs():
+    with pytest.raises(ShapeMismatchError):
+        complex_matrix_from_json([[[1.0, 2.0, 3.0]]])
+    with pytest.raises(ShapeMismatchError):
+        complex_matrix_from_json([1.0, 2.0])
