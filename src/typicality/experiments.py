@@ -236,7 +236,9 @@ def bound_confrontation_report(
     eps = suggested_epsilon(d_r) if epsilon is None else epsilon
     n = distances.size
     mean = float(distances.mean())
-    se_mean = float(distances.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    # A single trial has no sample spread; a trace distance lies in [0, 2], so
+    # its standard deviation is at most 1 (Popoviciu) and SE <= 1 / sqrt(n).
+    se_mean = float(distances.std(ddof=1) / np.sqrt(n)) if n > 1 else 1.0 / np.sqrt(n)
 
     rows: list[BoundRow] = []
     sharp, loose = average_distance_bound(d_s, d_r, ensemble.effective_env_dim)
@@ -462,31 +464,20 @@ def run_expectation_experiment(
 def exact_average_purity(sub: ConstraintSubspace, *, cap: int = DEFAULT_DIMENSION_CAP) -> float:
     """Mean system purity over Haar-uniform states on the subspace, exactly.
 
-    Doubling the space turns the purity into the expectation of a swap
-    operator; Haar-averaging the doubled projector leaves a symmetric-subspace
-    projector whose two terms contract, through the basis tensor, into the
-    pairwise overlaps of the per-vector reduced matrices:
+    Doubling the space turns the purity into the expectation of the system
+    swap F_S.  The Haar average of the doubled state is the symmetric
+    projector (P_R (x) P_R)(1 + F) / (d_R (d_R + 1)), and since F F_S = F_E
+    its two terms contract to the purities of the canonical marginals:
 
-        <Tr rho_S^2> = (T1 + T2) / (d_R (d_R + 1)),
+        <Tr rho_S^2> = d_R (Tr Omega_S^2 + Tr Omega_E^2) / (d_R + 1),
 
-    where T1 sums Tr(R_i R_j) over the system marginals R_i of the basis
-    vectors and T2 the same over environment marginals.  No composite-squared
-    operator is ever materialized.
+    with Omega_S = Tr_E(P_R / d_R) and Omega_E = Tr_S(P_R / d_R).  No
+    composite-squared operator is ever materialized.
     """
     check_cap(sub.shape.dim, cap)
-    one_hot = sub.one_hot
     d_r = sub.dim_subspace
-    if one_hot is not None:
-        sys_idx, env_idx = one_hot
-        t1 = float(np.sum(np.bincount(sys_idx).astype(float) ** 2))
-        t2 = float(np.sum(np.bincount(env_idx).astype(float) ** 2))
-    else:
-        t = sub.basis_tensor()
-        sys_marginals = np.einsum("iae,ibe->iab", t, t.conj())
-        env_marginals = np.einsum("ise,isf->ief", t, t.conj())
-        t1 = float(np.einsum("iab,jba->", sys_marginals, sys_marginals).real)
-        t2 = float(np.einsum("iab,jba->", env_marginals, env_marginals).real)
-    return (t1 + t2) / (d_r * (d_r + 1))
+    omega_s, _, env_purity = sub.marginals(np.ones(d_r), d_r)
+    return d_r * (purity(omega_s) + env_purity) / (d_r + 1)
 
 
 def purity_inequality_check(
@@ -508,7 +499,9 @@ def purity_inequality_check(
 def mc_average_purity(
     sub: ConstraintSubspace, trials: int, seed: int, workers: int = 1
 ) -> tuple[float, float]:
-    """Monte Carlo mean system purity and its standard error."""
+    """Monte Carlo mean system purity and its standard error (needs two trials)."""
+    if trials < 2:
+        raise ValueError("a standard error needs trials >= 2")
     zero = np.zeros((sub.shape.dim_system,) * 2, dtype=complex)
     purities = _run_trials((sub, zero, None, None, seed), trials, workers)[:, 1].copy()
     return float(purities.mean()), float(purities.std(ddof=1) / np.sqrt(trials))

@@ -86,8 +86,7 @@ class MeasurementFilter:
         else:
             if sub is None:
                 raise ShapeMismatchError("subspace-coordinate filters need the subspace")
-            t = sub.basis_tensor()
-            traced = np.einsum("ij,ise,jte->st", self.matrix, t, t.conj())
+            traced = sub.marginals(self.matrix)[0]
         eigs = np.linalg.eigvalsh(traced)
         return int(np.sum(eigs > SUPPORT_RANK_TOL))
 
@@ -125,18 +124,17 @@ def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> FilteredEnsem
     """Condition the equiprobable state on ``f``.
 
     The filtered state on subspace coordinates is sqrt(X) (1/d_R) sqrt(X)
-    = X / d_R; its reduced matrices are contracted through the basis tensor
-    without materializing any composite-dimension operator.
+    = X / d_R.  Its reduced matrices are the subspace marginals of X / d_R,
+    or of its diagonal alone when X is diagonal there, as the typical-window
+    projector of a chain is.
     """
     d_r = sub.dim_subspace
-    x_sub = f.subspace_matrix(sub)
-    e_tilde = x_sub / d_r
-    t = sub.basis_tensor()
-    omega_s = np.einsum("ij,ise,jte->st", e_tilde, t, t.conj())
-    omega_e = np.einsum("ij,ise,jsf->ef", e_tilde, t, t.conj())
+    e_tilde = f.subspace_matrix(sub) / d_r
+    diag = np.diagonal(e_tilde).real
+    weights = diag if np.array_equal(e_tilde, np.diag(diag)) else e_tilde
+    omega_s, omega_e, env_purity = sub.marginals(weights)
     miss = 1.0 - float(np.trace(e_tilde).real)
     miss = min(max(miss, 0.0), 1.0)
-    env_purity = float(np.sum(np.abs(omega_e) ** 2).real)
     support = f.support_dim_system(sub)
     ens = FilteredEnsemble(
         subspace=sub,

@@ -75,10 +75,6 @@ def hermiticity_skew(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    return hermiticity_skew(np.asarray(m)) <= atol
-
-
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not Hermitian."""
     m = np.asarray(m, dtype=complex)

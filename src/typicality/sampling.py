@@ -59,42 +59,19 @@ def sample_pure(sub: ConstraintSubspace, stream: SampleStream) -> PureState:
     return PureState(subspace=sub, coords=coords, ambient=sub.embed(coords))
 
 
-def _env_groups(sub: ConstraintSubspace) -> tuple[np.ndarray, np.ndarray, int]:
-    """Group computational basis vectors by their environment index.
-
-    Returns (group id per basis vector, system index per basis vector, group
-    count).  Basis vectors sharing an environment string are the only ones
-    whose interference survives the environment trace, so a state's reduced
-    system matrix is a sum of rank-one blocks over these groups.
-    """
-    key = "env_groups"
-    if key not in sub._cache:
-        sys_idx, env_idx = sub.one_hot
-        _, group = np.unique(env_idx, return_inverse=True)
-        sub._cache[key] = (group, sys_idx, int(group.max()) + 1)
-    return sub._cache[key]
-
-
 def reduced_state_from_coords(sub: ConstraintSubspace, coords: np.ndarray) -> np.ndarray:
     """Environment trace of |phi><phi| for phi given by subspace coordinates."""
     coords = np.asarray(coords, dtype=complex)
     if coords.shape != (sub.dim_subspace,):
         raise ShapeMismatchError("coordinate vector has wrong length")
-    if sub.one_hot is not None:
-        group, sys_idx, n_groups = _env_groups(sub)
+    groups = sub.env_groups
+    if groups is not None:
+        group, sys_idx, n_groups = groups
         m = np.zeros((n_groups, sub.shape.dim_system), dtype=complex)
         m[group, sys_idx] = coords
         return m.T @ m.conj()
     m = sub.embed(coords).reshape(sub.shape.dim_system, sub.shape.dim_environment)
     return m @ m.conj().T
-
-
-def reduced_environment_from_coords(sub: ConstraintSubspace, coords: np.ndarray) -> np.ndarray:
-    """System trace of |phi><phi|."""
-    m = sub.embed(np.asarray(coords, dtype=complex)).reshape(
-        sub.shape.dim_system, sub.shape.dim_environment
-    )
-    return m.T @ m.conj()
 
 
 def reduced_state(phi: PureState, sub: ConstraintSubspace) -> np.ndarray:

@@ -8,6 +8,7 @@ environment dimension are derived here.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ from .linalg import (
     check_cap,
     complex_matrix_from_json,
     complex_matrix_to_json,
+    purity,
 )
 
 #: Residual norm below which a vector is declared linearly dependent.
@@ -99,7 +101,6 @@ class ConstraintSubspace:
             self.dim_subspace = int(dense_basis.shape[0])
         if self.dim_subspace > shape.dim:
             raise ShapeMismatchError("subspace dimension exceeds composite dimension")
-        self._cache: dict = {}
 
     @property
     def basis(self) -> np.ndarray:
@@ -118,6 +119,21 @@ class ConstraintSubspace:
             return None
         d_e = self.shape.dim_environment
         return self._flat // d_e, self._flat % d_e
+
+    @functools.cached_property
+    def env_groups(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """Basis vectors grouped by environment index; None unless in index form.
+
+        Returns (group id per basis vector, system index per basis vector, group
+        count).  Basis vectors sharing an environment string are the only ones
+        whose interference survives the environment trace, so a state's reduced
+        system matrix is a sum of rank-one blocks over these groups.
+        """
+        if self._flat is None:
+            return None
+        sys_idx, env_idx = self.one_hot
+        _, group = np.unique(env_idx, return_inverse=True)
+        return group, sys_idx, int(group.max()) + 1
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """Lift coordinates on the subspace to a composite vector."""
@@ -155,6 +171,33 @@ class ConstraintSubspace:
         return self.basis.reshape(
             self.dim_subspace, self.shape.dim_system, self.shape.dim_environment
         )
+
+    def marginals(
+        self, weights: np.ndarray, divisor: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """(Tr_E W, Tr_S W, Tr (Tr_S W)^2) for W = sum_ij w_ij |b_i><b_j| / divisor.
+
+        A 1-d ``weights`` is the (real) diagonal of W.  In index form such a W
+        has diagonal marginals, summed by index counts; every other case is
+        contracted through the basis tensor.  ``divisor`` is applied after the
+        sums, so integer weights (the projector P_R with divisor d_R) give the
+        marginals of P_R / d_R exactly as counts / d_R.
+        """
+        weights = np.asarray(weights)
+        if weights.shape not in ((self.dim_subspace,), (self.dim_subspace,) * 2):
+            raise ShapeMismatchError(f"weights of shape {weights.shape} do not fit the subspace")
+        if self._flat is not None and weights.ndim == 1:
+            sys_idx, env_idx = self.one_hot
+            sys_w = np.bincount(sys_idx, weights, minlength=self.shape.dim_system)
+            env_w = np.bincount(env_idx, weights, minlength=self.shape.dim_environment)
+            sys_m = np.diag(sys_w.astype(complex) / divisor)
+            env_m = np.diag(env_w.astype(complex) / divisor)
+            return sys_m, env_m, purity(env_w / divisor)
+        t = self.basis_tensor()
+        w, j = ("i", "i") if weights.ndim == 1 else ("ij", "j")
+        sys_m = np.einsum(f"{w},ise,{j}te->st", weights, t, t.conj(), optimize=True) / divisor
+        env_m = np.einsum(f"{w},ise,{j}sf->ef", weights, t, t.conj(), optimize=True) / divisor
+        return sys_m, env_m, purity(env_m)
 
     def equals(self, other: "ConstraintSubspace") -> bool:
         if self is other:
@@ -256,7 +299,7 @@ class CanonicalEnsemble:
 
     @property
     def system_purity(self) -> float:
-        return float(np.sum(np.abs(self.system_state) ** 2).real)
+        return purity(self.system_state)
 
     def equiprobable(self, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
         """Dense composite equiprobable state (projector / dim)."""
@@ -267,26 +310,9 @@ class CanonicalEnsemble:
 
 
 def canonical_ensemble(sub: ConstraintSubspace) -> CanonicalEnsemble:
-    """Reduced states of the equiprobable state, without materializing it.
-
-    Both marginals are accumulated directly from the basis vectors.  For
-    computational-basis subspaces the marginals are diagonal and come from
-    index counts; otherwise they are contracted from the dense basis tensor.
-    """
+    """Reduced states of the equiprobable state P_R / d_R, without materializing it."""
     d_r = sub.dim_subspace
-    one_hot = sub.one_hot
-    if one_hot is not None:
-        sys_idx, env_idx = one_hot
-        sys_counts = np.bincount(sys_idx, minlength=sub.shape.dim_system)
-        env_counts = np.bincount(env_idx, minlength=sub.shape.dim_environment)
-        omega_s = np.diag(sys_counts.astype(complex)) / d_r
-        omega_e = np.diag(env_counts.astype(complex)) / d_r
-        env_purity = float(np.sum((env_counts / d_r) ** 2))
-    else:
-        t = sub.basis_tensor()
-        omega_s = np.einsum("ise,ite->st", t, t.conj()) / d_r
-        omega_e = np.einsum("ise,isf->ef", t, t.conj()) / d_r
-        env_purity = float(np.sum(np.abs(omega_e) ** 2).real)
+    omega_s, omega_e, env_purity = sub.marginals(np.ones(d_r), d_r)
     ens = CanonicalEnsemble(
         subspace=sub,
         system_state=omega_s,

@@ -123,6 +123,25 @@ def test_experiment_single_trial_and_mean_bound(tmp_path, capsys):
     assert payload["stats"]["trace_distance"]["mean"] <= (16 / 70) ** 0.5
 
 
+def test_experiment_single_trial_uses_range_bound_for_standard_error(tmp_path, capsys):
+    # One trial has no sample spread, so the mean's standard error comes from
+    # the range of the trace distance; a zero error would read the single
+    # distance 0.318 as violating average_distance_eff (0.300).
+    code, out, _ = run_cli(capsys, "experiment", "--spin-chain", "8", "2", "4",
+                           "--trials", "1", "--seed", "1",
+                           "--output", str(tmp_path / "one"))
+    assert code == 0
+    assert "VIOLATED" not in out
+
+
+def test_purity_oracle_single_trial_exits_2(capsys):
+    code, out, err = run_cli(capsys, "purity-oracle", "--full", "2", "2",
+                             "--trials", "1", "--seed", "21")
+    assert code == 2
+    assert out == ""
+    assert "trials >= 2" in err
+
+
 def test_bounds_invalid_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "bounds", "--d-s", "0", "--d-r", "70")
     assert code == 2

@@ -131,6 +131,12 @@ def test_exact_average_purity_against_monte_carlo():
     assert abs(mean - exact) < 3 * se
 
 
+def test_mc_average_purity_needs_two_trials():
+    sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
+    with pytest.raises(ValueError, match="trials >= 2"):
+        mc_average_purity(sub, trials=1, seed=99)
+
+
 def test_exact_average_purity_range_and_jensen():
     # samples are at least as pure as their average: <Tr rho^2> >= Tr <rho>^2
     rng = np.random.default_rng(19)

@@ -21,7 +21,7 @@ from typicality.spin_chain import (
     typical_projector,
     typical_window,
 )
-from typicality.subspace import canonical_ensemble, random_subspace
+from typicality.subspace import canonical_ensemble, from_basis_vectors, random_subspace
 
 CHAIN = SpinChainModel(n=3, k=1, num_excited=1)
 
@@ -98,6 +98,23 @@ def test_subspace_coordinate_filter_equals_composite_route():
     for ens in (a, b):
         if ens.support_dim:
             assert ens.effective_env_dim >= sub.dim_subspace / ens.support_dim - 1e-9
+
+
+@pytest.mark.parametrize("n,k,num_excited,xi", [(6, 2, 3, 0.5), (7, 3, 3, 1.0), (8, 3, 4, 1.0)])
+def test_window_filter_index_form_matches_dense_form(n, k, num_excited, xi):
+    # the diagonal window projector takes the index-count route on the chain
+    # and the einsum route on the same basis held densely
+    m = SpinChainModel(n=n, k=k, num_excited=num_excited)
+    sub = build_subspace(m)
+    dense = from_basis_vectors(sub.shape, sub.basis)
+    f = typical_projector(m, typical_window(m, xi))
+    a = apply_filter(sub, f)
+    b = apply_filter(dense, f)
+    assert np.allclose(a.system_state, b.system_state, rtol=0, atol=1e-12)
+    assert np.allclose(a.environment_state, b.environment_state, rtol=0, atol=1e-12)
+    assert a.environment_purity == pytest.approx(b.environment_purity, rel=0, abs=1e-12)
+    assert a.miss_weight == pytest.approx(b.miss_weight, rel=0, abs=1e-12)
+    assert a.support_dim == b.support_dim
 
 
 def test_filtered_state_routes():

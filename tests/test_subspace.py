@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typicality.errors import RankDeficiencyError, ShapeMismatchError
 from typicality.linalg import BipartiteShape, partial_trace
+from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
     ConstraintSubspace,
     canonical_ensemble,
@@ -151,3 +154,37 @@ def test_one_hot_lazy_basis():
     sub = full_space(SHAPE22)
     assert sub.one_hot is not None
     assert np.allclose(sub.basis, np.eye(4))
+
+
+@st.composite
+def small_chains(draw):
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    return SpinChainModel(n=n, k=k, num_excited=draw(st.integers(0, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_chains(), st.sampled_from(["uniform", "diagonal", "psd"]), st.integers(0, 2**32 - 1))
+def test_marginals_index_form_match_dense_form_and_partial_trace(model, kind, seed):
+    sub = build_subspace(model)
+    dense = from_basis_vectors(sub.shape, sub.basis)
+    assert sub.one_hot is not None and dense.one_hot is None
+    d_r = sub.dim_subspace
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        weights, divisor = np.ones(d_r), d_r
+    elif kind == "diagonal":
+        weights, divisor = rng.random(d_r), 1.0
+    else:
+        g = rng.standard_normal((d_r, d_r)) + 1j * rng.standard_normal((d_r, d_r))
+        weights, divisor = g @ g.conj().T / d_r, 1.0
+    w = np.diag(weights) if weights.ndim == 1 else weights
+    composite = sub.basis.T @ w @ sub.basis.conj() / divisor
+    want_s = partial_trace(composite, sub.shape, keep="system")
+    want_e = partial_trace(composite, sub.shape, keep="environment")
+    want_purity = float(np.trace(want_e @ want_e).real)
+    for s in (sub, dense):
+        omega_s, omega_e, env_purity = s.marginals(weights, divisor)
+        assert np.allclose(omega_s, want_s, rtol=0, atol=1e-12)
+        assert np.allclose(omega_e, want_e, rtol=0, atol=1e-12)
+        assert env_purity == pytest.approx(want_purity, rel=0, abs=1e-12)
