@@ -1,16 +1,19 @@
 """Command-line interface.
 
 Commands: subspace-info, bounds, experiment, spin-chain, purity-oracle.
-Flags override config-file values; the merged config is echoed into every
-output artifact together with the seed and a config hash.  Exit codes:
-0 success, 2 argument/config errors, 3 a bound row violated beyond three
-standard errors, 4 I/O errors.
+Every default is declared once, on its flag.  The entries of a ``--config``
+file are parsed as flags placed before the command line, so explicit flags
+win.  The resolved config is echoed into every output artifact together with
+the seed and a config hash.  Exit codes: 0 success, 2 argument/config errors,
+3 a bound row violated beyond three standard errors, 4 I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import sys
 
@@ -33,13 +36,19 @@ EXIT_USAGE = 2
 EXIT_BOUND_VIOLATION = 3
 EXIT_IO = 4
 
+_STDOUT_HELP = "file to write; - for stdout"
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command, by name."""
     parser = argparse.ArgumentParser(
         prog="typicality",
         description="Constrained-subspace ensembles, Haar sampling and concentration bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = functools.partial(
+        sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter
+    )
 
     def add_subspace_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--spin-chain", nargs=3, type=int, metavar=("N", "K", "NP"),
@@ -47,112 +56,118 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--full", nargs=2, type=int, metavar=("DS", "DE"),
                        help="unconstrained composite space")
         p.add_argument("--subspace-file", help="JSON subspace produced by this package")
-        p.add_argument("--cap", type=int, help=f"dense dimension cap (default {DEFAULT_DIMENSION_CAP})")
+        p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP,
+                       help="dense dimension cap")
 
-    p_info = sub.add_parser("subspace-info", help="dimensions and marginal purities")
+    p_info = add_command("subspace-info", help="dimensions and marginal purities")
     add_subspace_args(p_info)
-    p_info.add_argument("--output")
-    p_info.add_argument("--format", choices=("json", "text"))
+    p_info.add_argument("--output", default="-", help=_STDOUT_HELP)
+    p_info.add_argument("--format", choices=("json", "text"), default="text", help="output format")
     p_info.add_argument("--config", help="JSON config file; flags override")
 
-    p_bounds = sub.add_parser("bounds", help="closed-form bound table, no sampling")
+    p_bounds = add_command("bounds", help="closed-form bound table, no sampling")
     p_bounds.add_argument("--d-s", type=int, required=True)
     p_bounds.add_argument("--d-r", type=int, required=True)
     p_bounds.add_argument("--d-eff", type=float, help="defaults to d_R / d_S")
     p_bounds.add_argument("--epsilon", type=float, action="append",
                           help="repeatable; defaults to d_R^(-1/3)")
-    p_bounds.add_argument("--output")
-    p_bounds.add_argument("--format", choices=("csv", "json"))
+    p_bounds.add_argument("--output", default="-", help=_STDOUT_HELP)
+    p_bounds.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
-    p_exp = sub.add_parser("experiment", help="seeded Monte Carlo distance experiment")
+    p_exp = add_command("experiment", help="seeded Monte Carlo distance experiment")
     add_subspace_args(p_exp)
-    p_exp.add_argument("--trials", type=int)
+    p_exp.add_argument("--trials", type=int, default=1000, help="Monte Carlo trials")
     p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--epsilon", type=float)
     p_exp.add_argument("--xi", type=float,
                        help="typical-window half-width; adds the window filter bound row")
-    p_exp.add_argument("--workers", type=int)
-    p_exp.add_argument("--output", help="prefix for .csv and .json artifacts")
-    p_exp.add_argument("--format", choices=("csv", "json", "both"))
+    p_exp.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_exp.add_argument("--output", default="experiment",
+                       help="prefix for .csv and .json artifacts")
+    p_exp.add_argument("--format", choices=("csv", "json", "both"), default="both",
+                       help="artifacts to write")
     p_exp.add_argument("--config", help="JSON config file; flags override")
 
-    p_chain = sub.add_parser("spin-chain", help="chain report: window, tails, bounds")
+    p_chain = add_command("spin-chain", help="chain report: window, tails, bounds")
     p_chain.add_argument("--n", type=int, required=True)
     p_chain.add_argument("--k", type=int, required=True)
     p_chain.add_argument("--np", dest="num_excited", type=int, required=True)
     p_chain.add_argument("--xi", type=float, help="window half-width, default k^(2/3)")
     p_chain.add_argument("--epsilon", type=float, help="default d_R^(-1/3)")
-    p_chain.add_argument("--mode", choices=("dense", "combinatorial"))
-    p_chain.add_argument("--output")
+    p_chain.add_argument("--mode", choices=("dense", "combinatorial"), default="combinatorial",
+                         help="dense adds the exact canonical state")
+    p_chain.add_argument("--output", default="-", help=_STDOUT_HELP)
 
-    p_pur = sub.add_parser("purity-oracle", help="exact mean purity, optional MC cross-check")
+    p_pur = add_command("purity-oracle", help="exact mean purity, optional MC cross-check")
     add_subspace_args(p_pur)
-    p_pur.add_argument("--trials", type=int)
+    p_pur.add_argument("--trials", type=int, help="Monte Carlo trials; none skips the check")
     p_pur.add_argument("--seed", type=int)
-    p_pur.add_argument("--workers", type=int)
-    p_pur.add_argument("--output")
-    return parser
+    p_pur.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_pur.add_argument("--output", default="-", help=_STDOUT_HELP)
+    return parser, sub.choices
 
 
-def _merge_config(args: argparse.Namespace, keys: tuple[str, ...]) -> None:
-    """Fill argument slots still at None from the JSON config file."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_tokens(command: argparse.ArgumentParser, path: str) -> list[str]:
+    """The entries of the JSON config object at ``path`` as the command's flags.
+
+    A list value becomes the flag's arguments; ``null`` values and keys that
+    name none of the command's flags are skipped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    for key in keys:
-        if getattr(args, key, None) is None and key.replace("_", "-") in data:
-            setattr(args, key, data[key.replace("_", "-")])
-        elif getattr(args, key, None) is None and key in data:
-            setattr(args, key, data[key])
+    if not isinstance(data, dict):
+        raise TypicalityError(f"config file {path} does not hold a JSON object")
+    flags = {opt for action in command._actions if action.dest not in ("help", "config")
+             for opt in action.option_strings}
+    tokens: list[str] = []
+    for key, value in data.items():
+        flag = "--" + key.replace("_", "-")
+        if value is None or flag not in flags:
+            continue
+        tokens += [flag, *map(str, value)] if isinstance(value, list) else [f"{flag}={value}"]
+    return tokens
 
 
 def _subspace_spec(args: argparse.Namespace) -> dict:
-    given = [s for s in ("spin_chain", "full", "subspace_file") if getattr(args, s, None)]
+    given = [s for s in ("spin_chain", "full", "subspace_file") if getattr(args, s)]
     if len(given) != 1:
         raise TypicalityError(
             "exactly one of --spin-chain, --full, --subspace-file is required"
         )
     if args.spin_chain:
-        n, k, np_ = (int(x) for x in args.spin_chain)
+        n, k, np_ = args.spin_chain
         return {"kind": "spin-chain", "n": n, "k": k, "num_excited": np_}
     if args.full:
-        ds, de = (int(x) for x in args.full)
+        ds, de = args.full
         return {"kind": "full", "dim_system": ds, "dim_environment": de}
     return {"kind": "file", "path": args.subspace_file}
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+@contextlib.contextmanager
+def _output(path: str):
+    """The text file at ``path`` opened for writing, or stdout for "-"."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def _write_json(obj, path: str) -> None:
+    with _output(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd_subspace_info(args: argparse.Namespace) -> int:
-    _merge_config(args, ("spin_chain", "full", "subspace_file", "cap", "format", "output"))
-    cap = args.cap or DEFAULT_DIMENSION_CAP
-    sub_ = experiments.resolve_subspace(_subspace_spec(args), cap=cap)
-    ens = canonical_ensemble(sub_)
-    info = {
-        "dim_system": sub_.shape.dim_system,
-        "dim_environment": sub_.shape.dim_environment,
-        "dim_subspace": sub_.dim_subspace,
-        "effective_env_dim": ens.effective_env_dim,
-        "system_purity": ens.system_purity,
-        "environment_purity": ens.environment_purity,
-    }
-    fh, close = _open_out(args.output)
-    try:
-        if (args.format or "text") == "json":
-            json.dump(info, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
+    sub_ = experiments.resolve_subspace(_subspace_spec(args), cap=args.cap)
+    info = experiments.subspace_info(canonical_ensemble(sub_))
+    if args.format == "json":
+        _write_json(info, args.output)
+    else:
+        with _output(args.output) as fh:
             for key, value in info.items():
                 fh.write(f"{key}: {value}\n")
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
@@ -163,64 +178,50 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     d_eff = args.d_eff if args.d_eff is not None else d_r / d_s
     if d_eff <= 0:
         raise TypicalityError("--d-eff must be positive")
-    epsilons = args.epsilon or [suggested_epsilon(d_r)]
+    epsilons = args.epsilon if args.epsilon is not None else [suggested_epsilon(d_r)]
+
+    def row(formula: str, epsilon: float | str, eta: float, eta_prime: float | str = "") -> dict:
+        return {"d_S": d_s, "d_R": d_r, "d_E_eff": d_eff, "epsilon": epsilon,
+                "eta": eta, "eta_prime": eta_prime, "source_formula": formula}
+
     rows = []
     for eps in epsilons:
-        tail = distance_tail_bound(d_s, d_r, d_eff, eps)
-        rows.append(tail.table_row())
-        rows.append({
-            "d_S": d_s, "d_R": d_r, "d_E_eff": d_eff, "epsilon": eps,
-            "eta": eps, "eta_prime": levy_tail(state_sphere_dim(d_r), 2.0, eps),
-            "source_formula": "levy_tail",
-        })
+        rows.append(distance_tail_bound(d_s, d_r, d_eff, eps).table_row())
+        rows.append(row("levy_tail", eps, eps, levy_tail(state_sphere_dim(d_r), 2.0, eps)))
     sharp, loose = average_distance_bound(d_s, d_r, d_eff)
-    rows.append({"d_S": d_s, "d_R": d_r, "d_E_eff": d_eff, "epsilon": "",
-                 "eta": sharp, "eta_prime": "", "source_formula": "average_distance_eff"})
-    rows.append({"d_S": d_s, "d_R": d_r, "d_E_eff": d_eff, "epsilon": "",
-                 "eta": loose, "eta_prime": "", "source_formula": "average_distance_dr"})
-    threshold, tail_value = operator_basis_tail_bound(d_s, d_r)
-    rows.append({"d_S": d_s, "d_R": d_r, "d_E_eff": d_eff, "epsilon": "",
-                 "eta": threshold, "eta_prime": tail_value,
-                 "source_formula": "operator_basis_tail"})
-    fh, close = _open_out(args.output)
-    try:
-        if (args.format or "csv") == "json":
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        else:
+    rows.append(row("average_distance_eff", "", sharp))
+    rows.append(row("average_distance_dr", "", loose))
+    rows.append(row("operator_basis_tail", "", *operator_basis_tail_bound(d_s, d_r)))
+    if args.format == "json":
+        _write_json(rows, args.output)
+    else:
+        with _output(args.output) as fh:
             write_bound_table(rows, fh)
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _merge_config(args, ("spin_chain", "full", "subspace_file", "cap", "trials",
-                         "seed", "epsilon", "xi", "workers", "output", "format"))
     if args.seed is None:
         raise TypicalityError("--seed is required for sampling commands")
     spec = _subspace_spec(args)
     filter_spec = None
     if args.xi is not None:
-        filter_spec = {"kind": "typical-window", "half_width": float(args.xi)}
+        filter_spec = {"kind": "typical-window", "half_width": args.xi}
     config = experiments.ExperimentConfig(
         subspace=spec,
-        trials=args.trials or 1000,
+        trials=args.trials,
         seed=args.seed,
         epsilon=args.epsilon,
         filter=filter_spec,
-        workers=args.workers or 1,
-        cap=args.cap or DEFAULT_DIMENSION_CAP,
+        workers=args.workers,
+        cap=args.cap,
     )
     result = experiments.run_distance_experiment(config)
-    prefix = args.output or "experiment"
-    fmt = args.format or "both"
-    if fmt in ("csv", "both"):
-        with open(f"{prefix}.csv", "w", encoding="utf-8", newline="") as fh:
+    if args.format in ("csv", "both"):
+        with open(f"{args.output}.csv", "w", encoding="utf-8", newline="") as fh:
             experiments.write_trials_csv(fh, result)
-    if fmt in ("json", "both"):
-        with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
+    if args.format in ("json", "both"):
+        with open(f"{args.output}.json", "w", encoding="utf-8") as fh:
             experiments.write_summary_json(fh, result)
     for row in result.bound_rows:
         status = "ok" if row.satisfied else "VIOLATED"
@@ -241,47 +242,32 @@ def _cmd_spin_chain(args: argparse.Namespace) -> int:
     out["exact_tail"] = spin_chain.exact_typical_tail(model, window)
     lower, upper, exact = spin_chain.binomial_entropy_bounds(model.n, model.num_excited)
     out["dim_subspace_bounds"] = {"lower": lower, "upper": upper, "exact": exact}
-    if (args.mode or "combinatorial") == "dense":
+    if args.mode == "dense":
         sys_purity, env_purity = spin_chain.canonical_purities(model)
         out["effective_env_dim"] = 1.0 / env_purity
         out["system_purity"] = sys_purity
         exact_state = spin_chain.exact_canonical_state(model)
         approx = spin_chain.product_approximation(model)
         out["product_approximation_distance"] = trace_norm(exact_state - approx)
-    fh, close = _open_out(args.output)
-    try:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_json(out, args.output)
     return EXIT_OK
 
 
 def _cmd_purity_oracle(args: argparse.Namespace) -> int:
-    cap = args.cap or DEFAULT_DIMENSION_CAP
-    sub_ = experiments.resolve_subspace(_subspace_spec(args), cap=cap)
-    exact = experiments.exact_average_purity(sub_, cap=cap)
+    sub_ = experiments.resolve_subspace(_subspace_spec(args), cap=args.cap)
+    exact = experiments.exact_average_purity(sub_, cap=args.cap)
     out = {"exact_average_purity": exact}
     status = EXIT_OK
-    if args.trials:
+    if args.trials is not None:
         if args.seed is None:
             raise TypicalityError("--seed is required for sampling commands")
-        mean, se = experiments.mc_average_purity(
-            sub_, args.trials, args.seed, workers=args.workers or 1
-        )
+        mean, se = experiments.mc_average_purity(sub_, args.trials, args.seed, workers=args.workers)
         z = 0.0 if se == 0 else (mean - exact) / se
         out.update({"mc_mean": mean, "mc_standard_error": se, "z_score": z,
                     "trials": args.trials, "seed": args.seed})
         if abs(z) > 3.0:
             status = EXIT_BOUND_VIOLATION
-    fh, close = _open_out(args.output)
-    try:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_json(out, args.output)
     return status
 
 
@@ -295,11 +281,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # argv[0] is the command: the top-level parser takes no other argument
+            tokens = _config_tokens(commands[args.command], args.config)
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
         return _COMMANDS[args.command](args)
-    except (TypicalityError, ValueError, json.JSONDecodeError) as exc:
+    except (TypicalityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

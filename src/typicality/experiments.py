@@ -105,7 +105,7 @@ def resolve_subspace(spec: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constra
         shape = BipartiteShape(int(spec["dim_system"]), int(spec["dim_environment"]))
         return full_space(shape, cap=cap)
     if kind == "file":
-        return ConstraintSubspace.load(spec["path"])
+        return ConstraintSubspace.load(spec["path"], cap=cap)
     raise ValueError(f"unknown subspace kind {kind!r}")
 
 
@@ -334,6 +334,19 @@ def _weyl_conj(config: ExperimentConfig, dim_system: int) -> np.ndarray | None:
     return None
 
 
+def subspace_info(ensemble: CanonicalEnsemble) -> dict:
+    """Dimensions and marginal purities of the ensemble's subspace."""
+    sub = ensemble.subspace
+    return {
+        "dim_system": sub.shape.dim_system,
+        "dim_environment": sub.shape.dim_environment,
+        "dim_subspace": sub.dim_subspace,
+        "effective_env_dim": ensemble.effective_env_dim,
+        "system_purity": ensemble.system_purity,
+        "environment_purity": ensemble.environment_purity,
+    }
+
+
 @dataclass
 class DistanceExperimentResult:
     config: ExperimentConfig
@@ -365,20 +378,9 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceExperimentResul
     if ops_conj is None:
         devs = None
 
-    eps = suggested_epsilon(sub.dim_subspace) if config.epsilon is None else config.epsilon
-    tail = distance_tail_bound(
-        sub.shape.dim_system, sub.dim_subspace, ensemble.effective_env_dim, eps
-    )
-    thresholds = [tail.threshold]
-    rows = bound_confrontation_report(distances, ensemble, eps, filtered)
-    info = {
-        "dim_system": sub.shape.dim_system,
-        "dim_environment": sub.shape.dim_environment,
-        "dim_subspace": sub.dim_subspace,
-        "effective_env_dim": ensemble.effective_env_dim,
-        "system_purity": ensemble.system_purity,
-        "environment_purity": ensemble.environment_purity,
-    }
+    rows = bound_confrontation_report(distances, ensemble, config.epsilon, filtered)
+    thresholds = [row.threshold for row in rows if row.name == "distance_tail"]
+    info = subspace_info(ensemble)
     if filtered is not None:
         info["filter_miss_weight"] = filtered.miss_weight
         info["filter_support_dim"] = filtered.support_dim
@@ -502,6 +504,8 @@ def mc_average_purity(
     """Monte Carlo mean system purity and its standard error (needs two trials)."""
     if trials < 2:
         raise ValueError("a standard error needs trials >= 2")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     zero = np.zeros((sub.shape.dim_system,) * 2, dtype=complex)
     purities = _run_trials((sub, zero, None, None, seed), trials, workers)[:, 1].copy()
     return float(purities.mean()), float(purities.std(ddof=1) / np.sqrt(trials))

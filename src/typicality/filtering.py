@@ -95,13 +95,10 @@ class MeasurementFilter:
 class FilteredEnsemble:
     """Sub-normalized ensemble after conditioning on a filter.
 
-    ``filtered_equiprobable`` lives on subspace coordinates and has trace
-    1 - miss_weight; the reduced matrices carry the same deficit.
+    The reduced matrices have trace 1 - miss_weight.
     """
 
     subspace: ConstraintSubspace
-    filter: MeasurementFilter
-    filtered_equiprobable: np.ndarray
     system_state: np.ndarray
     environment_state: np.ndarray
     miss_weight: float
@@ -138,8 +135,6 @@ def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> FilteredEnsem
     support = f.support_dim_system(sub)
     ens = FilteredEnsemble(
         subspace=sub,
-        filter=f,
-        filtered_equiprobable=e_tilde,
         system_state=omega_s,
         environment_state=omega_e,
         miss_weight=miss,

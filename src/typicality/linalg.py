@@ -142,7 +142,7 @@ def check_density_matrix(rho: np.ndarray, atol: float = INVARIANT_ATOL) -> np.nd
     return rho
 
 
-def sqrt_psd(m: np.ndarray, clip_to_unit: bool = True) -> np.ndarray:
+def sqrt_psd(m: np.ndarray) -> np.ndarray:
     """Hermitian square root with eigenvalues clipped into [0, 1] first.
 
     Clipping keeps boundary round-off from producing complex roots; operators
@@ -150,7 +150,7 @@ def sqrt_psd(m: np.ndarray, clip_to_unit: bool = True) -> np.ndarray:
     """
     m = require_hermitian(m)
     eigs, vecs = np.linalg.eigh(m)
-    eigs = np.clip(eigs, 0.0, 1.0 if clip_to_unit else None)
+    eigs = np.clip(eigs, 0.0, 1.0)
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 

@@ -187,10 +187,6 @@ class TypicalWindow:
     def contains(self, count: int) -> bool:
         return self.lo <= count <= self.hi
 
-    @property
-    def num_counts(self) -> int:
-        return self.hi - self.lo + 1
-
 
 def typical_window(m: SpinChainModel, half_width: float) -> TypicalWindow:
     if half_width < 0:

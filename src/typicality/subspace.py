@@ -30,17 +30,17 @@ from .linalg import (
 DEPENDENCE_TOL = 1e-8
 
 
-def gram_schmidt(vectors: Iterable[np.ndarray], dependence_tol: float = DEPENDENCE_TOL) -> np.ndarray:
+def gram_schmidt(vectors: Iterable[np.ndarray]) -> np.ndarray:
     """Orthonormalize ``vectors`` (rows of the result), with a re-orthogonalization pass.
 
     Raises :class:`RankDeficiencyError` when a residual drops below
-    ``dependence_tol``, i.e. the input set is (numerically) rank deficient.
+    ``DEPENDENCE_TOL``, i.e. the input set is (numerically) rank deficient.
     """
     rows: list[np.ndarray] = []
     for v in vectors:
         w = np.array(v, dtype=complex)
         norm = np.linalg.norm(w)
-        if norm < dependence_tol:
+        if norm < DEPENDENCE_TOL:
             raise RankDeficiencyError("zero-norm input vector")
         w /= norm
         # Two projection sweeps keep orthogonality near machine precision
@@ -49,7 +49,7 @@ def gram_schmidt(vectors: Iterable[np.ndarray], dependence_tol: float = DEPENDEN
             for b in rows:
                 w -= (b.conj() @ w) * b
         residual = np.linalg.norm(w)
-        if residual < dependence_tol:
+        if residual < DEPENDENCE_TOL:
             raise RankDeficiencyError(
                 f"vector {len(rows)} is linearly dependent (residual {residual:.3e})"
             )
@@ -219,19 +219,19 @@ class ConstraintSubspace:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "ConstraintSubspace":
+    def from_json_dict(cls, obj: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":
         shape = BipartiteShape(int(obj["dimS"]), int(obj["dimE"]))
         rows = complex_matrix_from_json(obj["basis"])
-        return from_basis_vectors(shape, rows, cap=max(DEFAULT_DIMENSION_CAP, shape.dim))
+        return from_basis_vectors(shape, rows, cap=cap)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh)
 
     @classmethod
-    def load(cls, path) -> "ConstraintSubspace":
+    def load(cls, path, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            return cls.from_json_dict(json.load(fh), cap=cap)
 
 
 def full_space(shape: BipartiteShape, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:
@@ -245,7 +245,6 @@ def from_basis_vectors(
     vectors: Sequence[np.ndarray] | np.ndarray,
     *,
     cap: int = DEFAULT_DIMENSION_CAP,
-    dependence_tol: float = DEPENDENCE_TOL,
 ) -> ConstraintSubspace:
     """Build a subspace from spanning vectors, Gram-Schmidt orthonormalized."""
     check_cap(shape.dim, cap)
@@ -256,7 +255,7 @@ def from_basis_vectors(
         raise ShapeMismatchError(
             f"vectors of length {vectors.shape[1]} do not live in dimension {shape.dim}"
         )
-    basis = gram_schmidt(vectors, dependence_tol=dependence_tol)
+    basis = gram_schmidt(vectors)
     return ConstraintSubspace(shape, dense_basis=basis)
 
 

@@ -7,7 +7,10 @@ from typicality.cli import main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected a flag or a config entry
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -40,6 +43,21 @@ def test_subspace_info_from_file(tmp_path, capsys):
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["dim_subspace"] == 4
+
+
+def test_subspace_file_obeys_cap(tmp_path, capsys):
+    import numpy as np
+
+    from typicality.linalg import BipartiteShape
+    from typicality.subspace import random_subspace
+
+    path = tmp_path / "sub.json"
+    random_subspace(BipartiteShape(4, 16), 4, np.random.default_rng(6)).save(path)
+    code, out, err = run_cli(capsys, "subspace-info", "--subspace-file", str(path),
+                             "--cap", "10")
+    assert code == 2
+    assert out == ""
+    assert "error: dimension 64 exceeds dense cap 10" in err
 
 
 def test_subspace_info_requires_one_spec(capsys):
@@ -110,6 +128,17 @@ def test_experiment_rerun_is_byte_identical(tmp_path, capsys):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--workers"])
+def test_experiment_rejects_zero_trials_or_workers(tmp_path, capsys, flag):
+    args = {"--trials": "5", "--workers": "1", flag: "0"}
+    code, _, err = run_cli(capsys, "experiment", "--spin-chain", "3", "1", "1", "--seed", "1",
+                           *(tok for item in args.items() for tok in item),
+                           "--output", str(tmp_path / "run"))
+    assert code == 2
+    assert f"error: {flag[2:]} must be >= 1" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_experiment_single_trial_and_mean_bound(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "experiment", "--spin-chain", "8", "2", "4",
                          "--trials", "1", "--seed", "99",
@@ -142,6 +171,17 @@ def test_purity_oracle_single_trial_exits_2(capsys):
     assert "trials >= 2" in err
 
 
+@pytest.mark.parametrize("flag, message", [("--trials", "trials >= 2"),
+                                           ("--workers", "workers must be >= 1")])
+def test_purity_oracle_rejects_zero_trials_or_workers(capsys, flag, message):
+    args = {"--trials": "4", "--workers": "1", flag: "0"}
+    code, out, err = run_cli(capsys, "purity-oracle", "--full", "2", "2", "--seed", "21",
+                             *(tok for item in args.items() for tok in item))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_bounds_invalid_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "bounds", "--d-s", "0", "--d-r", "70")
     assert code == 2
@@ -150,7 +190,8 @@ def test_bounds_invalid_range_exits_2(capsys):
 
 def test_experiment_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"spin-chain": [3, 1, 1], "trials": 50, "seed": 3}))
+    cfg.write_text(json.dumps({"spin-chain": [3, 1, 1], "trials": 50, "seed": 3,
+                               "workers": None, "bogus": [1, 2]}))
     prefix = tmp_path / "from_cfg"
     code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
                          "--output", str(prefix), "--trials", "20")
@@ -158,6 +199,29 @@ def test_experiment_config_file_with_flag_override(tmp_path, capsys):
     payload = json.loads((tmp_path / "from_cfg.json").read_text())
     assert payload["config"]["trials"] == 20  # flag wins
     assert payload["config"]["seed"] == 3     # file fills the rest
+
+
+def test_experiment_config_values_are_parsed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spin_chain": ["3", "1", "1"], "trials": "50", "seed": "3"}))
+    code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg),
+                         "--output", str(tmp_path / "run"))
+    assert code == 0
+    assert len((tmp_path / "run.csv").read_text().splitlines()) == 51
+    config = json.loads((tmp_path / "run.json").read_text())["config"]
+    assert (config["trials"], config["seed"]) == (50, 3)
+
+
+@pytest.mark.parametrize("content", ['{"trials": 1.5}', "[1, 2]"])
+def test_experiment_invalid_config_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg),
+                           "--spin-chain", "3", "1", "1", "--seed", "1",
+                           "--output", str(tmp_path / "run"))
+    assert code == 2
+    assert "error:" in err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_spin_chain_report_command(capsys):
