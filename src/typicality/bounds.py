@@ -33,14 +33,25 @@ def suggested_epsilon(dim_subspace: int) -> float:
     return float(dim_subspace) ** (-1.0 / 3.0)
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless ``epsilon`` is a finite positive number.
+
+    A deviation of zero or less makes every tail row vacuous, and NaN or
+    infinity make it meaningless.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
+
+
 def levy_tail(sphere_dim: int, lipschitz: float, epsilon: float) -> float:
     """Tail probability that a Lipschitz function on the sphere deviates
     from its mean by at least ``epsilon``:
 
         2 * exp(-2 C (d + 1) epsilon^2 / lipschitz^2)
     """
-    if sphere_dim <= 0 or lipschitz <= 0 or epsilon <= 0:
-        raise ValueError("sphere_dim, lipschitz and epsilon must be positive")
+    check_epsilon(epsilon)
+    if sphere_dim <= 0 or lipschitz <= 0:
+        raise ValueError("sphere_dim and lipschitz must be positive")
     exponent = -2.0 * LEVY_CONSTANT * (sphere_dim + 1) * epsilon**2 / lipschitz**2
     return 2.0 * math.exp(exponent)
 
@@ -86,6 +97,8 @@ def distance_tail_bound(
     and the ensemble mean: threshold = epsilon + sqrt(d_S / d_E_eff), tail
     2 exp(-C d_R epsilon^2).
     """
+    if epsilon != 0.0:  # the epsilon -> 0 limit stays defined: the tail reads 2
+        check_epsilon(epsilon)
     if min(dim_system, dim_subspace) < 1 or effective_env_dim <= 0:
         raise ValueError("dimensions must be positive")
     threshold = epsilon + math.sqrt(dim_system / effective_env_dim)
@@ -138,6 +151,7 @@ def expectation_tail_bound(op_norm: float, dim_subspace: int, epsilon: float) ->
     """Tail for the deviation of one bounded observable's expectation value:
     2 exp(-C d_R epsilon^2 / ||O||^2).
     """
+    check_epsilon(epsilon)
     if op_norm <= 0:
         raise ValueError("operator norm must be positive")
     return 2.0 * math.exp(-LEVY_CONSTANT * dim_subspace * epsilon**2 / op_norm**2)

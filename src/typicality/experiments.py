@@ -4,9 +4,16 @@ Every Monte Carlo run evaluates its trials through one kernel,
 ``_trial_block``.  Trial i draws its state from the stream keyed by
 (seed, i), so its record depends only on (config, seed, i): any partition of
 the trial range across workers reassembles to identical results, and output
-files are byte-stable under ``workers``.  Batching trials keeps that contract
-only while each trial's arithmetic is unchanged; folding trials into one
-matrix product can change the summation order with the batch size.
+files are byte-stable under ``workers``.
+
+The kernel draws and reduces trials one at a time into a stack of up to
+``_CHUNK`` reduced states, then evaluates the stack with one call per
+quantity: a stacked eigensolve, a purity sum and a stacked vector-matrix
+product for the linear functionals.  Each of these works matrix by matrix, with the same
+arithmetic for a matrix wherever it sits in the stack, so a record does not
+depend on where the chunk and worker boundaries fall.  Folding the trials of
+a chunk into one matrix-matrix product would not keep that: the product's
+rows can change in the last bits with the number of rows.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 
 from .bounds import (
     average_distance_bound,
+    check_epsilon,
     distance_tail_bound,
     expectation_tail_bound,
     filtered_distance_tail_bound,
@@ -46,6 +54,12 @@ SCHEMA_VERSION = 1
 
 #: Weyl-family tracking is skipped above this system dimension (d_S^4 per trial).
 _COEFF_TRACK_MAX_DIM = 32
+
+#: Trials per stacked evaluation in ``_trial_block``, fewer when the stack of
+#: reduced states would pass ``_CHUNK_BYTES`` (from d_S = 33 up).  Records do
+#: not depend on the chunk size: every stacked call works matrix by matrix.
+_CHUNK = 64
+_CHUNK_BYTES = 1 << 20
 
 TRIALS_CSV_COLUMNS = ("trial", "trace_distance", "purity", "max_coeff_dev")
 
@@ -76,6 +90,8 @@ class ExperimentConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.epsilon is not None:
+            check_epsilon(self.epsilon)
 
     def canonical_dict(self) -> dict:
         return {
@@ -275,7 +291,7 @@ def bound_confrontation_report(
 
 def _trial_block(
     sub: ConstraintSubspace,
-    mean_state: np.ndarray,
+    mean_state: np.ndarray | None,
     ops_conj: np.ndarray | None,
     observables: np.ndarray | None,
     seed: int,
@@ -285,22 +301,36 @@ def _trial_block(
     """Records of trials ``start .. start + count - 1``, one row per trial.
 
     Columns: trace distance to ``mean_state``, purity, max Weyl-coefficient
-    deviation from ``mean_state`` (NaN when ``ops_conj`` is None), then
-    Tr(O rho) for each observable.
+    deviation from ``mean_state``, then Tr(O rho) for each observable.  The
+    distance is NaN when ``mean_state`` is None, the deviation when
+    ``mean_state`` or ``ops_conj`` is None.
     """
+    d_s = sub.shape.dim_system
     n_obs = 0 if observables is None else observables.shape[0]
     rows = np.full((count, 3 + n_obs), np.nan)
-    for i in range(count):
-        coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
-        rho = reduced_state_from_coords(sub, coords)
-        diff = rho - mean_state
-        row = rows[i]
-        row[0] = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-        row[1] = purity(rho)
-        if ops_conj is not None:
-            row[2] = float(np.max(np.abs(np.einsum("xab,ab->x", ops_conj, diff))))
-        if n_obs:
-            row[3:] = np.einsum("oab,ba->o", observables, rho).real
+    # Each linear functional is a column acting on a flattened matrix,
+    # C_x = vec(diff) . vec(conj U^x) and Tr(O rho) = vec(rho) . vec(O^T), so
+    # a trial's coefficients are one (1, d_S^2) @ (d_S^2, m) product.
+    weyl = None if ops_conj is None else ops_conj.reshape(d_s * d_s, -1).T
+    obs_t = None if not n_obs else observables.transpose(0, 2, 1).reshape(n_obs, -1).T
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * d_s * d_s)))
+    stack = np.empty((chunk, d_s, d_s), dtype=complex)
+    for lo in range(0, count, chunk):
+        c = min(chunk, count - lo)
+        rho = stack[:c]
+        for j in range(c):
+            coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + lo + j))
+            rho[j] = reduced_state_from_coords(sub, coords)
+        block = rows[lo : lo + c]
+        block[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
+        if mean_state is not None:
+            diff = rho - mean_state
+            block[:, 0] = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+            if weyl is not None:
+                coeffs = diff.reshape(c, 1, d_s * d_s) @ weyl
+                block[:, 2] = np.abs(coeffs).max(axis=(1, 2))
+        if obs_t is not None:
+            block[:, 3:] = (rho.reshape(c, 1, d_s * d_s) @ obs_t)[:, 0].real
     return rows
 
 
@@ -506,8 +536,7 @@ def mc_average_purity(
         raise ValueError("a standard error needs trials >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    zero = np.zeros((sub.shape.dim_system,) * 2, dtype=complex)
-    purities = _run_trials((sub, zero, None, None, seed), trials, workers)[:, 1].copy()
+    purities = _run_trials((sub, None, None, None, seed), trials, workers)[:, 1].copy()
     return float(purities.mean()), float(purities.std(ddof=1) / np.sqrt(trials))
 
 

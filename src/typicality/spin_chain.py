@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .bounds import LEVY_CONSTANT
+from .bounds import LEVY_CONSTANT, check_epsilon
 from .errors import DimensionCapError, EmptyWindowError
 from .filtering import MeasurementFilter
 from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, check_cap
@@ -354,6 +354,7 @@ def spin_chain_report(
         half_width = float(k) ** (2.0 / 3.0)
     if epsilon is None:
         epsilon = float(m.dim_subspace) ** (-1.0 / 3.0)
+    check_epsilon(epsilon)
     w = typical_window(m, half_width)
     full_window = w.lo == 0 and w.hi == m.k
     miss = 0.0 if full_window else typical_miss_bound(k, p, half_width)

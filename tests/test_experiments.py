@@ -1,14 +1,23 @@
+import functools
+import importlib.util
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typicality import experiments
+from typicality.bounds import distance_tail_bound, expectation_tail_bound, levy_tail
+from typicality.cli import main
 from typicality.experiments import (
     ExperimentConfig,
     SummaryStats,
     _split_blocks,
+    _trial_block,
     exact_average_purity,
     mc_average_purity,
     purity_inequality_check,
@@ -18,7 +27,7 @@ from typicality.experiments import (
     summary_dict,
     write_trials_csv,
 )
-from typicality.linalg import BipartiteShape, partial_trace
+from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import SampleStream, reduced_state_from_coords, sample_coords
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
@@ -27,6 +36,7 @@ from typicality.subspace import (
     full_space,
     random_subspace,
 )
+from typicality.weyl import coefficients, weyl_basis
 
 CHAIN_SPEC = {"kind": "spin-chain", "n": 3, "k": 1, "num_excited": 1}
 
@@ -374,3 +384,118 @@ def test_csv_and_json_artifacts():
     assert payload["config_hash"] == cfg.config_hash()
     json.dumps(payload)  # serializable
     assert len(payload["bounds"]) >= 4
+
+
+# -- the chunked trial kernel ------------------------------------------------
+
+#: Chains with d_S = 2, 4, 8, 16, then a dense 5-dimensional subspace of 3 x 4.
+KERNEL_CASES = ((6, 1, 3), (6, 2, 3), (7, 3, 3), (8, 4, 4), "dense")
+
+
+@functools.cache
+def _kernel_case(name):
+    """(subspace, mean state, Weyl basis, two random Hermitian observables)."""
+    rng = np.random.default_rng(12)
+    if name == "dense":
+        sub = random_subspace(BipartiteShape(3, 4), 5, rng)
+    else:
+        sub = build_subspace(SpinChainModel(*name))
+    d_s = sub.shape.dim_system
+    g = rng.standard_normal((2, d_s, d_s)) + 1j * rng.standard_normal((2, d_s, d_s))
+    observables = g + g.conj().transpose(0, 2, 1)
+    return sub, canonical_ensemble(sub).system_state, weyl_basis(d_s), observables
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from(KERNEL_CASES),
+    seed=st.integers(0, 2**32),
+    start=st.integers(0, 10**6),
+    count=st.integers(1, 150),
+    with_mean=st.booleans(),
+)
+def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with_mean):
+    sub, omega, ops, observables = _kernel_case(case)
+    mean_state = omega if with_mean else None
+    rows = _trial_block(sub, mean_state, ops.conj(), observables, seed, start, count)
+    assert rows.shape == (count, 5)
+    for i, row in enumerate(rows):
+        coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
+        rho = reduced_state_from_coords(sub, coords)
+        assert row[1] == purity(rho)
+        expected_obs = np.einsum("oab,ba->o", observables, rho).real
+        np.testing.assert_allclose(row[3:], expected_obs, rtol=0, atol=1e-14)
+        if mean_state is None:
+            assert np.isnan(row[0]) and np.isnan(row[2])
+            continue
+        diff = rho - mean_state
+        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+        assert abs(row[2] - np.max(np.abs(coefficients(ops, diff)))) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.sampled_from(KERNEL_CASES),
+    seed=st.integers(0, 2**32),
+    count=st.integers(1, 200),
+    data=st.data(),
+)
+def test_trial_block_is_independent_of_the_split(case, seed, count, data):
+    sub, omega, ops, observables = _kernel_case(case)
+    args = (sub, omega, ops.conj(), observables, seed)
+    edges = sorted({0, count, *data.draw(st.lists(st.integers(0, count), max_size=4))})
+    pieces = [_trial_block(*args, lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(pieces), _trial_block(*args, 0, count))
+
+
+@pytest.mark.parametrize("chunk, chunk_bytes", [(1, 1 << 20), (7, 1 << 20), (64, 4096 * 5)])
+def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chunk_bytes):
+    sub, omega, ops, observables = _kernel_case((8, 4, 4))
+    args = (sub, omega, ops.conj(), observables, 9, 3, 150)
+    default = _trial_block(*args)
+    monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+    assert np.array_equal(_trial_block(*args), default)
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # the benchmark's traced run patches these attributes by name
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("benchmark_child", bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for owner, attr, _name, _peak in child._command_targets():
+        assert attr in owner.__dict__, (owner, attr)
+
+
+BAD_EPSILONS = (-1.0, 0.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("epsilon", BAD_EPSILONS)
+def test_tail_bounds_and_config_reject_epsilon(epsilon):
+    calls = [
+        lambda: levy_tail(5, 2.0, epsilon),
+        lambda: expectation_tail_bound(1.0, 3, epsilon),
+        lambda: ExperimentConfig(subspace=CHAIN_SPEC, trials=5, seed=1, epsilon=epsilon),
+    ]
+    if epsilon != 0.0:  # distance_tail_bound keeps the epsilon -> 0 limit
+        calls.append(lambda: distance_tail_bound(2, 3, 1.5, epsilon))
+    for call in calls:
+        with pytest.raises(ValueError, match="epsilon must be a finite positive number"):
+            call()
+
+
+@pytest.mark.parametrize("epsilon", [repr(e) for e in BAD_EPSILONS])
+@pytest.mark.parametrize("command", [
+    ["experiment", "--spin-chain", "6", "2", "3", "--trials", "5", "--seed", "1"],
+    ["spin-chain", "--n", "6", "--k", "2", "--np", "3"],
+    ["bounds", "--d-s", "4", "--d-r", "70"],
+])
+def test_cli_rejects_epsilon_before_any_output(tmp_path, capsys, command, epsilon):
+    out = tmp_path / "out"
+    assert main([*command, "--epsilon", epsilon, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "epsilon must be a finite positive number" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
