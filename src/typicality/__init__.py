@@ -44,7 +44,6 @@ from .experiments import (
     run_expectation_experiment,
 )
 from .filtering import (
-    FilteredEnsemble,
     MeasurementFilter,
     apply_filter,
     filtered_state,
@@ -84,6 +83,7 @@ from .spin_chain import (
 from .subspace import (
     CanonicalEnsemble,
     ConstraintSubspace,
+    build_ensemble,
     canonical_ensemble,
     from_basis_vectors,
     full_space,

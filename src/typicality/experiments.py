@@ -37,7 +37,7 @@ from .bounds import (
     suggested_epsilon,
 )
 from .errors import ShapeMismatchError, TypicalityError
-from .filtering import FilteredEnsemble, MeasurementFilter, apply_filter, load_filter
+from .filtering import MeasurementFilter, apply_filter, load_filter
 from .linalg import (
     DEFAULT_DIMENSION_CAP,
     BipartiteShape,
@@ -243,7 +243,7 @@ def bound_confrontation_report(
     distances: np.ndarray,
     ensemble: CanonicalEnsemble,
     epsilon: float | None = None,
-    filtered: FilteredEnsemble | None = None,
+    filtered: CanonicalEnsemble | None = None,
 ) -> list[BoundRow]:
     """Confront the sampled distances with every applicable closed form."""
     sub = ensemble.subspace

@@ -23,13 +23,14 @@ from .linalg import (
     BipartiteShape,
     complex_matrix_from_json,
     complex_matrix_to_json,
+    json_fields,
     partial_trace,
     require_hermitian,
     sqrt_psd,
     trace_norm,
 )
-from .sampling import PureState
-from .subspace import CanonicalEnsemble, ConstraintSubspace
+from .sampling import PureState, reduced_state_from_coords
+from .subspace import CanonicalEnsemble, ConstraintSubspace, build_ensemble
 
 #: Eigenvalue slack tolerated around the [0, 1] effect range.
 RANGE_ATOL = 1e-10
@@ -91,33 +92,7 @@ class MeasurementFilter:
         return int(np.sum(eigs > SUPPORT_RANK_TOL))
 
 
-@dataclass(frozen=True)
-class FilteredEnsemble:
-    """Sub-normalized ensemble after conditioning on a filter.
-
-    The reduced matrices have trace 1 - miss_weight.
-    """
-
-    subspace: ConstraintSubspace
-    system_state: np.ndarray
-    environment_state: np.ndarray
-    miss_weight: float
-    environment_purity: float
-    support_dim: int
-
-    @property
-    def effective_env_dim(self) -> float:
-        if self.environment_purity <= 0.0:
-            return math.inf
-        return 1.0 / self.environment_purity
-
-    @property
-    def degenerate(self) -> bool:
-        """True for the all-zero filter (everything missed); flagged, not rejected."""
-        return self.miss_weight >= 1.0 - 1e-12
-
-
-def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> FilteredEnsemble:
+def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> CanonicalEnsemble:
     """Condition the equiprobable state on ``f``.
 
     The filtered state on subspace coordinates is sqrt(X) (1/d_R) sqrt(X)
@@ -125,30 +100,12 @@ def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> FilteredEnsem
     or of its diagonal alone when X is diagonal there, as the typical-window
     projector of a chain is.
     """
-    d_r = sub.dim_subspace
-    e_tilde = f.subspace_matrix(sub) / d_r
+    e_tilde = f.subspace_matrix(sub) / sub.dim_subspace
     diag = np.diagonal(e_tilde).real
     weights = diag if np.array_equal(e_tilde, np.diag(diag)) else e_tilde
-    omega_s, omega_e, env_purity = sub.marginals(weights)
     miss = 1.0 - float(np.trace(e_tilde).real)
     miss = min(max(miss, 0.0), 1.0)
-    support = f.support_dim_system(sub)
-    ens = FilteredEnsemble(
-        subspace=sub,
-        system_state=omega_s,
-        environment_state=omega_e,
-        miss_weight=miss,
-        environment_purity=env_purity,
-        support_dim=support,
-    )
-    if not ens.degenerate and support > 0:
-        floor = d_r / support - 1e-9
-        if ens.effective_env_dim < floor:
-            raise OperatorRangeError(
-                f"filtered effective environment dimension {ens.effective_env_dim:.6g} "
-                f"fell below d_R / support = {floor:.6g}"
-            )
-    return ens
+    return build_ensemble(sub, weights, 1.0, miss, f.support_dim_system(sub))
 
 
 def miss_weight_by_enumeration(sub: ConstraintSubspace, f: MeasurementFilter) -> float:
@@ -187,12 +144,10 @@ def perturbation_bound_check(phi: PureState, f: MeasurementFilter) -> tuple[floa
     """
     sub = phi.subspace
     x_sub = f.subspace_matrix(sub)
-    root = _subspace_root(sub, f)
-    coords_tilde = root @ phi.coords
-    shape = sub.shape
-    m = sub.embed(phi.coords).reshape(shape.dim_system, shape.dim_environment)
-    m_tilde = sub.embed(coords_tilde).reshape(shape.dim_system, shape.dim_environment)
-    lhs = trace_norm(m @ m.conj().T - m_tilde @ m_tilde.conj().T)
+    coords_tilde = _subspace_root(sub, f) @ phi.coords
+    lhs = trace_norm(
+        reduced_state_from_coords(sub, phi.coords) - reduced_state_from_coords(sub, coords_tilde)
+    )
     retained = float(np.vdot(phi.coords, x_sub @ phi.coords).real)
     rhs = 2.0 * math.sqrt(max(0.0, 1.0 - retained))
     if lhs > rhs + 1e-9:
@@ -203,7 +158,7 @@ def perturbation_bound_check(phi: PureState, f: MeasurementFilter) -> tuple[floa
 
 
 def omega_shift_check(
-    ensemble: CanonicalEnsemble, filtered: FilteredEnsemble
+    ensemble: CanonicalEnsemble, filtered: CanonicalEnsemble
 ) -> tuple[float, float]:
     """Trace distance between unfiltered and filtered mean system states,
     against its 2 sqrt(miss_weight) cap.  Violation raises.
@@ -237,11 +192,12 @@ def filter_to_json_dict(f: MeasurementFilter) -> dict:
 
 
 def filter_from_json_dict(obj: dict) -> MeasurementFilter:
-    matrix = complex_matrix_from_json(obj["matrix"])
-    coords = obj["coordinates"]
+    coords, matrix = json_fields(obj, "coordinates", "matrix")
+    matrix = complex_matrix_from_json(matrix)
     shape = None
     if coords == "composite":
-        shape = BipartiteShape(int(obj["dimS"]), int(obj["dimE"]))
+        dim_s, dim_e = json_fields(obj, "dimS", "dimE")
+        shape = BipartiteShape(int(dim_s), int(dim_e))
     return MeasurementFilter(matrix=matrix, coords=coords, shape=shape)
 
 

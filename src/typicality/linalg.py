@@ -168,6 +168,20 @@ def complex_matrix_from_json(obj) -> np.ndarray:
     return pairs.view(complex)[..., 0]
 
 
+def json_fields(obj, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``obj``, in order.
+
+    Raises :class:`ShapeMismatchError` when ``obj`` is not an object or
+    lacks one of the keys.
+    """
+    if not isinstance(obj, dict):
+        raise ShapeMismatchError(f"expected a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ShapeMismatchError(f"JSON object lacks {', '.join(missing)}")
+    return [obj[key] for key in keys]
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Gaussian Hermitian matrix, for property tests and Lipschitz probes."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -111,6 +111,17 @@ def build_subspace(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP) -> Co
     return ConstraintSubspace(m.shape, flat_indices=excitation_states(m.n, m.num_excited))
 
 
+def _shell_terms(m: SpinChainModel) -> list[tuple[int, int, int]]:
+    """(j, C(k, j), C(n-k, num_excited - j)) for each system excitation count j
+    the shell allows; their product counts the shell strings of system count j."""
+    rest = m.n - m.k
+    return [
+        (j, comb(m.k, j), comb(rest, m.num_excited - j))
+        for j in range(m.k + 1)
+        if 0 <= m.num_excited - j <= rest
+    ]
+
+
 def canonical_weights(m: SpinChainModel) -> np.ndarray:
     """Per-string weight of the system's reduced equiprobable state, by excitation count.
 
@@ -118,12 +129,9 @@ def canonical_weights(m: SpinChainModel) -> np.ndarray:
     C(n-k, num_excited - j) / C(n, num_excited): the hypergeometric law of
     drawing the k system spins from the shell without replacement.
     """
-    d_r = m.dim_subspace
     weights = np.zeros(m.k + 1)
-    for j in range(m.k + 1):
-        rem = m.num_excited - j
-        if 0 <= rem <= m.n - m.k:
-            weights[j] = comb(m.n - m.k, rem) / d_r
+    for j, _, c_env in _shell_terms(m):
+        weights[j] = c_env / m.dim_subspace
     return weights
 
 
@@ -188,12 +196,15 @@ class TypicalWindow:
         return self.lo <= count <= self.hi
 
 
+def _window_bounds(k: int, center: float, half_width: float) -> tuple[int, int]:
+    """(lo, hi): the excitation counts within ``half_width`` of ``center``, clamped to [0, k]."""
+    if not (math.isfinite(half_width) and half_width >= 0):
+        raise EmptyWindowError(f"half_width must be finite and non-negative, got {half_width}")
+    return max(0, math.ceil(center - half_width)), min(k, math.floor(center + half_width))
+
+
 def typical_window(m: SpinChainModel, half_width: float) -> TypicalWindow:
-    if half_width < 0:
-        raise EmptyWindowError("half_width must be non-negative")
-    center = m.k * m.excitation_fraction
-    lo = max(0, math.ceil(center - half_width))
-    hi = min(m.k, math.floor(center + half_width))
+    lo, hi = _window_bounds(m.k, m.k * m.excitation_fraction, half_width)
     return TypicalWindow(half_width=half_width, lo=lo, hi=hi)
 
 
@@ -232,30 +243,20 @@ def typical_miss_bound(k: int, p: float, half_width: float) -> float:
 
 def exact_typical_tail(m: SpinChainModel, w: TypicalWindow) -> float:
     """Exact weight of the reduced state outside the window (hypergeometric sum)."""
-    inside = 0
-    for j in range(w.lo, w.hi + 1):
-        rem = m.num_excited - j
-        if 0 <= rem <= m.n - m.k:
-            inside += comb(m.k, j) * comb(m.n - m.k, rem)
+    inside = sum(c_sys * c_env for j, c_sys, c_env in _shell_terms(m) if w.contains(j))
     total = m.dim_subspace
     return (total - inside) / total
 
 
 def canonical_purities(m: SpinChainModel) -> tuple[float, float]:
     """(system purity, environment purity) of the shell's reduced states,
-    from binomials alone.
+    from binomials alone.  An environment string of count num_excited - j pairs
+    with the C(k, j) system strings of count j, so both sums run over the shell terms.
     """
     d_r = m.dim_subspace
-    sys_num = 0
-    for j in range(m.k + 1):
-        rem = m.num_excited - j
-        if 0 <= rem <= m.n - m.k:
-            sys_num += comb(m.k, j) * comb(m.n - m.k, rem) ** 2
-    env_num = 0
-    for we in range(m.n - m.k + 1):
-        rem = m.num_excited - we
-        if 0 <= rem <= m.k:
-            env_num += comb(m.n - m.k, we) * comb(m.k, rem) ** 2
+    terms = _shell_terms(m)
+    sys_num = sum(c_sys * c_env**2 for _, c_sys, c_env in terms)
+    env_num = sum(c_env * c_sys**2 for _, c_sys, c_env in terms)
     return sys_num / d_r**2, env_num / d_r**2
 
 
@@ -264,13 +265,8 @@ def filtered_env_purity(m: SpinChainModel, w: TypicalWindow) -> float:
     again from binomials: environment strings inherit the weight of their
     window-compatible system partners only.
     """
-    d_r = m.dim_subspace
-    num = 0
-    for we in range(m.n - m.k + 1):
-        j = m.num_excited - we
-        if 0 <= j <= m.k and w.contains(j):
-            num += comb(m.n - m.k, we) * comb(m.k, j) ** 2
-    return num / d_r**2
+    num = sum(c_env * c_sys**2 for j, c_sys, c_env in _shell_terms(m) if w.contains(j))
+    return num / m.dim_subspace**2
 
 
 def binomial_entropy_bounds(n: int, num_excited: int) -> tuple[float, float, int]:
@@ -296,12 +292,8 @@ def typical_dim_bound(k: int, p: float, half_width: float) -> tuple[float, float
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    center = k * p
-    lo = max(0, math.ceil(center - half_width))
-    hi = min(k, math.floor(center + half_width))
-    if lo > hi:
-        raise EmptyWindowError("window is empty")
-    exact = float(sum(comb(k, j) for j in range(lo, hi + 1)))
+    window = TypicalWindow(half_width, *_window_bounds(k, k * p, half_width))
+    exact = float(window_dim(k, window))
     exponent = k * binary_entropy(p) + half_width * binary_entropy_slope(p)
     bound = (2.0 * half_width + 1.0) * 2.0**exponent
     return bound, exact

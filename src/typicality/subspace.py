@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .linalg import (
     check_cap,
     complex_matrix_from_json,
     complex_matrix_to_json,
+    json_fields,
     purity,
 )
 
@@ -30,31 +32,31 @@ from .linalg import (
 DEPENDENCE_TOL = 1e-8
 
 
-def gram_schmidt(vectors: Iterable[np.ndarray]) -> np.ndarray:
-    """Orthonormalize ``vectors`` (rows of the result), with a re-orthogonalization pass.
+def gram_schmidt(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Orthonormalize ``vectors`` (rows of the result) in their given order.
 
-    Raises :class:`RankDeficiencyError` when a residual drops below
-    ``DEPENDENCE_TOL``, i.e. the input set is (numerically) rank deficient.
+    One Householder QR of the normalized vectors; each column is rephased so
+    that R has a positive diagonal, which makes the rows exactly the
+    Gram-Schmidt basis.  Raises :class:`RankDeficiencyError` for a zero-norm
+    vector, for more vectors than the dimension, and for the first vector
+    whose residual |R_ii| drops below ``DEPENDENCE_TOL``.
     """
-    rows: list[np.ndarray] = []
-    for v in vectors:
-        w = np.array(v, dtype=complex)
-        norm = np.linalg.norm(w)
-        if norm < DEPENDENCE_TOL:
-            raise RankDeficiencyError("zero-norm input vector")
-        w /= norm
-        # Two projection sweeps keep orthogonality near machine precision
-        # even for nearly dependent inputs.
-        for _ in range(2):
-            for b in rows:
-                w -= (b.conj() @ w) * b
-        residual = np.linalg.norm(w)
-        if residual < DEPENDENCE_TOL:
-            raise RankDeficiencyError(
-                f"vector {len(rows)} is linearly dependent (residual {residual:.3e})"
-            )
-        rows.append(w / residual)
-    return np.array(rows)
+    a = np.atleast_2d(np.asarray(vectors, dtype=complex))
+    norms = np.linalg.norm(a, axis=1)
+    if np.any(norms < DEPENDENCE_TOL):
+        raise RankDeficiencyError("zero-norm input vector")
+    if a.shape[0] > a.shape[1]:
+        raise RankDeficiencyError(f"{a.shape[0]} vectors in dimension {a.shape[1]} are dependent")
+    q, r = np.linalg.qr((a / norms[:, None]).T)
+    residuals = np.abs(np.diagonal(r))
+    dependent = np.flatnonzero(residuals < DEPENDENCE_TOL)
+    if dependent.size:
+        i = int(dependent[0])
+        raise RankDeficiencyError(
+            f"vector {i} is linearly dependent (residual {residuals[i]:.3e})"
+        )
+    q *= np.diagonal(r) / residuals
+    return q.T
 
 
 class ConstraintSubspace:
@@ -218,11 +220,14 @@ class ConstraintSubspace:
             "basis": complex_matrix_to_json(self.basis),
         }
 
+    @staticmethod
+    def _shape_and_rows(obj: dict) -> tuple[BipartiteShape, np.ndarray]:
+        dim_s, dim_e, basis = json_fields(obj, "dimS", "dimE", "basis")
+        return BipartiteShape(int(dim_s), int(dim_e)), complex_matrix_from_json(basis)
+
     @classmethod
     def from_json_dict(cls, obj: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":
-        shape = BipartiteShape(int(obj["dimS"]), int(obj["dimE"]))
-        rows = complex_matrix_from_json(obj["basis"])
-        return from_basis_vectors(shape, rows, cap=cap)
+        return from_basis_vectors(*cls._shape_and_rows(obj), cap=cap)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -230,8 +235,11 @@ class ConstraintSubspace:
 
     @classmethod
     def load(cls, path, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":
+        # The parsed lists are freed before orthonormalization, so they and
+        # the QR's work arrays are never resident together.
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh), cap=cap)
+            shape, rows = cls._shape_and_rows(json.load(fh))
+        return from_basis_vectors(shape, rows, cap=cap)
 
 
 def full_space(shape: BipartiteShape, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:
@@ -279,50 +287,73 @@ def random_subspace(
 
 @dataclass(frozen=True)
 class CanonicalEnsemble:
-    """Equiprobable state on a constrained subspace and its reduced states.
+    """The state X / d_R on a constrained subspace, through its reduced states.
 
-    ``system_state`` is the environment trace of the equiprobable state (the
+    X = P_R gives the canonical (equiprobable) ensemble; a measurement filter
+    0 <= X <= 1 gives the filtered one, whose reduced states have trace
+    1 - ``miss_weight``.  ``system_state`` is the environment trace (the
     state an observer of the system alone would assign), ``environment_state``
-    the system trace, and ``effective_env_dim`` the inverse purity of the
-    latter: the number of environment dimensions effectively occupied.
+    the system trace, and ``support_dim`` the system rank the filter keeps
+    (d_S when unfiltered).
     """
 
     subspace: ConstraintSubspace
     system_state: np.ndarray
     environment_state: np.ndarray
     environment_purity: float
-    effective_env_dim: float = field(init=False)
+    miss_weight: float
+    support_dim: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "effective_env_dim", 1.0 / self.environment_purity)
+    @property
+    def effective_env_dim(self) -> float:
+        """Inverse environment purity: the environment dimensions effectively occupied."""
+        if self.environment_purity <= 0.0:
+            return math.inf
+        return 1.0 / self.environment_purity
 
     @property
     def system_purity(self) -> float:
         return purity(self.system_state)
 
+    @property
+    def degenerate(self) -> bool:
+        """True for the all-zero filter (everything missed); flagged, not rejected."""
+        return self.miss_weight >= 1.0 - 1e-12
+
     def equiprobable(self, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
-        """Dense composite equiprobable state (projector / dim)."""
+        """Dense composite equiprobable state P_R / d_R of the subspace, unfiltered."""
         sub = self.subspace
         check_cap(sub.shape.dim, cap)
         b = sub.basis
         return (b.T @ b.conj()) / sub.dim_subspace
 
 
+def build_ensemble(
+    sub: ConstraintSubspace, weights: np.ndarray, divisor: float,
+    miss_weight: float, support_dim: int,
+) -> CanonicalEnsemble:
+    """The ensemble of W = weights / divisor (see ``marginals``), with its invariants checked.
+
+    The system marginal must keep trace 1 - ``miss_weight``, else
+    :class:`ShapeMismatchError`.  Unless the ensemble is degenerate, the
+    effective environment dimension must reach d_R / ``support_dim``, else
+    :class:`TypicalityError`.
+    """
+    omega_s, omega_e, env_purity = sub.marginals(weights, divisor)
+    ens = CanonicalEnsemble(sub, omega_s, omega_e, env_purity, miss_weight, support_dim)
+    if abs(float(np.trace(omega_s).real) - (1.0 - miss_weight)) > 10 * INVARIANT_ATOL:
+        raise ShapeMismatchError("system marginal lost trace")
+    if not ens.degenerate and support_dim > 0:
+        floor = sub.dim_subspace / support_dim - 1e-9
+        if ens.effective_env_dim < floor:
+            raise TypicalityError(
+                f"effective environment dimension {ens.effective_env_dim:.6g} "
+                f"fell below d_R / support = {floor:.6g}"
+            )
+    return ens
+
+
 def canonical_ensemble(sub: ConstraintSubspace) -> CanonicalEnsemble:
     """Reduced states of the equiprobable state P_R / d_R, without materializing it."""
     d_r = sub.dim_subspace
-    omega_s, omega_e, env_purity = sub.marginals(np.ones(d_r), d_r)
-    ens = CanonicalEnsemble(
-        subspace=sub,
-        system_state=omega_s,
-        environment_state=omega_e,
-        environment_purity=env_purity,
-    )
-    floor = d_r / sub.shape.dim_system - 1e-9
-    if ens.effective_env_dim < floor:
-        raise TypicalityError(
-            f"effective environment dimension {ens.effective_env_dim} below floor {floor}"
-        )
-    if abs(float(np.trace(omega_s).real) - 1.0) > 10 * INVARIANT_ATOL:
-        raise ShapeMismatchError("system marginal lost trace")
-    return ens
+    return build_ensemble(sub, np.ones(d_r), d_r, 0.0, sub.shape.dim_system)

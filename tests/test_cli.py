@@ -60,6 +60,30 @@ def test_subspace_file_obeys_cap(tmp_path, capsys):
     assert "error: dimension 64 exceeds dense cap 10" in err
 
 
+@pytest.mark.parametrize("content", ['{"dimS": 2}', "[1, 2]"])
+def test_malformed_subspace_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "sub.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "subspace-info", "--subspace-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["experiment", "--spin-chain", "8", "2", "4", "--seed", "1"],
+    ["spin-chain", "--n", "8", "--k", "2", "--np", "4"],
+])
+def test_non_finite_xi_exits_2_before_any_output(tmp_path, capsys, command, xi):
+    code, out, err = run_cli(capsys, *command, "--xi", xi, "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: half_width must be finite and non-negative")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_subspace_info_requires_one_spec(capsys):
     code, _, err = run_cli(capsys, "subspace-info")
     assert code == 2

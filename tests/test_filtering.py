@@ -117,6 +117,17 @@ def test_window_filter_index_form_matches_dense_form(n, k, num_excited, xi):
     assert a.support_dim == b.support_dim
 
 
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"coordinates": "subspace"},
+    {"matrix": [[[1.0, 0.0]]]},
+    {"coordinates": "composite", "matrix": [[[1.0, 0.0]]]},
+])
+def test_malformed_filter_json_raises_shape_mismatch(obj):
+    with pytest.raises(ShapeMismatchError):
+        filter_from_json_dict(obj)
+
+
 def test_filtered_state_routes():
     sub = build_subspace(CHAIN)
     phi = sample_pure(sub, SampleStream(3, 1))

@@ -8,6 +8,7 @@ from typicality.errors import DimensionCapError, EmptyWindowError
 from typicality.linalg import trace_norm
 from typicality.spin_chain import (
     SpinChainModel,
+    TypicalWindow,
     binary_entropy,
     binary_entropy_slope,
     binomial_entropy_bounds,
@@ -148,6 +149,34 @@ def test_typical_window_edges():
         typical_window(SpinChainModel(n=3, k=1, num_excited=1), 0.0)  # center 1/3
     full = typical_window(m, m.k)
     assert (full.lo, full.hi) == (0, 2)
+
+
+@pytest.mark.parametrize("half_width", [float("nan"), float("inf"), -1.0])
+def test_window_half_width_must_be_finite_and_non_negative(half_width):
+    with pytest.raises(EmptyWindowError, match="finite and non-negative"):
+        typical_window(SpinChainModel(n=8, k=2, num_excited=4), half_width)
+    with pytest.raises(EmptyWindowError, match="finite and non-negative"):
+        typical_dim_bound(2, 0.5, half_width)
+
+
+def test_shell_sums_match_direct_binomial_loops():
+    # the environment sums run over environment excitation counts w_E; the
+    # code sums the same integers over system counts j = num_excited - w_E
+    for n in range(2, 11):
+        for k in range(1, n):
+            for num in range(n + 1):
+                m = SpinChainModel(n=n, k=k, num_excited=num)
+                env_num = sum(
+                    math.comb(n - k, we) * math.comb(k, num - we) ** 2
+                    for we in range(n - k + 1) if 0 <= num - we <= k
+                )
+                assert canonical_purities(m)[1] == env_num / m.dim_subspace**2
+                w = TypicalWindow(1.0, 0, k // 2)
+                filtered = sum(
+                    math.comb(n - k, we) * math.comb(k, num - we) ** 2
+                    for we in range(n - k + 1) if 0 <= num - we <= k and w.contains(num - we)
+                )
+                assert filtered_env_purity(m, w) == filtered / m.dim_subspace**2
 
 
 def test_typical_projector_full_window_has_zero_miss():

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typicality.errors import RankDeficiencyError, ShapeMismatchError
+from typicality.errors import RankDeficiencyError, ShapeMismatchError, TypicalityError
 from typicality.linalg import BipartiteShape, partial_trace
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
     ConstraintSubspace,
+    build_ensemble,
     canonical_ensemble,
     from_basis_vectors,
     full_space,
@@ -138,6 +139,66 @@ def test_gram_schmidt_orthonormal():
     basis = gram_schmidt(vecs)
     gram = basis @ basis.conj().T
     assert np.max(np.abs(gram - np.eye(5))) < 1e-10
+
+
+def _loop_gram_schmidt(vectors):
+    """Classical Gram-Schmidt with a second projection sweep: the reference."""
+    rows = []
+    for v in vectors:
+        w = v / np.linalg.norm(v)
+        for _ in range(2):
+            for b in rows:
+                w = w - (b.conj() @ w) * b
+        rows.append(w / np.linalg.norm(w))
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1), st.data())
+def test_gram_schmidt_is_the_rephased_qr_of_the_normalized_vectors(rows, extra, seed, data):
+    dim = rows + extra
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    basis = gram_schmidt(vecs)
+    assert np.allclose(basis @ basis.conj().T, np.eye(rows), rtol=0, atol=1e-12)
+    assert np.allclose(basis, _loop_gram_schmidt(vecs), rtol=0, atol=1e-12)
+    normalized = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    r = basis.conj() @ normalized.T
+    assert np.allclose(np.tril(r, -1), 0, rtol=0, atol=1e-12)
+    assert np.allclose(np.diagonal(r).imag, 0, rtol=0, atol=1e-12)
+    assert np.all(np.diagonal(r).real > 0)
+    # a combination of the vectors before index i, inserted at i, is named by i
+    i = data.draw(st.integers(1, rows))
+    combo = (rng.standard_normal(i) + 1j * rng.standard_normal(i)) @ vecs[:i]
+    dependent = np.insert(vecs, i, combo, axis=0)
+    message = f"vector {i} is linearly dependent" if rows < dim else "vectors in dimension"
+    with pytest.raises(RankDeficiencyError, match=message):
+        gram_schmidt(dependent)
+
+
+def test_gram_schmidt_rejects_zero_vector():
+    with pytest.raises(RankDeficiencyError, match="zero-norm"):
+        gram_schmidt([[1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("obj", [[1, 2], {"dimS": 2}, {"dimS": 2, "dimE": 2}, {"basis": []}])
+def test_malformed_subspace_json_raises_shape_mismatch(obj):
+    with pytest.raises(ShapeMismatchError):
+        ConstraintSubspace.from_json_dict(obj)
+
+
+def test_ensemble_builder_checks_trace_and_floor():
+    sub = full_space(SHAPE22)
+    ens = build_ensemble(sub, np.ones(4), 4, 0.0, 2)
+    assert (ens.miss_weight, ens.support_dim, ens.degenerate) == (0.0, 2, False)
+    with pytest.raises(ShapeMismatchError, match="lost trace"):
+        build_ensemble(sub, np.ones(4), 4, 0.5, 2)
+    # d_eff = 2 misses the floor d_R / support = 4 of a one-dimensional support
+    with pytest.raises(TypicalityError, match="fell below"):
+        build_ensemble(sub, np.ones(4), 4, 0.0, 1)
+    # a degenerate ensemble is flagged, not held to the floor
+    empty = build_ensemble(sub, np.zeros(4), 4, 1.0, 1)
+    assert empty.degenerate and empty.effective_env_dim == float("inf")
 
 
 def test_json_roundtrip(tmp_path):
