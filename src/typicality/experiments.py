@@ -4,7 +4,9 @@ Every Monte Carlo run evaluates its trials through one kernel,
 ``_trial_block``.  Trial i draws its state from the stream keyed by
 (seed, i), so its record depends only on (config, seed, i): any partition of
 the trial range across workers reassembles to identical results, and output
-files are byte-stable under ``workers``.
+files are byte-stable under ``workers``.  The generators come from
+``sampling.stream_generators``, which seeds a batch of indices at once and
+draws exactly what ``SampleStream(seed, i).rng()`` would.
 
 The kernel draws and reduces trials one at a time into a stack of up to
 ``_CHUNK`` reduced states, then evaluates the stack with one call per
@@ -23,6 +25,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +48,7 @@ from .linalg import (
     purity,
     require_hermitian,
 )
-from .sampling import SampleStream, reduced_state_from_coords, sample_coords
+from .sampling import draw_coords, reduced_state_from_coords, stream_generators
 from .spin_chain import SpinChainModel, build_subspace, typical_projector, typical_window
 from .subspace import CanonicalEnsemble, ConstraintSubspace, canonical_ensemble, full_space
 from .weyl import weyl_basis
@@ -315,12 +318,12 @@ def _trial_block(
     obs_t = None if not n_obs else observables.transpose(0, 2, 1).reshape(n_obs, -1).T
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * d_s * d_s)))
     stack = np.empty((chunk, d_s, d_s), dtype=complex)
+    rngs = stream_generators(seed, start, count)
     for lo in range(0, count, chunk):
         c = min(chunk, count - lo)
         rho = stack[:c]
-        for j in range(c):
-            coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + lo + j))
-            rho[j] = reduced_state_from_coords(sub, coords)
+        for j, rng in enumerate(islice(rngs, c)):
+            rho[j] = reduced_state_from_coords(sub, draw_coords(rng, sub.dim_subspace))
         block = rows[lo : lo + c]
         block[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
         if mean_state is not None:

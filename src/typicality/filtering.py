@@ -23,6 +23,7 @@ from .linalg import (
     BipartiteShape,
     complex_matrix_from_json,
     complex_matrix_to_json,
+    json_dimension,
     json_fields,
     partial_trace,
     require_hermitian,
@@ -197,7 +198,7 @@ def filter_from_json_dict(obj: dict) -> MeasurementFilter:
     shape = None
     if coords == "composite":
         dim_s, dim_e = json_fields(obj, "dimS", "dimE")
-        shape = BipartiteShape(int(dim_s), int(dim_e))
+        shape = BipartiteShape(json_dimension(dim_s, "dimS"), json_dimension(dim_e, "dimE"))
     return MeasurementFilter(matrix=matrix, coords=coords, shape=shape)
 
 

@@ -182,6 +182,17 @@ def json_fields(obj, *keys: str) -> list:
     return [obj[key] for key in keys]
 
 
+def json_dimension(value, key: str) -> int:
+    """The JSON field ``key`` as a dimension.
+
+    Raises :class:`ShapeMismatchError` unless ``value`` is an integer >= 1;
+    a float, a bool, null or a list is rejected rather than converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ShapeMismatchError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Gaussian Hermitian matrix, for property tests and Lipschitz probes."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -4,11 +4,21 @@ Sampling draws a vector of i.i.d. standard complex Gaussians on the subspace
 coordinates and normalizes it, which is exactly uniform on the unit sphere.
 Every trial is tied to a ``(seed, index)`` pair; results depend only on that
 pair, never on scheduling, so parallel runs reproduce serial ones bit for bit.
+
+The stream of a pair is defined as ``np.random.default_rng([seed, index])``
+(``SampleStream.rng``).  Building that generator costs more than a small
+trial's draw, so ``stream_generators`` computes the same PCG64 states for a
+range of indices at once: numpy's ``SeedSequence`` hash runs on uint32 arrays
+over the indices, then PCG64's seeding steps run on Python ints, and one
+reused generator takes each state in turn.  That covers seed and index below
+2**32, where each is a single entropy word; other pairs go through
+``SampleStream.rng``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -17,6 +27,24 @@ from .subspace import ConstraintSubspace
 
 #: Gaussian draws with norm below this are redrawn (probability ~ 0).
 _RESAMPLE_NORM = 1e-100
+
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+#: Seeds and indices below this are one ``SeedSequence`` entropy word each.
+_WORD = 1 << 32
+
+#: Indices seeded per ``pcg64_states`` call in ``stream_generators``; the
+#: array passes cost about the same for 1 index as for a few hundred.
+_SEED_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -43,14 +71,100 @@ class PureState:
     ambient: np.ndarray
 
 
-def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
-    """Haar-uniform unit vector of subspace coordinates."""
-    rng = stream.rng()
+def pcg64_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng([seed, i])`` for each index
+    ``i`` in ``start .. start + count - 1``.
+
+    Seed and every index must lie in [0, 2**32).  This is numpy's
+    ``SeedSequence([seed, i]).generate_state(4, uint64)`` with each pool word
+    held as a uint32 array over the indices, followed by PCG64's ``srandom``.
+    The evolving hash constants are the same for every index and stay masked
+    Python ints.
+    """
+    if not (0 <= seed < _WORD and 0 <= start and start + count <= _WORD):
+        raise ValueError("seed and indices must lie in [0, 2**32)")
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    zeros = np.zeros(count, dtype=np.uint32)
+    entropy = [zeros + seed, np.arange(start, start + count, dtype=np.uint32), zeros, zeros]
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+
+    hash_const = _INIT_B
+    words = []
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # generate_state(4, uint64) pairs the uint32 words little-endian
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        state = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT) + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def stream_generators(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
+    """For each index ``i`` in ``start .. start + count - 1``, a generator in
+    the state of ``SampleStream(seed, i).rng()``.
+
+    Below 2**32 the generators are one reused object whose state is reset
+    for each index, so draw from each before taking the next.  Seeding runs
+    ``_SEED_BATCH`` indices at a time, so a long range holds no per-index
+    state beyond one batch.
+    """
+    # a numpy integer seed would change the dtype of the hash arrays
+    in_range = isinstance(seed, int) and 0 <= seed < _WORD and 0 <= start
+    fast_end = max(start, min(start + count, _WORD)) if in_range else start
+    if fast_end > start:
+        bit_generator = np.random.PCG64(0)
+        rng = np.random.Generator(bit_generator)
+        for lo in range(start, fast_end, _SEED_BATCH):
+            for state, inc in pcg64_states(seed, lo, min(_SEED_BATCH, fast_end - lo)):
+                bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                yield rng
+    for i in range(fast_end, start + count):
+        yield SampleStream(seed, i).rng()
+
+
+def draw_coords(rng: np.random.Generator, dim_subspace: int) -> np.ndarray:
+    """Haar-uniform unit vector of subspace coordinates drawn from ``rng``.
+
+    Real parts are the first ``dim_subspace`` normals, imaginary parts the
+    next ones; a draw of (near) zero norm is redrawn from the same stream.
+    """
     while True:
-        g = rng.standard_normal(dim_subspace) + 1j * rng.standard_normal(dim_subspace)
+        a = rng.standard_normal((2, dim_subspace))
+        g = a[0] + 1j * a[1]
         norm = np.linalg.norm(g)
         if norm > _RESAMPLE_NORM:
             return g / norm
+
+
+def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
+    """Haar-uniform unit vector of subspace coordinates."""
+    return draw_coords(stream.rng(), dim_subspace)
 
 
 def sample_pure(sub: ConstraintSubspace, stream: SampleStream) -> PureState:

@@ -24,6 +24,7 @@ from .linalg import (
     check_cap,
     complex_matrix_from_json,
     complex_matrix_to_json,
+    json_dimension,
     json_fields,
     purity,
 )
@@ -223,7 +224,8 @@ class ConstraintSubspace:
     @staticmethod
     def _shape_and_rows(obj: dict) -> tuple[BipartiteShape, np.ndarray]:
         dim_s, dim_e, basis = json_fields(obj, "dimS", "dimE", "basis")
-        return BipartiteShape(int(dim_s), int(dim_e)), complex_matrix_from_json(basis)
+        shape = BipartiteShape(json_dimension(dim_s, "dimS"), json_dimension(dim_e, "dimE"))
+        return shape, complex_matrix_from_json(basis)
 
     @classmethod
     def from_json_dict(cls, obj: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":

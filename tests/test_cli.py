@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from typicality.cli import main
@@ -69,6 +70,45 @@ def test_malformed_subspace_file_exits_2(tmp_path, capsys, content):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+#: A ``dimS``/``dimE`` pair with one value that is not an integer >= 1.  The
+#: other dimension is chosen so that ``int()`` of the bad value would give a
+#: composite of dimension 4, which a parser that converts would accept.
+BAD_DIMENSIONS = [
+    {key: value, other: 4 if value is True else 2}
+    for key, other in (("dimS", "dimE"), ("dimE", "dimS"))
+    for value in ([2], None, 2.7, True)
+]
+
+
+@pytest.mark.parametrize("dims", BAD_DIMENSIONS)
+def test_subspace_file_with_non_integer_dimension_exits_2(tmp_path, capsys, dims):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({**dims, "basis": [[[1.0, 0.0]] + [[0.0, 0.0]] * 3]}))
+    code, out, err = run_cli(capsys, "subspace-info", "--subspace-file", str(path))
+    assert code == 2
+    assert out == ""
+    bad_key = next(key for key, value in dims.items() if value not in (2, 4))
+    assert err.startswith(f"error: {bad_key} must be an integer >= 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dims", BAD_DIMENSIONS)
+def test_filter_file_with_non_integer_dimension_raises_shape_mismatch(tmp_path, dims):
+    # No flag takes a filter file; it reaches the program as an experiment
+    # config's {"kind": "file"} filter, through load_filter.  ShapeMismatchError
+    # is a TypicalityError, which the command line reports with exit code 2.
+    from typicality.errors import ShapeMismatchError
+    from typicality.filtering import MeasurementFilter, filter_to_json_dict, load_filter
+    from typicality.linalg import BipartiteShape
+
+    shape = BipartiteShape(2, 2)
+    obj = filter_to_json_dict(MeasurementFilter(np.eye(4), coords="composite", shape=shape))
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps({**obj, **dims}))
+    with pytest.raises(ShapeMismatchError, match="must be an integer >= 1"):
+        load_filter(path)
 
 
 @pytest.mark.parametrize("xi", ["nan", "inf"])

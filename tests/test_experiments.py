@@ -458,6 +458,35 @@ def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chu
     assert np.array_equal(_trial_block(*args), default)
 
 
+@pytest.mark.parametrize("seed, start, count", [
+    (7, 2**32 - 3, 6),  # seeded a chunk at a time, then through SampleStream
+    (2**32, 0, 70),  # a two-word seed: SampleStream for every trial
+    (2**32 - 1, 2**32 - 70, 70),
+])
+def test_trial_block_matches_sample_streams_across_the_word_boundary(seed, start, count):
+    sub, omega, ops, observables = _kernel_case((6, 2, 3))
+    rows = _trial_block(sub, omega, ops.conj(), observables, seed, start, count)
+    for i, row in enumerate(rows):
+        rho = reduced_state_from_coords(
+            sub, sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
+        )
+        assert row[1] == purity(rho)
+        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(rho - omega))))
+
+
+def test_trial_block_seeds_below_two_to_the_32_without_sample_streams(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"per-trial generator built for {self}")
+
+    monkeypatch.setattr(SampleStream, "rng", refuse)
+    sub, omega, ops, observables = _kernel_case((6, 2, 3))
+    args = (sub, omega, ops.conj(), observables)
+    assert np.isfinite(_trial_block(*args, 2**32 - 1, 0, 150)[:, :3]).all()
+    assert np.isfinite(_trial_block(*args, 0, 2**32 - 150, 150)[:, :3]).all()
+    with pytest.raises(AssertionError, match="per-trial generator"):
+        _trial_block(*args, 2**32, 0, 1)
+
+
 def test_benchmark_trace_targets_exist(monkeypatch):
     # the benchmark's traced run patches these attributes by name
     bench = Path(__file__).resolve().parent.parent / "benchmarks"

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from typicality.errors import SubspaceMismatchError
 from typicality.linalg import BipartiteShape, trace_norm
 from typicality.sampling import (
     PureState,
     SampleStream,
+    pcg64_states,
     reduced_state,
     reduced_state_from_coords,
     sample_coords,
     sample_pure,
+    stream_generators,
 )
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
@@ -28,6 +32,51 @@ def three_spin_subspace():
 def test_stream_validation():
     with pytest.raises(ValueError):
         SampleStream(seed=-1)
+
+
+WORD = 2**32
+
+
+@given(seed=st.integers(0, WORD - 1), start=st.integers(0, WORD - 1), count=st.integers(1, 20))
+@example(seed=0, start=0, count=3)
+@example(seed=WORD - 1, start=WORD - 1, count=3)
+@example(seed=0, start=WORD - 1, count=1)
+@example(seed=WORD - 1, start=0, count=1)
+def test_chunk_seeding_equals_default_rng(seed, start, count):
+    start = min(start, WORD - count)  # the last index is at most 2**32 - 1
+    for i, (state, inc) in zip(range(start, start + count), pcg64_states(seed, start, count)):
+        reference = np.random.default_rng([seed, i]).bit_generator.state
+        assert reference["state"] == {"state": state, "inc": inc}
+        assert (reference["has_uint32"], reference["uinteger"]) == (0, 0)
+
+
+@pytest.mark.parametrize("seed, start, count", [
+    (-1, 0, 1), (WORD, 0, 1), (0, -1, 1), (0, WORD - 1, 2),
+])
+def test_chunk_seeding_rejects_multi_word_entropy(seed, start, count):
+    with pytest.raises(ValueError):
+        pcg64_states(seed, start, count)
+
+
+@pytest.mark.parametrize("seed, start, count", [
+    (5, 0, 300),  # more than one seeding batch
+    (5, WORD - 3, 6),  # crosses into the SampleStream fallback
+    (WORD, 0, 3),  # two-word seed: fallback only
+    (WORD - 1, WORD + 5, 2),  # two-word index: fallback only
+])
+def test_stream_generators_draw_like_sample_streams(seed, start, count):
+    drawn = [rng.standard_normal(9) for rng in stream_generators(seed, start, count)]
+    assert len(drawn) == count
+    for i, draw in zip(range(start, start + count), drawn):
+        assert np.array_equal(draw, SampleStream(seed, i).rng().standard_normal(9))
+
+
+def test_sample_coords_matches_two_draw_reference():
+    # one (2, d) draw gives the bits of the former real-then-imaginary calls
+    for i in range(20):
+        rng = SampleStream(3, i).rng()
+        g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        assert np.array_equal(sample_coords(7, SampleStream(3, i)), g / np.linalg.norm(g))
 
 
 def test_single_dimension_subspace_is_deterministic():
