@@ -8,14 +8,18 @@ files are byte-stable under ``workers``.  The generators come from
 ``sampling.stream_generators``, which seeds a batch of indices at once and
 draws exactly what ``SampleStream(seed, i).rng()`` would.
 
-The kernel draws and reduces trials one at a time into a stack of up to
-``_CHUNK`` reduced states, then evaluates the stack with one call per
-quantity: a stacked eigensolve, a purity sum and a stacked vector-matrix
-product for the linear functionals.  Each of these works matrix by matrix, with the same
-arithmetic for a matrix wherever it sits in the stack, so a record does not
+The kernel works a chunk of up to ``_CHUNK`` trials at a time.  Only the
+Gaussian draw runs once per trial, into a row of a reused normals buffer;
+everything after it is one call per chunk: ``sampling.normalize_draws``
+builds and normalizes the coordinate vectors, a ``sampling.StateReducer``
+turns them into a stack of reduced states, and a stacked eigensolve, a purity
+sum and a stacked vector-matrix product for the linear functionals evaluate
+the stack.  Each of these works row by row or matrix by matrix, with the same
+arithmetic for a trial wherever it sits in the stack, so a record does not
 depend on where the chunk and worker boundaries fall.  Folding the trials of
 a chunk into one matrix-matrix product would not keep that: the product's
-rows can change in the last bits with the number of rows.
+rows can change in the last bits with the number of rows.  Every per-chunk
+buffer is allocated once per block, within ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,13 @@ from .linalg import (
     purity,
     require_hermitian,
 )
-from .sampling import draw_coords, reduced_state_from_coords, stream_generators
+from .sampling import (
+    SampleStream,
+    StateReducer,
+    draw_coords,
+    normalize_draws,
+    stream_generators,
+)
 from .spin_chain import SpinChainModel, build_subspace, typical_projector, typical_window
 from .subspace import CanonicalEnsemble, ConstraintSubspace, canonical_ensemble, full_space
 from .weyl import weyl_basis
@@ -58,9 +68,9 @@ SCHEMA_VERSION = 1
 #: Weyl-family tracking is skipped above this system dimension (d_S^4 per trial).
 _COEFF_TRACK_MAX_DIM = 32
 
-#: Trials per stacked evaluation in ``_trial_block``, fewer when the stack of
-#: reduced states would pass ``_CHUNK_BYTES`` (from d_S = 33 up).  Records do
-#: not depend on the chunk size: every stacked call works matrix by matrix.
+#: Trials per chunk in ``_trial_block``, fewer when its per-chunk buffers
+#: would pass ``_CHUNK_BYTES`` (see ``_chunk_buffers``).  Records do not
+#: depend on the chunk size: every stacked call works trial by trial.
 _CHUNK = 64
 _CHUNK_BYTES = 1 << 20
 
@@ -292,6 +302,28 @@ def bound_confrontation_report(
 # -- trial evaluation --------------------------------------------------------
 
 
+def _chunk_buffers(
+    sub: ConstraintSubspace, n_coeffs: int
+) -> tuple[int, np.ndarray, np.ndarray, StateReducer, np.ndarray, np.ndarray]:
+    """Trials per chunk of ``_trial_block``, then the buffers every chunk reuses.
+
+    Per trial these hold 2 d_R normals, d_R coordinates, the reducer's work
+    rows, rho and rho - mean, and ``n_coeffs`` Weyl coefficients.  A chunk is
+    ``_CHUNK`` trials, fewer when the buffers would pass ``_CHUNK_BYTES``.
+    """
+    d_s, d_r = sub.shape.dim_system, sub.dim_subspace
+    per_trial = 16 * (2 * d_r + 2 * StateReducer.width(sub) + 2 * d_s * d_s + n_coeffs)
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // per_trial))
+    return (
+        chunk,
+        np.empty((chunk, 2, d_r)),
+        np.empty((chunk, d_r), dtype=complex),
+        StateReducer(sub, chunk),
+        np.empty((2, chunk, d_s, d_s), dtype=complex),
+        np.empty((chunk, 1, n_coeffs), dtype=complex),
+    )
+
+
 def _trial_block(
     sub: ConstraintSubspace,
     mean_state: np.ndarray | None,
@@ -308,7 +340,7 @@ def _trial_block(
     distance is NaN when ``mean_state`` is None, the deviation when
     ``mean_state`` or ``ops_conj`` is None.
     """
-    d_s = sub.shape.dim_system
+    d_s, d_r = sub.shape.dim_system, sub.dim_subspace
     n_obs = 0 if observables is None else observables.shape[0]
     rows = np.full((count, 3 + n_obs), np.nan)
     # Each linear functional is a column acting on a flattened matrix,
@@ -316,21 +348,24 @@ def _trial_block(
     # a trial's coefficients are one (1, d_S^2) @ (d_S^2, m) product.
     weyl = None if ops_conj is None else ops_conj.reshape(d_s * d_s, -1).T
     obs_t = None if not n_obs else observables.transpose(0, 2, 1).reshape(n_obs, -1).T
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (16 * d_s * d_s)))
-    stack = np.empty((chunk, d_s, d_s), dtype=complex)
+    n_coeffs = 0 if weyl is None else weyl.shape[1]
+    chunk, normals, coords, reduce, states, products = _chunk_buffers(sub, n_coeffs)
     rngs = stream_generators(seed, start, count)
     for lo in range(0, count, chunk):
         c = min(chunk, count - lo)
-        rho = stack[:c]
         for j, rng in enumerate(islice(rngs, c)):
-            rho[j] = reduced_state_from_coords(sub, draw_coords(rng, sub.dim_subspace))
+            rng.standard_normal(out=normals[j])
+        # a row of (near) zero norm continues its own stream, as in draw_coords
+        for j in normalize_draws(normals[:c], coords[:c]):
+            coords[j] = draw_coords(SampleStream(seed, start + lo + j).rng(), d_r)
+        rho = reduce(coords[:c], states[0, :c])
         block = rows[lo : lo + c]
         block[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
         if mean_state is not None:
-            diff = rho - mean_state
+            diff = np.subtract(rho, mean_state, out=states[1, :c])
             block[:, 0] = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
             if weyl is not None:
-                coeffs = diff.reshape(c, 1, d_s * d_s) @ weyl
+                coeffs = np.matmul(diff.reshape(c, 1, d_s * d_s), weyl, out=products[:c])
                 block[:, 2] = np.abs(coeffs).max(axis=(1, 2))
         if obs_t is not None:
             block[:, 3:] = (rho.reshape(c, 1, d_s * d_s) @ obs_t)[:, 0].real

@@ -29,6 +29,7 @@ from .linalg import (
     require_hermitian,
     sqrt_psd,
     trace_norm,
+    write_json_object,
 )
 from .sampling import PureState, reduced_state_from_coords
 from .subspace import CanonicalEnsemble, ConstraintSubspace, build_ensemble
@@ -203,8 +204,7 @@ def filter_from_json_dict(obj: dict) -> MeasurementFilter:
 
 
 def save_filter(f: MeasurementFilter, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(filter_to_json_dict(f), fh)
+    write_json_object(filter_to_json_dict(f), path)
 
 
 def load_filter(path) -> MeasurementFilter:

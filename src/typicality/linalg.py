@@ -11,6 +11,7 @@ bipartite space with system dimension ``dim_system`` and environment dimension
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,27 @@ def complex_matrix_from_json(obj) -> np.ndarray:
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ShapeMismatchError(f"expected [re, im] pairs, got shape {pairs.shape}")
     return pairs.view(complex)[..., 0]
+
+
+def write_json_object(obj: dict, path) -> None:
+    """Write the JSON object ``obj`` to ``path`` with the bytes of ``json.dump``.
+
+    ``json.dump`` runs the pure-Python encoder; ``json.dumps`` runs the C one
+    but holds the whole text.  Here each element of a list value (a basis
+    vector, a matrix row) goes through ``json.dumps`` on its own.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        for n, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            if not isinstance(value, list):
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for i, item in enumerate(value):
+                fh.write(f"{', ' if i else ''}{json.dumps(item)}")
+            fh.write("]")
+        fh.write("}")
 
 
 def json_fields(obj, *keys: str) -> list:

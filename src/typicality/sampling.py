@@ -13,6 +13,12 @@ over the indices, then PCG64's seeding steps run on Python ints, and one
 reused generator takes each state in turn.  That covers seed and index below
 2**32, where each is a single entropy word; other pairs go through
 ``SampleStream.rng``.
+
+A stack of draws is normalized by ``normalize_draws`` and reduced to system
+states by ``StateReducer``, each with one call per quantity for the whole
+stack and the same arithmetic for a row wherever it sits in it.
+``draw_coords`` and ``reduced_state_from_coords`` are the same code on a stack
+of one, so a trial's bits do not depend on how many are drawn together.
 """
 
 from __future__ import annotations
@@ -148,18 +154,43 @@ def stream_generators(seed: int, start: int, count: int) -> Iterator[np.random.G
         yield SampleStream(seed, i).rng()
 
 
+def normalize_draws(normals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unit coordinate vectors of a stack of Gaussian draws, written to ``out``.
+
+    ``normals[j]`` holds row j's real parts, then its imaginary parts, as one
+    ``standard_normal((2, d))`` fills them; ``out[j]`` becomes that complex
+    vector over its norm.  The norm is sqrt(re.re + im.im), each dot product a
+    ``(1, d) @ (d, 1)`` matmul on the strided ``.real``/``.imag`` views, the
+    same BLAS call ``np.linalg.norm`` makes, so a row's bits do not depend on
+    the stack.  Returns the rows whose norm is at most ``_RESAMPLE_NORM``;
+    those are left undivided, for the caller to redraw.
+    """
+    np.multiply(1j, normals[:, 1], out=out)
+    np.add(normals[:, 0], out, out=out)
+    re, im = out.real, out.imag
+    norms = np.matmul(re[:, None, :], re[:, :, None])[:, 0]
+    norms += np.matmul(im[:, None, :], im[:, :, None])[:, 0]
+    np.sqrt(norms, out=norms)
+    redraw = np.flatnonzero(norms <= _RESAMPLE_NORM)
+    if redraw.size:
+        norms[redraw] = 1.0
+    np.divide(out, norms, out=out)
+    return redraw
+
+
 def draw_coords(rng: np.random.Generator, dim_subspace: int) -> np.ndarray:
     """Haar-uniform unit vector of subspace coordinates drawn from ``rng``.
 
     Real parts are the first ``dim_subspace`` normals, imaginary parts the
     next ones; a draw of (near) zero norm is redrawn from the same stream.
+    This is ``normalize_draws`` on a stack of one.
     """
+    normals = np.empty((1, 2, dim_subspace))
+    coords = np.empty((1, dim_subspace), dtype=complex)
     while True:
-        a = rng.standard_normal((2, dim_subspace))
-        g = a[0] + 1j * a[1]
-        norm = np.linalg.norm(g)
-        if norm > _RESAMPLE_NORM:
-            return g / norm
+        rng.standard_normal(out=normals[0])
+        if not normalize_draws(normals, coords).size:
+            return coords[0]
 
 
 def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
@@ -173,19 +204,66 @@ def sample_pure(sub: ConstraintSubspace, stream: SampleStream) -> PureState:
     return PureState(subspace=sub, coords=coords, ambient=sub.embed(coords))
 
 
+class StateReducer:
+    """Reduced system states of stacks of up to ``chunk`` coordinate vectors.
+
+    The one place that tells index form from dense form.  In index form the
+    amplitudes of a state are scattered into an (environment group, system)
+    matrix M, and rho = M^T conj(M); basis vectors in different groups do not
+    interfere.  A dense state is lifted to the composite space, viewed as a
+    (system, environment) matrix M, and rho = M M^H.  Either way a call makes
+    one stacked product, matrix by matrix, into reused work rows: a state's
+    bits do not depend on the stack.
+    """
+
+    def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
+        groups = sub.env_groups
+        d_s = sub.shape.dim_system
+        if groups is not None:
+            group, sys_idx, n_groups = groups
+            self._offsets = group * d_s + sys_idx
+            self._matrix = (n_groups, d_s)
+        else:
+            self._offsets = None
+            self._basis = sub.basis
+            self._matrix = (d_s, sub.shape.dim_environment)
+        # M, then conj(M), per state; index form only ever writes the same
+        # offsets, so the rest stays zero from here on
+        self.work = np.zeros((2, chunk, StateReducer.width(sub)), dtype=complex)
+
+    @staticmethod
+    def width(sub: ConstraintSubspace) -> int:
+        """Complex entries of M for one state of ``sub``."""
+        groups = sub.env_groups
+        rows = sub.shape.dim_environment if groups is None else groups[2]
+        return rows * sub.shape.dim_system
+
+    def __call__(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rho of each row of ``coords``, written to ``out`` (c, d_S, d_S)."""
+        c = coords.shape[0]
+        m, m_conj = self.work[0, :c], self.work[1, :c]
+        if self._offsets is not None:
+            m[:, self._offsets] = coords
+        else:
+            np.matmul(coords[:, None, :], self._basis, out=m[:, None, :])
+        np.conjugate(m, out=m_conj)
+        m, m_conj = m.reshape(c, *self._matrix), m_conj.reshape(c, *self._matrix)
+        if self._offsets is not None:
+            return np.matmul(m.transpose(0, 2, 1), m_conj, out=out)
+        return np.matmul(m, m_conj.transpose(0, 2, 1), out=out)
+
+
 def reduced_state_from_coords(sub: ConstraintSubspace, coords: np.ndarray) -> np.ndarray:
-    """Environment trace of |phi><phi| for phi given by subspace coordinates."""
+    """Environment trace of |phi><phi| for phi given by subspace coordinates.
+
+    This is ``StateReducer`` on a stack of one.
+    """
     coords = np.asarray(coords, dtype=complex)
     if coords.shape != (sub.dim_subspace,):
         raise ShapeMismatchError("coordinate vector has wrong length")
-    groups = sub.env_groups
-    if groups is not None:
-        group, sys_idx, n_groups = groups
-        m = np.zeros((n_groups, sub.shape.dim_system), dtype=complex)
-        m[group, sys_idx] = coords
-        return m.T @ m.conj()
-    m = sub.embed(coords).reshape(sub.shape.dim_system, sub.shape.dim_environment)
-    return m @ m.conj().T
+    d_s = sub.shape.dim_system
+    out = np.empty((1, d_s, d_s), dtype=complex)
+    return StateReducer(sub, 1)(coords[None], out)[0]
 
 
 def reduced_state(phi: PureState, sub: ConstraintSubspace) -> np.ndarray:

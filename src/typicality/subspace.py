@@ -27,6 +27,7 @@ from .linalg import (
     json_dimension,
     json_fields,
     purity,
+    write_json_object,
 )
 
 #: Residual norm below which a vector is declared linearly dependent.
@@ -232,8 +233,7 @@ class ConstraintSubspace:
         return from_basis_vectors(*cls._shape_and_rows(obj), cap=cap)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
+        write_json_object(self.to_json_dict(), path)
 
     @classmethod
     def load(cls, path, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":

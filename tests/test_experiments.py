@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typicality import experiments
+from typicality import experiments, sampling
 from typicality.bounds import distance_tail_bound, expectation_tail_bound, levy_tail
 from typicality.cli import main
 from typicality.experiments import (
@@ -28,7 +28,13 @@ from typicality.experiments import (
     write_trials_csv,
 )
 from typicality.linalg import BipartiteShape, partial_trace, purity
-from typicality.sampling import SampleStream, reduced_state_from_coords, sample_coords
+from typicality.sampling import (
+    SampleStream,
+    StateReducer,
+    draw_coords,
+    reduced_state_from_coords,
+    sample_coords,
+)
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
     canonical_ensemble,
@@ -456,6 +462,48 @@ def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chu
     monkeypatch.setattr(experiments, "_CHUNK", chunk)
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
     assert np.array_equal(_trial_block(*args), default)
+
+
+@pytest.mark.parametrize("case", [(6, 2, 3), "dense"])
+def test_trial_block_redraws_short_rows_like_draw_coords(monkeypatch, case):
+    # at a threshold of sqrt(2 d_R), about the median norm, half the rows redraw
+    sub, omega, ops, observables = _kernel_case(case)
+    d_r = sub.dim_subspace
+    monkeypatch.setattr(sampling, "_RESAMPLE_NORM", np.sqrt(2.0 * d_r))
+    monkeypatch.setattr(experiments, "_CHUNK", 7)
+    seed, start, count = 11, 5, 40
+    rows = _trial_block(sub, omega, ops.conj(), observables, seed, start, count)
+    redrawn = 0
+    for i, row in enumerate(rows):
+        first = SampleStream(seed, start + i).rng().standard_normal((2, d_r))
+        redrawn += np.linalg.norm(first[0] + 1j * first[1]) <= sampling._RESAMPLE_NORM
+        coords = draw_coords(SampleStream(seed, start + i).rng(), d_r)
+        rho = reduced_state_from_coords(sub, coords)
+        assert row[1] == purity(rho)
+        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(rho - omega))))
+    assert 0.2 * count < redrawn < 0.8 * count
+
+
+@pytest.mark.parametrize("name", ["chain 8 2 4", "chain 12 4 6", "dense 8 64 160", "full 512 4"])
+def test_chunk_buffers_fit_the_byte_budget(name):
+    kind, *dims = name.split()
+    dims = [int(d) for d in dims]
+    if kind == "chain":
+        sub = build_subspace(SpinChainModel(*dims))
+    elif kind == "dense":
+        sub = random_subspace(BipartiteShape(*dims[:2]), dims[2], np.random.default_rng(5))
+    else:
+        sub = full_space(BipartiteShape(*dims))
+    d_s = sub.shape.dim_system
+    n_coeffs = d_s * d_s if d_s <= experiments._COEFF_TRACK_MAX_DIM else 0
+    chunk, *buffers = experiments._chunk_buffers(sub, n_coeffs)
+    arrays = [b.work if isinstance(b, StateReducer) else b for b in buffers]
+    assert all(chunk in a.shape[:2] for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= experiments._CHUNK_BYTES or chunk == 1
+    if name == "chain 8 2 4":
+        assert chunk == experiments._CHUNK
+    if kind == "full":
+        assert chunk == 1
 
 
 @pytest.mark.parametrize("seed, start, count", [

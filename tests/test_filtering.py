@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from typicality.filtering import (
     filter_from_json_dict,
     filter_to_json_dict,
     filtered_state,
+    load_filter,
     miss_weight_by_enumeration,
     omega_shift_check,
     perturbation_bound_check,
+    save_filter,
 )
 from typicality.linalg import BipartiteShape
 from typicality.sampling import SampleStream, sample_pure
@@ -209,3 +213,13 @@ def test_filter_json_roundtrip():
     assert back.coords == filt.coords
     assert back.shape == filt.shape
     assert np.allclose(back.matrix, filt.matrix, atol=1e-15)
+
+
+def test_save_filter_writes_the_bytes_of_json_dump(tmp_path):
+    model = SpinChainModel(n=4, k=2, num_excited=2)
+    filt = typical_projector(model, typical_window(model, 1.0))
+    save_filter(filt, tmp_path / "filter.json")
+    text = (tmp_path / "filter.json").read_text(encoding="utf-8")
+    assert text == json.dumps(filter_to_json_dict(filt))
+    back = load_filter(tmp_path / "filter.json")
+    assert back.matrix.tobytes() == filt.matrix.tobytes()

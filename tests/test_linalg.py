@@ -20,6 +20,7 @@ from typicality.linalg import (
     random_hermitian,
     sqrt_psd,
     trace_norm,
+    write_json_object,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -196,6 +197,21 @@ def test_complex_matrix_json_codec_is_bitwise(m):
     assert back.shape == m.shape
     assert back.tobytes() == m.tobytes()
     assert back.tobytes() == _reference_decode(json.loads(text)).tobytes()
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=20)
+
+
+@given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
+@example({})
+@example({"dimS": 2, "basis": [[[0.5, -0.0], [1e-310, float("nan")]], []], "empty": []})
+def test_write_json_object_writes_the_bytes_of_json_dump(tmp_path_factory, obj):
+    folder = tmp_path_factory.mktemp("json")
+    with open(folder / "reference.json", "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    write_json_object(obj, folder / "streamed.json")
+    assert (folder / "streamed.json").read_bytes() == (folder / "reference.json").read_bytes()
 
 
 def test_complex_matrix_from_json_rejects_non_pairs():

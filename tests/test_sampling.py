@@ -1,6 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typicality.errors import SubspaceMismatchError
@@ -8,6 +10,9 @@ from typicality.linalg import BipartiteShape, trace_norm
 from typicality.sampling import (
     PureState,
     SampleStream,
+    StateReducer,
+    draw_coords,
+    normalize_draws,
     pcg64_states,
     reduced_state,
     reduced_state_from_coords,
@@ -77,6 +82,78 @@ def test_sample_coords_matches_two_draw_reference():
         rng = SampleStream(3, i).rng()
         g = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         assert np.array_equal(sample_coords(7, SampleStream(3, i)), g / np.linalg.norm(g))
+
+
+def _per_trial_draw(rng, dim_subspace):
+    """The draw before stacking: (2, d) normals, complex build, norm, divide."""
+    while True:
+        a = rng.standard_normal((2, dim_subspace))
+        g = a[0] + 1j * a[1]
+        norm = np.linalg.norm(g)
+        if norm > 1e-100:
+            return g / norm
+
+
+def _per_trial_reduction(sub, coords):
+    """The reduction before stacking: 2-d scatter or embedding, then one product."""
+    groups = sub.env_groups
+    if groups is not None:
+        group, sys_idx, n_groups = groups
+        m = np.zeros((n_groups, sub.shape.dim_system), dtype=complex)
+        m[group, sys_idx] = coords
+        return m.T @ m.conj()
+    m = sub.embed(coords).reshape(sub.shape.dim_system, sub.shape.dim_environment)
+    return m @ m.conj().T
+
+
+#: Chains (n, k, excitations) with d_S = 2, 4, 8, 16, then dense subspaces
+#: (d_S, d_E, d_R).
+STACK_CASES = (
+    ("chain", 6, 1, 3), ("chain", 8, 2, 4), ("chain", 7, 3, 3), ("chain", 10, 4, 5),
+    ("dense", 3, 4, 5), ("dense", 8, 16, 40),
+)
+
+
+@functools.cache
+def _stack_case(case):
+    kind, a, b, c = case
+    if kind == "chain":
+        return build_subspace(SpinChainModel(a, b, c))
+    return random_subspace(BipartiteShape(a, b), c, np.random.default_rng(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(STACK_CASES),
+    seed=st.integers(0, 2**33),
+    start=st.integers(0, 2**33),
+    count=st.integers(1, 9),
+)
+def test_stacks_and_stacks_of_one_match_the_per_trial_code(case, seed, start, count):
+    sub = _stack_case(case)
+    d_r, d_s = sub.dim_subspace, sub.shape.dim_system
+    normals = np.empty((count, 2, d_r))
+    for j in range(count):
+        SampleStream(seed, start + j).rng().standard_normal(out=normals[j])
+    coords = np.empty((count, d_r), dtype=complex)
+    assert normalize_draws(normals, coords).size == 0
+    rho = StateReducer(sub, count)(coords, np.empty((count, d_s, d_s), dtype=complex))
+    for j in range(count):
+        stream = SampleStream(seed, start + j)
+        want = _per_trial_draw(stream.rng(), d_r)
+        assert draw_coords(stream.rng(), d_r).tobytes() == want.tobytes()
+        assert coords[j].tobytes() == want.tobytes()
+        want_rho = _per_trial_reduction(sub, want)
+        assert reduced_state_from_coords(sub, want).tobytes() == want_rho.tobytes()
+        assert rho[j].tobytes() == want_rho.tobytes()
+
+
+def test_normalize_draws_leaves_short_rows_to_the_caller():
+    normals = np.zeros((3, 2, 4))
+    normals[1, 0, 2] = 2.0
+    coords = np.empty((3, 4), dtype=complex)
+    assert normalize_draws(normals, coords).tolist() == [0, 2]
+    assert np.array_equal(coords[1], [0, 0, 1, 0])
 
 
 def test_single_dimension_subspace_is_deterministic():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,16 @@ def test_json_roundtrip(tmp_path):
     loaded = ConstraintSubspace.load(path)
     assert loaded.shape == sub.shape
     assert np.allclose(loaded.basis, sub.basis, atol=1e-12)
+
+
+def test_save_writes_the_bytes_of_json_dump(tmp_path):
+    sub = random_subspace(BipartiteShape(4, 8), 6, np.random.default_rng(78))
+    sub.save(tmp_path / "subspace.json")
+    assert (tmp_path / "subspace.json").read_text(encoding="utf-8") == json.dumps(
+        sub.to_json_dict()
+    )
+    loaded = ConstraintSubspace.load(tmp_path / "subspace.json")
+    assert np.allclose(loaded.basis, sub.basis, rtol=0, atol=1e-12)
 
 
 def test_one_hot_lazy_basis():
