@@ -1,8 +1,8 @@
 """Closed-form concentration bounds and Lipschitz-constant probes.
 
 Everything here is a pure function of scalar inputs.  Probability bounds are
-reported unclamped (they may exceed 1 at small dimension); ``vacuous`` flags
-and clamped display values are provided alongside.
+reported unclamped (they may exceed 1 at small dimension), with a ``vacuous``
+flag alongside.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class DistanceTailBound:
     @property
     def vacuous(self) -> bool:
         return self.tail_bound >= 1.0 or self.threshold >= 2.0
-
-    @property
-    def tail_bound_clamped(self) -> float:
-        return min(self.tail_bound, 1.0)
 
     def table_row(self) -> dict:
         return {

@@ -4,8 +4,9 @@ Commands: subspace-info, bounds, experiment, spin-chain, purity-oracle.
 Every default is declared once, on its flag.  The entries of a ``--config``
 file are parsed as flags placed before the command line, so explicit flags
 win.  The resolved config is echoed into every output artifact together with
-the seed and a config hash.  Exit codes: 0 success, 2 argument/config errors,
-3 a bound row violated beyond three standard errors, 4 I/O errors.
+the seed and a config hash.  Exit codes: 0 success, 2 argument/config errors
+and allocations that do not fit in memory, 3 a bound row violated beyond
+three standard errors, 4 I/O errors.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def _cmd_spin_chain(args: argparse.Namespace) -> int:
 
 def _cmd_purity_oracle(args: argparse.Namespace) -> int:
     sub_ = experiments.resolve_subspace(_subspace_spec(args), cap=args.cap)
-    exact = experiments.exact_average_purity(sub_, cap=args.cap)
+    exact = experiments.exact_average_purity(sub_)
     out = {"exact_average_purity": exact}
     status = EXIT_OK
     if args.trials is not None:
@@ -292,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (TypicalityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -48,7 +48,6 @@ from .filtering import MeasurementFilter, apply_filter, load_filter
 from .linalg import (
     DEFAULT_DIMENSION_CAP,
     BipartiteShape,
-    check_cap,
     purity,
     require_hermitian,
 )
@@ -531,7 +530,7 @@ def run_expectation_experiment(
 # -- exact purity oracle ------------------------------------------------------
 
 
-def exact_average_purity(sub: ConstraintSubspace, *, cap: int = DEFAULT_DIMENSION_CAP) -> float:
+def exact_average_purity(sub: ConstraintSubspace) -> float:
     """Mean system purity over Haar-uniform states on the subspace, exactly.
 
     Doubling the space turns the purity into the expectation of the system
@@ -542,23 +541,21 @@ def exact_average_purity(sub: ConstraintSubspace, *, cap: int = DEFAULT_DIMENSIO
         <Tr rho_S^2> = d_R (Tr Omega_S^2 + Tr Omega_E^2) / (d_R + 1),
 
     with Omega_S = Tr_E(P_R / d_R) and Omega_E = Tr_S(P_R / d_R).  No
-    composite-squared operator is ever materialized.
+    composite-squared operator is ever materialized, and in index form no
+    environment matrix either: only a d_S^2 matrix and O(d_R + d_E) vectors.
     """
-    check_cap(sub.shape.dim, cap)
     d_r = sub.dim_subspace
-    omega_s, _, env_purity = sub.marginals(np.ones(d_r), d_r)
+    omega_s, env_purity = sub.marginals(np.ones(d_r), d_r)
     return d_r * (purity(omega_s) + env_purity) / (d_r + 1)
 
 
-def purity_inequality_check(
-    sub: ConstraintSubspace, *, cap: int = DEFAULT_DIMENSION_CAP
-) -> tuple[float, float]:
+def purity_inequality_check(sub: ConstraintSubspace) -> tuple[float, float]:
     """Exact mean purity against the sum of the marginal purities.
 
     Returns (lhs, rhs) = (<Tr rho_S^2>, Tr Omega_S^2 + Tr Omega_E^2) and
     raises if lhs exceeds rhs beyond 1e-10.
     """
-    lhs = exact_average_purity(sub, cap=cap)
+    lhs = exact_average_purity(sub)
     ens = canonical_ensemble(sub)
     rhs = ens.system_purity + ens.environment_purity
     if lhs > rhs + 1e-10:

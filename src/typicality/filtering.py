@@ -98,9 +98,9 @@ def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> CanonicalEnse
     """Condition the equiprobable state on ``f``.
 
     The filtered state on subspace coordinates is sqrt(X) (1/d_R) sqrt(X)
-    = X / d_R.  Its reduced matrices are the subspace marginals of X / d_R,
-    or of its diagonal alone when X is diagonal there, as the typical-window
-    projector of a chain is.
+    = X / d_R.  Its system marginal and environment purity are the subspace
+    marginals of X / d_R, or of its diagonal alone when X is diagonal there,
+    as the typical-window projector of a chain is.
     """
     e_tilde = f.subspace_matrix(sub) / sub.dim_subspace
     diag = np.diagonal(e_tilde).real

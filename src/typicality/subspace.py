@@ -2,8 +2,8 @@
 
 A global restriction is represented by an explicit orthonormal basis of a
 subspace of the composite system/environment space.  The equiprobable state on
-that subspace, its two reduced states, and the purity-based effective
-environment dimension are derived here.
+that subspace, its reduced system state, and its environment purity with the
+effective environment dimension it defines are derived here.
 """
 
 from __future__ import annotations
@@ -176,15 +176,14 @@ class ConstraintSubspace:
             self.dim_subspace, self.shape.dim_system, self.shape.dim_environment
         )
 
-    def marginals(
-        self, weights: np.ndarray, divisor: float = 1.0
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """(Tr_E W, Tr_S W, Tr (Tr_S W)^2) for W = sum_ij w_ij |b_i><b_j| / divisor.
+    def marginals(self, weights: np.ndarray, divisor: float = 1.0) -> tuple[np.ndarray, float]:
+        """(Tr_E W, Tr (Tr_S W)^2) for W = sum_ij w_ij |b_i><b_j| / divisor.
 
         A 1-d ``weights`` is the (real) diagonal of W.  In index form such a W
         has diagonal marginals, summed by index counts; every other case is
-        contracted through the basis tensor.  ``divisor`` is applied after the
-        sums, so integer weights (the projector P_R with divisor d_R) give the
+        contracted through the basis tensor, the environment marginal only as
+        a temporary for its purity.  ``divisor`` is applied after the sums, so
+        integer weights (the projector P_R with divisor d_R) give the
         marginals of P_R / d_R exactly as counts / d_R.
         """
         weights = np.asarray(weights)
@@ -194,14 +193,12 @@ class ConstraintSubspace:
             sys_idx, env_idx = self.one_hot
             sys_w = np.bincount(sys_idx, weights, minlength=self.shape.dim_system)
             env_w = np.bincount(env_idx, weights, minlength=self.shape.dim_environment)
-            sys_m = np.diag(sys_w.astype(complex) / divisor)
-            env_m = np.diag(env_w.astype(complex) / divisor)
-            return sys_m, env_m, purity(env_w / divisor)
+            return np.diag(sys_w.astype(complex) / divisor), purity(env_w / divisor)
         t = self.basis_tensor()
         w, j = ("i", "i") if weights.ndim == 1 else ("ij", "j")
         sys_m = np.einsum(f"{w},ise,{j}te->st", weights, t, t.conj(), optimize=True) / divisor
         env_m = np.einsum(f"{w},ise,{j}sf->ef", weights, t, t.conj(), optimize=True) / divisor
-        return sys_m, env_m, purity(env_m)
+        return sys_m, purity(env_m)
 
     def equals(self, other: "ConstraintSubspace") -> bool:
         if self is other:
@@ -294,14 +291,14 @@ class CanonicalEnsemble:
     X = P_R gives the canonical (equiprobable) ensemble; a measurement filter
     0 <= X <= 1 gives the filtered one, whose reduced states have trace
     1 - ``miss_weight``.  ``system_state`` is the environment trace (the
-    state an observer of the system alone would assign), ``environment_state``
-    the system trace, and ``support_dim`` the system rank the filter keeps
-    (d_S when unfiltered).
+    state an observer of the system alone would assign),
+    ``environment_purity`` the purity of the system trace (the environment
+    enters the bounds only through it), and ``support_dim`` the system rank
+    the filter keeps (d_S when unfiltered).
     """
 
     subspace: ConstraintSubspace
     system_state: np.ndarray
-    environment_state: np.ndarray
     environment_purity: float
     miss_weight: float
     support_dim: int
@@ -341,8 +338,8 @@ def build_ensemble(
     effective environment dimension must reach d_R / ``support_dim``, else
     :class:`TypicalityError`.
     """
-    omega_s, omega_e, env_purity = sub.marginals(weights, divisor)
-    ens = CanonicalEnsemble(sub, omega_s, omega_e, env_purity, miss_weight, support_dim)
+    omega_s, env_purity = sub.marginals(weights, divisor)
+    ens = CanonicalEnsemble(sub, omega_s, env_purity, miss_weight, support_dim)
     if abs(float(np.trace(omega_s).real) - (1.0 - miss_weight)) > 10 * INVARIANT_ATOL:
         raise ShapeMismatchError("system marginal lost trace")
     if not ens.degenerate and support_dim > 0:

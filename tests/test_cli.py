@@ -235,6 +235,18 @@ def test_purity_oracle_single_trial_exits_2(capsys):
     assert "trials >= 2" in err
 
 
+def test_memory_error_exits_2_without_traceback(monkeypatch, capsys):
+    def exhausted(sub):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr("typicality.cli.canonical_ensemble", exhausted)
+    code, out, err = run_cli(capsys, "subspace-info", "--full", "2", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "64.0 GiB" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, message", [("--trials", "trials >= 2"),
                                            ("--workers", "workers must be >= 1")])
 def test_purity_oracle_rejects_zero_trials_or_workers(capsys, flag, message):

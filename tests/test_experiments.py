@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,20 @@ def test_exact_average_purity_one_hot_matches_dense_route():
     sub = build_subspace(SpinChainModel(n=5, k=2, num_excited=2))
     dense = from_basis_vectors(sub.shape, sub.basis)
     assert exact_average_purity(sub) == pytest.approx(exact_average_purity(dense), abs=1e-12)
+
+
+def test_chain_ensemble_and_oracle_allocate_no_environment_matrix():
+    # (12,1,6) has d_E = 2048: a dense environment marginal alone would be 64 MB
+    sub = build_subspace(SpinChainModel(n=12, k=1, num_excited=6))
+    sub.env_groups  # the cached grouping is not part of this check
+    tracemalloc.start()
+    try:
+        canonical_ensemble(sub)
+        exact_average_purity(sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _doubled_space_purity_oracle(sub) -> float:

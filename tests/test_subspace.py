@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typicality.errors import RankDeficiencyError, ShapeMismatchError, TypicalityError
-from typicality.linalg import BipartiteShape, partial_trace
+from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
     ConstraintSubspace,
@@ -67,8 +67,7 @@ def test_three_spin_subspace_from_vectors():
     assert sub.dim_subspace == 3
     ens = canonical_ensemble(sub)
     assert np.allclose(np.diag(ens.system_state).real, [2 / 3, 1 / 3])
-    # environment marginal is uniform over {00, 10, 01}
-    assert np.allclose(np.diag(ens.environment_state).real, [1 / 3, 1 / 3, 1 / 3, 0])
+    # environment marginal is uniform over {00, 10, 01}: purity 1/3
     assert ens.environment_purity == pytest.approx(1 / 3, abs=1e-12)
     assert ens.effective_env_dim == pytest.approx(3.0, abs=1e-9)
     assert ens.effective_env_dim >= sub.dim_subspace / shape.dim_system - 1e-9
@@ -122,7 +121,9 @@ def test_marginals_match_equiprobable_partial_trace():
     eq = ens.equiprobable()
     assert np.trace(eq).real == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(partial_trace(eq, sub.shape, "system"), ens.system_state, atol=1e-11)
-    assert np.allclose(partial_trace(eq, sub.shape, "environment"), ens.environment_state, atol=1e-11)
+    assert purity(partial_trace(eq, sub.shape, "environment")) == pytest.approx(
+        ens.environment_purity, abs=1e-11
+    )
 
 
 def test_marginal_is_average_of_basis_marginals():
@@ -238,6 +239,8 @@ def small_chains(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(small_chains(), st.sampled_from(["uniform", "diagonal", "psd"]), st.integers(0, 2**32 - 1))
+# an environment purity near 2438 that misses an absolute 1e-12 by 1.4e-12 (6e-16 relative)
+@example(SpinChainModel(n=7, k=6, num_excited=3), "psd", 171)
 def test_marginals_index_form_match_dense_form_and_partial_trace(model, kind, seed):
     sub = build_subspace(model)
     dense = from_basis_vectors(sub.shape, sub.basis)
@@ -257,7 +260,6 @@ def test_marginals_index_form_match_dense_form_and_partial_trace(model, kind, se
     want_e = partial_trace(composite, sub.shape, keep="environment")
     want_purity = float(np.trace(want_e @ want_e).real)
     for s in (sub, dense):
-        omega_s, omega_e, env_purity = s.marginals(weights, divisor)
+        omega_s, env_purity = s.marginals(weights, divisor)
         assert np.allclose(omega_s, want_s, rtol=0, atol=1e-12)
-        assert np.allclose(omega_e, want_e, rtol=0, atol=1e-12)
-        assert env_purity == pytest.approx(want_purity, rel=0, abs=1e-12)
+        assert env_purity == pytest.approx(want_purity, rel=1e-12, abs=1e-12)
