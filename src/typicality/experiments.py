@@ -137,9 +137,7 @@ def resolve_subspace(spec: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> Constra
     raise ValueError(f"unknown subspace kind {kind!r}")
 
 
-def resolve_filter(
-    spec: dict | None, subspace_spec: dict, *, cap: int = DEFAULT_DIMENSION_CAP
-) -> MeasurementFilter | None:
+def resolve_filter(spec: dict | None, subspace_spec: dict) -> MeasurementFilter | None:
     if spec is None:
         return None
     kind = spec.get("kind")
@@ -152,7 +150,7 @@ def resolve_filter(
             num_excited=int(subspace_spec["num_excited"]),
         )
         window = typical_window(model, float(spec["half_width"]))
-        return typical_projector(model, window, cap=cap)
+        return typical_projector(model, window)
     if kind == "file":
         return load_filter(spec["path"])
     raise ValueError(f"unknown filter kind {kind!r}")
@@ -435,7 +433,7 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceExperimentResul
     """Sample pure states, record distance/purity per trial, confront bounds."""
     sub = resolve_subspace(config.subspace, cap=config.cap)
     ensemble = canonical_ensemble(sub)
-    filt = resolve_filter(config.filter, config.subspace, cap=config.cap)
+    filt = resolve_filter(config.filter, config.subspace)
     filtered = apply_filter(sub, filt) if filt is not None else None
     ops_conj = _weyl_conj(config, sub.shape.dim_system)
     rows = _run_trials(

@@ -1,7 +1,8 @@
 """Measurement filters: conditioning the ensemble on an almost-certain outcome.
 
 A filter is a Hermitian effect operator X with 0 <= X <= 1, given either on
-the composite space or directly on subspace coordinates.  Applying it to the
+the composite space or directly on subspace coordinates, where a 1-d matrix
+is the diagonal of X, checked and applied entry by entry.  Applying it to the
 equiprobable state yields a sub-normalized ensemble whose deficit
 ``miss_weight`` (one minus the retained trace) is the probability of the
 complementary outcome.  Filters are always compressed to subspace coordinates
@@ -17,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import OperatorRangeError, ShapeMismatchError
+from .errors import HermiticityError, OperatorRangeError, ShapeMismatchError
 from .linalg import (
     HERMITICITY_ATOL,
     BipartiteShape,
@@ -43,15 +44,21 @@ SUPPORT_RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MeasurementFilter:
-    """Effect operator, flagged with the coordinate system it is written in."""
+    """Effect operator, flagged with its coordinates; 1-d on subspace ones is a diagonal."""
 
     matrix: np.ndarray
     coords: Literal["composite", "subspace"] = "composite"
     shape: BipartiteShape | None = None
 
     def __post_init__(self) -> None:
-        m = require_hermitian(self.matrix, atol=HERMITICITY_ATOL)
-        eigs = np.linalg.eigvalsh(m)
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim == 1 and self.coords == "subspace":
+            if np.abs(m.imag).max(initial=0.0) > HERMITICITY_ATOL:
+                raise HermiticityError("diagonal has an imaginary part beyond tolerance")
+            eigs = m.real
+        else:
+            m = require_hermitian(m, atol=HERMITICITY_ATOL)
+            eigs = np.linalg.eigvalsh(m)
         if eigs.min() < -RANGE_ATOL or eigs.max() > 1.0 + RANGE_ATOL:
             raise OperatorRangeError(
                 f"effect spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
@@ -68,9 +75,9 @@ class MeasurementFilter:
         object.__setattr__(self, "matrix", frozen)
 
     def subspace_matrix(self, sub: ConstraintSubspace) -> np.ndarray:
-        """The filter compressed to subspace coordinates, <b_i|X|b_j>."""
+        """The filter compressed to subspace coordinates, <b_i|X|b_j>; 1-d if given as a diagonal."""
         if self.coords == "subspace":
-            if self.matrix.shape != (sub.dim_subspace, sub.dim_subspace):
+            if self.matrix.shape not in ((sub.dim_subspace,), (sub.dim_subspace,) * 2):
                 raise ShapeMismatchError("filter does not act on the subspace coordinates")
             return np.asarray(self.matrix)
         if self.shape != sub.shape:
@@ -89,7 +96,7 @@ class MeasurementFilter:
         else:
             if sub is None:
                 raise ShapeMismatchError("subspace-coordinate filters need the subspace")
-            traced = sub.marginals(self.matrix)[0]
+            traced = sub.marginals(self.matrix.real if self.matrix.ndim == 1 else self.matrix)[0]
         eigs = np.linalg.eigvalsh(traced)
         return int(np.sum(eigs > SUPPORT_RANK_TOL))
 
@@ -99,14 +106,13 @@ def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> CanonicalEnse
 
     The filtered state on subspace coordinates is sqrt(X) (1/d_R) sqrt(X)
     = X / d_R.  Its system marginal and environment purity are the subspace
-    marginals of X / d_R, or of its diagonal alone when X is diagonal there,
-    as the typical-window projector of a chain is.
+    marginals of X / d_R; a diagonal X (1-d) takes the index-count route of
+    ``ConstraintSubspace.marginals`` and builds no d_R x d_R matrix.
     """
     e_tilde = f.subspace_matrix(sub) / sub.dim_subspace
-    diag = np.diagonal(e_tilde).real
-    weights = diag if np.array_equal(e_tilde, np.diag(diag)) else e_tilde
-    miss = 1.0 - float(np.trace(e_tilde).real)
+    miss = 1.0 - float(_diagonal(e_tilde).sum().real)
     miss = min(max(miss, 0.0), 1.0)
+    weights = e_tilde.real if e_tilde.ndim == 1 else e_tilde
     return build_ensemble(sub, weights, 1.0, miss, f.support_dim_system(sub))
 
 
@@ -115,16 +121,11 @@ def miss_weight_by_enumeration(sub: ConstraintSubspace, f: MeasurementFilter) ->
     per-basis-vector quadratic forms <b_i|X|b_i>.
     """
     if f.coords == "composite":
-        if sub.one_hot is not None and f.shape == sub.shape:
-            flat = sub.one_hot[0] * sub.shape.dim_environment + sub.one_hot[1]
-            forms = np.real(np.diag(f.matrix)[flat])
-        else:
-            b = sub.basis
-            forms = np.einsum("id,de,ie->i", b.conj(), f.matrix, b).real
+        b = sub.basis
+        forms = np.einsum("id,de,ie->i", b.conj(), f.matrix, b)
     else:
-        x_sub = f.subspace_matrix(sub)
-        forms = np.real(np.diag(x_sub))
-    return 1.0 - float(np.mean(forms))
+        forms = _diagonal(f.subspace_matrix(sub))
+    return 1.0 - float(np.mean(forms.real))
 
 
 def filtered_state(phi: PureState, f: MeasurementFilter) -> np.ndarray:
@@ -132,9 +133,7 @@ def filtered_state(phi: PureState, f: MeasurementFilter) -> np.ndarray:
 
     The squared norm equals <phi|X|phi> (at most 1).
     """
-    sub = phi.subspace
-    root = _subspace_root(sub, f)
-    return sub.embed(root @ phi.coords)
+    return phi.subspace.embed(_root_times(phi.subspace, f, phi.coords))
 
 
 def perturbation_bound_check(phi: PureState, f: MeasurementFilter) -> tuple[float, float]:
@@ -145,12 +144,11 @@ def perturbation_bound_check(phi: PureState, f: MeasurementFilter) -> tuple[floa
     inequality lhs <= rhs is checked here and a violation raises.
     """
     sub = phi.subspace
-    x_sub = f.subspace_matrix(sub)
-    coords_tilde = _subspace_root(sub, f) @ phi.coords
+    coords_tilde = _root_times(sub, f, phi.coords)
     lhs = trace_norm(
         reduced_state_from_coords(sub, phi.coords) - reduced_state_from_coords(sub, coords_tilde)
     )
-    retained = float(np.vdot(phi.coords, x_sub @ phi.coords).real)
+    retained = float(np.vdot(coords_tilde, coords_tilde).real)
     rhs = 2.0 * math.sqrt(max(0.0, 1.0 - retained))
     if lhs > rhs + 1e-9:
         raise OperatorRangeError(
@@ -174,9 +172,17 @@ def omega_shift_check(
     return lhs, rhs
 
 
-def _subspace_root(sub: ConstraintSubspace, f: MeasurementFilter) -> np.ndarray:
+def _diagonal(x: np.ndarray) -> np.ndarray:
+    """Diagonal of a subspace matrix, which a 1-d one already is."""
+    return x if x.ndim == 1 else np.diagonal(x)
+
+
+def _root_times(sub: ConstraintSubspace, f: MeasurementFilter, coords: np.ndarray) -> np.ndarray:
+    """sqrt(X) coords on subspace coordinates, the spectrum of X clipped into [0, 1]."""
     x_sub = f.subspace_matrix(sub)
-    return sqrt_psd(x_sub)
+    if x_sub.ndim == 1:
+        return np.sqrt(np.clip(x_sub.real, 0.0, 1.0)) * coords
+    return sqrt_psd(x_sub) @ coords
 
 
 # -- serialization ----------------------------------------------------------

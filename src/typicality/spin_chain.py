@@ -11,7 +11,8 @@ k independent spins flipped with probability p = num_excited / n.
 Everything combinatorial (dimensions, weights, typical-window tails, the
 entropy-exponential bounds) is computed from binomials without materializing
 any 2^n-dimensional object, so those quantities stay available far beyond the
-dense-sampling range.
+dense-sampling range.  The shell is held in index form: the dense cap bounds
+only d_S, and the typical-window filter is a 0/1 diagonal on its strings.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ def excitation_states(n: int, num_excited: int) -> np.ndarray:
 
 
 def build_subspace(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:
-    """The fixed-excitation shell as a constrained subspace (dense mode)."""
-    check_cap(m.shape.dim, cap)
+    """The fixed-excitation shell in index form; ``cap`` bounds d_S, since the
+    d_S x d_S system states are the only dense matrices a chain builds."""
+    check_cap(m.dim_system, cap)
     return ConstraintSubspace(m.shape, flat_indices=excitation_states(m.n, m.num_excited))
 
 
@@ -213,18 +215,13 @@ def window_dim(k: int, w: TypicalWindow) -> int:
     return sum(comb(k, j) for j in range(w.lo, w.hi + 1))
 
 
-def typical_projector(
-    m: SpinChainModel, w: TypicalWindow, *, cap: int = DEFAULT_DIMENSION_CAP
-) -> MeasurementFilter:
+def typical_projector(m: SpinChainModel, w: TypicalWindow) -> MeasurementFilter:
     """Projector onto window-typical system strings, extended by identity on
-    the environment; a composite-space measurement filter.
-    """
-    check_cap(m.shape.dim, cap)
-    sys_strings = np.arange(m.dim_system, dtype=np.uint32)
-    counts = np.bitwise_count(sys_strings)
-    sys_diag = ((counts >= w.lo) & (counts <= w.hi)).astype(complex)
-    diag = np.repeat(sys_diag, m.dim_environment)
-    return MeasurementFilter(matrix=np.diag(diag), coords="composite", shape=m.shape)
+    the environment: on the coordinates of :func:`build_subspace`, the 0/1
+    diagonal keeping each shell string whose system count is in the window."""
+    counts = np.bitwise_count(excitation_states(m.n, m.num_excited) >> (m.n - m.k))
+    keep = (counts >= w.lo) & (counts <= w.hi)
+    return MeasurementFilter(matrix=keep.astype(complex), coords="subspace")
 
 
 def typical_miss_bound(k: int, p: float, half_width: float) -> float:

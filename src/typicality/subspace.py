@@ -166,8 +166,6 @@ class ConstraintSubspace:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.shape.dim, self.shape.dim):
             raise ShapeMismatchError("operator does not act on the composite space")
-        if self._flat is not None:
-            return x[np.ix_(self._flat, self._flat)].copy()
         return self.basis.conj() @ x @ self.basis.T
 
     def basis_tensor(self) -> np.ndarray:

@@ -185,6 +185,20 @@ def test_experiment_writes_artifacts(tmp_path, capsys):
     assert "ok" in out
 
 
+def test_chain_beyond_composite_cap_runs_without_cap_flag(tmp_path, capsys):
+    # 2^13 composite strings exceed the default cap, d_S = 4 does not
+    code, _, err = run_cli(capsys, "experiment", "--spin-chain", "13", "2", "6",
+                           "--trials", "10", "--seed", "1", "--output", str(tmp_path / "e"))
+    assert code == 0, err
+
+
+def test_window_filter_at_sixteen_sites(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "experiment", "--spin-chain", "16", "2", "8", "--xi", "1",
+                             "--trials", "20", "--seed", "1", "--output", str(tmp_path / "e"))
+    assert code == 0, err
+    assert "filtered_distance_tail: formula" in out
+
+
 def test_experiment_rerun_is_byte_identical(tmp_path, capsys):
     args = ("experiment", "--spin-chain", "4", "2", "2", "--trials", "200", "--seed", "13")
     run_cli(capsys, *args, "--output", str(tmp_path / "a"))

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from typicality.errors import OperatorRangeError, ShapeMismatchError
+from typicality.errors import HermiticityError, OperatorRangeError, ShapeMismatchError
+from typicality.experiments import resolve_filter, resolve_subspace
 from typicality.filtering import (
     MeasurementFilter,
     apply_filter,
@@ -42,6 +44,78 @@ def test_filter_construction_validation():
         MeasurementFilter(-0.1 * np.eye(4, dtype=complex), coords="composite", shape=shape)
     with pytest.raises(ShapeMismatchError):
         MeasurementFilter(np.eye(4, dtype=complex), coords="composite", shape=None)
+
+
+def test_diagonal_filter_construction_validation():
+    with pytest.raises(HermiticityError):
+        MeasurementFilter(np.array([1.0, 1e-3j]), coords="subspace")
+    with pytest.raises(OperatorRangeError):
+        MeasurementFilter(np.array([1.0, 1.5]), coords="subspace")
+    with pytest.raises(OperatorRangeError):
+        MeasurementFilter(np.array([-0.1, 1.0]), coords="subspace")
+    with pytest.raises(ShapeMismatchError):
+        MeasurementFilter(np.ones(4, dtype=complex), coords="composite", shape=BipartiteShape(2, 2))
+
+
+def test_apply_filter_rejects_diagonal_of_wrong_length():
+    sub = build_subspace(CHAIN)
+    wrong = MeasurementFilter(np.ones(sub.dim_subspace + 1, dtype=complex), coords="subspace")
+    with pytest.raises(ShapeMismatchError):
+        apply_filter(sub, wrong)
+
+
+def composite_window_projector(m: SpinChainModel, w) -> MeasurementFilter:
+    """P_S (x) 1_E on the composite space, P_S the window projector on system strings."""
+    counts = np.bitwise_count(np.arange(m.dim_system))
+    p_s = np.diag(((counts >= w.lo) & (counts <= w.hi)).astype(complex))
+    return MeasurementFilter(
+        np.kron(p_s, np.eye(m.dim_environment)), coords="composite", shape=m.shape
+    )
+
+
+@pytest.mark.parametrize("n,k,num_excited,xi", [
+    (4, 2, 2, 0.5), (6, 2, 3, 0.5), (6, 3, 3, 1.0), (7, 3, 3, 1.0), (8, 3, 4, 1.0),
+    (8, 2, 4, 2.0), (4, 3, 1, 1.5), (5, 3, 1, 0.6), (6, 4, 2, 2.0),
+])
+def test_window_diagonal_matches_composite_reference(n, k, num_excited, xi):
+    m = SpinChainModel(n=n, k=k, num_excited=num_excited)
+    sub = build_subspace(m)
+    w = typical_window(m, xi)
+    diag, ref = typical_projector(m, w), composite_window_projector(m, w)
+    assert diag.coords == "subspace" and diag.matrix.shape == (sub.dim_subspace,)
+    a, b = apply_filter(sub, diag), apply_filter(sub, ref)
+    assert a.miss_weight == pytest.approx(b.miss_weight, rel=0, abs=1e-12)
+    assert miss_weight_by_enumeration(sub, diag) == pytest.approx(b.miss_weight, rel=0, abs=1e-12)
+    assert np.allclose(a.system_state, b.system_state, rtol=0, atol=1e-12)
+    assert a.environment_purity == pytest.approx(b.environment_purity, rel=0, abs=1e-12)
+    shell_counts = range(max(0, num_excited - (n - k)), min(k, num_excited) + 1)
+    if all(j in shell_counts for j in range(w.lo, w.hi + 1)):
+        assert a.support_dim == b.support_dim
+    else:
+        assert a.support_dim < b.support_dim
+
+
+def test_window_support_counts_only_shell_strings():
+    # The window [0, 2] holds 7 system strings of (4,3,1), but with a single
+    # excitation no shell string has system count 2: the diagonal keeps 4.
+    m = SpinChainModel(n=4, k=3, num_excited=1)
+    w = typical_window(m, 1.5)
+    assert (w.lo, w.hi) == (0, 2)
+    sub = build_subspace(m)
+    assert apply_filter(sub, composite_window_projector(m, w)).support_dim == 7
+    assert apply_filter(sub, typical_projector(m, w)).support_dim == 4
+
+
+def test_window_filter_builds_no_square_matrix():
+    spec = {"kind": "spin-chain", "n": 9, "k": 3, "num_excited": 4}
+    sub = resolve_subspace(spec)
+    tracemalloc.start()
+    try:
+        apply_filter(sub, resolve_filter({"kind": "typical-window", "half_width": 1.0}, spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20  # a 512 x 512 complex projector alone is 4 MiB
 
 
 def test_identity_filter_reduces_to_unfiltered():
@@ -150,7 +224,7 @@ def test_filtered_state_routes():
     for i in range(20):
         phi = sample_pure(sub, SampleStream(9, i))
         tilde = filtered_state(phi, filt)
-        quad = float(np.vdot(phi.coords, x_sub @ phi.coords).real)
+        quad = float(np.vdot(phi.coords, x_sub * phi.coords).real)
         assert np.linalg.norm(tilde) ** 2 == pytest.approx(quad, abs=1e-10)
         assert quad <= 1.0 + 1e-10
 
@@ -201,7 +275,7 @@ def test_support_dim_of_product_filter():
     model = SpinChainModel(n=4, k=2, num_excited=2)
     window = typical_window(model, 0.5)  # only |s| = 1
     filt = typical_projector(model, window)
-    assert filt.support_dim_system() == 2
+    assert filt.support_dim_system(build_subspace(model)) == 2
 
 
 def test_filter_json_roundtrip():

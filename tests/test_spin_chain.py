@@ -64,6 +64,13 @@ def test_build_subspace_examples():
     assert SpinChainModel(n=8, k=2, num_excited=4).dim_subspace == 70
 
 
+def test_build_subspace_caps_the_system_dimension():
+    with pytest.raises(DimensionCapError):
+        build_subspace(SpinChainModel(n=14, k=13, num_excited=7))  # d_S = 8192
+    # 2^14 composite strings, but d_S = 4: within the default cap
+    assert build_subspace(SpinChainModel(n=14, k=2, num_excited=7)).dim_subspace == 3432
+
+
 def test_canonical_weights_three_spins():
     m = SpinChainModel(n=3, k=1, num_excited=1)
     assert np.allclose(canonical_weights(m), [2 / 3, 1 / 3])
