@@ -29,7 +29,7 @@ from .bounds import (
     write_bound_table,
 )
 from .errors import TypicalityError
-from .linalg import DEFAULT_DIMENSION_CAP, trace_norm
+from .linalg import DEFAULT_DIMENSION_CAP
 from .subspace import canonical_ensemble
 
 EXIT_OK = 0
@@ -95,8 +95,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_chain.add_argument("--np", dest="num_excited", type=int, required=True)
     p_chain.add_argument("--xi", type=float, help="window half-width, default k^(2/3)")
     p_chain.add_argument("--epsilon", type=float, help="default d_R^(-1/3)")
-    p_chain.add_argument("--mode", choices=("dense", "combinatorial"), default="combinatorial",
-                         help="dense adds the exact canonical state")
     p_chain.add_argument("--output", default="-", help=_STDOUT_HELP)
 
     p_pur = add_command("purity-oracle", help="exact mean purity, optional MC cross-check")
@@ -233,24 +231,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_spin_chain(args: argparse.Namespace) -> int:
-    model = spin_chain.SpinChainModel(n=args.n, k=args.k, num_excited=args.num_excited)
-    report = spin_chain.spin_chain_report(
-        args.n, args.k, args.num_excited, half_width=args.xi, epsilon=args.epsilon
-    )
-    out = dataclasses.asdict(report)
-    out["temperature"] = spin_chain.temperature(model)
-    window = spin_chain.TypicalWindow(report.half_width, report.window_lo, report.window_hi)
-    out["exact_tail"] = spin_chain.exact_typical_tail(model, window)
-    lower, upper, exact = spin_chain.binomial_entropy_bounds(model.n, model.num_excited)
-    out["dim_subspace_bounds"] = {"lower": lower, "upper": upper, "exact": exact}
-    if args.mode == "dense":
-        sys_purity, env_purity = spin_chain.canonical_purities(model)
-        out["effective_env_dim"] = 1.0 / env_purity
-        out["system_purity"] = sys_purity
-        exact_state = spin_chain.exact_canonical_state(model)
-        approx = spin_chain.product_approximation(model)
-        out["product_approximation_distance"] = trace_norm(exact_state - approx)
-    _write_json(out, args.output)
+    report = spin_chain.spin_chain_report(args.n, args.k, args.num_excited, args.xi, args.epsilon)
+    _write_json(dataclasses.asdict(report), args.output)
     return EXIT_OK
 
 

@@ -156,6 +156,14 @@ def resolve_filter(spec: dict | None, subspace_spec: dict) -> MeasurementFilter 
     raise ValueError(f"unknown filter kind {kind!r}")
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile`` of the values sorted in ``ordered``, same arithmetic, no numpy.ma."""
+    pos = (ordered.size - 1) * q
+    a, b = ordered[int(pos)], ordered[min(int(pos) + 1, ordered.size - 1)]
+    t = pos - int(pos)
+    return float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 @dataclass(frozen=True)
 class SummaryStats:
     """Moments, extremes, quantiles and tail frequencies of one sample set."""
@@ -176,9 +184,8 @@ class SummaryStats:
         if n == 0:
             raise ValueError("no samples")
         stddev = float(values.std(ddof=1)) if n > 1 else 0.0
-        quantiles = {
-            q: float(np.quantile(values, q / 100.0)) for q in (50, 90, 99)
-        }
+        ordered = np.sort(values)
+        quantiles = {q: _quantile(ordered, q / 100.0) for q in (50, 90, 99)}
         tails = {float(t): float(np.mean(values >= t)) for t in thresholds}
         stats = cls(
             count=n,

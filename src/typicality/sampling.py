@@ -52,6 +52,9 @@ _WORD = 1 << 32
 #: array passes cost about the same for 1 index as for a few hundred.
 _SEED_BATCH = 256
 
+#: Entries per dot product in ``normalize_draws``: OpenBLAS threads longer ones.
+_DOT_PIECE = 10_000
+
 
 @dataclass(frozen=True)
 class SampleStream:
@@ -159,17 +162,18 @@ def normalize_draws(normals: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     ``normals[j]`` holds row j's real parts, then its imaginary parts, as one
     ``standard_normal((2, d))`` fills them; ``out[j]`` becomes that complex
-    vector over its norm.  The norm is sqrt(re.re + im.im), each dot product a
-    ``(1, d) @ (d, 1)`` matmul on the strided ``.real``/``.imag`` views, the
-    same BLAS call ``np.linalg.norm`` makes, so a row's bits do not depend on
-    the stack.  Returns the rows whose norm is at most ``_RESAMPLE_NORM``;
-    those are left undivided, for the caller to redraw.
+    vector over its norm.  The norm is sqrt(re.re + im.im), summed in index
+    order over pieces of ``_DOT_PIECE`` entries, each a ``(1, d) @ (d, 1)``
+    matmul on the strided ``.real``/``.imag`` views, so a row's bits depend
+    on neither the stack nor the BLAS thread count.  Returns the rows whose
+    norm is at most ``_RESAMPLE_NORM``; those are left undivided, to redraw.
     """
     np.multiply(1j, normals[:, 1], out=out)
     np.add(normals[:, 0], out, out=out)
-    re, im = out.real, out.imag
-    norms = np.matmul(re[:, None, :], re[:, :, None])[:, 0]
-    norms += np.matmul(im[:, None, :], im[:, :, None])[:, 0]
+    norms = np.zeros((out.shape[0], 1))
+    for lo in range(0, out.shape[1], _DOT_PIECE):
+        for part in (out.real[:, lo:lo + _DOT_PIECE], out.imag[:, lo:lo + _DOT_PIECE]):
+            norms += np.matmul(part[:, None, :], part[:, :, None])[:, 0]
     np.sqrt(norms, out=norms)
     redraw = np.flatnonzero(norms <= _RESAMPLE_NORM)
     if redraw.size:

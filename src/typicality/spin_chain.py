@@ -9,10 +9,11 @@ of num_excited flipped ones), which for long chains approaches the product of
 k independent spins flipped with probability p = num_excited / n.
 
 Everything combinatorial (dimensions, weights, typical-window tails, the
-entropy-exponential bounds) is computed from binomials without materializing
-any 2^n-dimensional object, so those quantities stay available far beyond the
-dense-sampling range.  The shell is held in index form: the dense cap bounds
-only d_S, and the typical-window filter is a 0/1 diagonal on its strings.
+entropy-exponential bounds, the distance to the product state) is computed
+from binomials without materializing any 2^n-dimensional object, so the
+chain report holds for any k.  Only ``build_subspace`` enumerates the shell's
+strings; it holds them in index form, the dense cap bounds only d_S, and the
+typical-window filter is a 0/1 diagonal on its coordinates, built from counts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .bounds import LEVY_CONSTANT, check_epsilon
+from .bounds import check_epsilon, distance_tail_bound
 from .errors import DimensionCapError, EmptyWindowError
 from .filtering import MeasurementFilter
 from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, check_cap
@@ -218,10 +219,15 @@ def window_dim(k: int, w: TypicalWindow) -> int:
 def typical_projector(m: SpinChainModel, w: TypicalWindow) -> MeasurementFilter:
     """Projector onto window-typical system strings, extended by identity on
     the environment: on the coordinates of :func:`build_subspace`, the 0/1
-    diagonal keeping each shell string whose system count is in the window."""
-    counts = np.bitwise_count(excitation_states(m.n, m.num_excited) >> (m.n - m.k))
+    diagonal keeping each shell string whose system count is in the window.
+    Shell strings run system-major, C(n-k, num_excited - j) per system string of count j."""
+    partners = np.zeros(m.k + 1, dtype=np.int64)
+    for j, _, c_env in _shell_terms(m):
+        partners[j] = c_env
+    counts = np.bitwise_count(np.arange(m.dim_system))
     keep = (counts >= w.lo) & (counts <= w.hi)
-    return MeasurementFilter(matrix=keep.astype(complex), coords="subspace")
+    diagonal = np.repeat(keep, partners[counts]).astype(complex)
+    return MeasurementFilter(matrix=diagonal, coords="subspace")
 
 
 def typical_miss_bound(k: int, p: float, half_width: float) -> float:
@@ -298,7 +304,7 @@ def typical_dim_bound(k: int, p: float, half_width: float) -> tuple[float, float
 
 @dataclass(frozen=True)
 class SpinChainReport:
-    """End-to-end filtered concentration summary for one chain."""
+    """End-to-end filtered concentration summary for one chain, from binomials."""
 
     n: int
     k: int
@@ -317,6 +323,12 @@ class SpinChainReport:
     threshold: float
     threshold_asymptotic: float
     tail_bound: float
+    temperature: float
+    exact_tail: float
+    dim_subspace_bounds: dict
+    system_purity: float
+    effective_env_dim: float
+    product_approximation_distance: float
 
 
 def spin_chain_report(
@@ -350,9 +362,7 @@ def spin_chain_report(
     support = window_dim(k, w)
     support_bound, _ = typical_dim_bound(k, p, half_width)
     env_floor = m.dim_subspace / support
-    threshold = (
-        epsilon + math.sqrt(support / env_floor) + 4.0 * math.sqrt(miss)
-    )
+    unfiltered = distance_tail_bound(support, m.dim_subspace, env_floor, epsilon)
     h = binary_entropy(p)
     g = binary_entropy_slope(p)
     threshold_asymptotic = (
@@ -360,7 +370,9 @@ def spin_chain_report(
         + math.sqrt(n + 1.0) * (2.0 * half_width + 1.0) * 2.0 ** ((k - n / 2.0) * h + half_width * g)
         + math.sqrt(32.0) * math.exp(-(half_width**2) / (8.0 * k * p * (1.0 - p)))
     )
-    tail = 2.0 * math.exp(-LEVY_CONSTANT * m.dim_subspace * epsilon**2)
+    lower, upper, exact = binomial_entropy_bounds(n, num_excited)
+    sys_purity, env_purity = canonical_purities(m)
+    gaps = np.abs(canonical_weights(m) - product_weights(m))  # both diagonal by count
     return SpinChainReport(
         n=n,
         k=k,
@@ -376,7 +388,13 @@ def spin_chain_report(
         support_dim=support,
         support_dim_bound=support_bound,
         env_dim_floor=env_floor,
-        threshold=threshold,
+        threshold=unfiltered.threshold + 4.0 * math.sqrt(miss),
         threshold_asymptotic=threshold_asymptotic,
-        tail_bound=tail,
+        tail_bound=unfiltered.tail_bound,
+        temperature=temperature(m),
+        exact_tail=exact_typical_tail(m, w),
+        dim_subspace_bounds={"lower": lower, "upper": upper, "exact": exact},
+        system_purity=sys_purity,
+        effective_env_dim=1.0 / env_purity,
+        product_approximation_distance=float(sum(comb(k, j) * gap for j, gap in enumerate(gaps))),
     )

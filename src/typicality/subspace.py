@@ -85,9 +85,10 @@ class ConstraintSubspace:
             flat_indices = np.asarray(flat_indices, dtype=np.int64)
             if flat_indices.ndim != 1 or flat_indices.size == 0:
                 raise ShapeMismatchError("flat_indices must be a nonempty 1-d array")
-            if flat_indices.min() < 0 or flat_indices.max() >= shape.dim:
+            ordered = np.sort(flat_indices)  # np.unique would import numpy.ma
+            if ordered[0] < 0 or ordered[-1] >= shape.dim:
                 raise ShapeMismatchError("flat index out of composite range")
-            if np.unique(flat_indices).size != flat_indices.size:
+            if (ordered[1:] == ordered[:-1]).any():
                 raise RankDeficiencyError("repeated computational basis state")
             self._flat = flat_indices
             self._dense: np.ndarray | None = None

@@ -1,10 +1,24 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import typicality
 from typicality.cli import main
+
+SRC = str(Path(typicality.__file__).resolve().parents[1])
+
+
+def run_python(code, tmp_path, **env):
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
 
 
 def run_cli(capsys, *argv):
@@ -315,14 +329,60 @@ def test_experiment_invalid_config_exits_2(tmp_path, capsys, content):
 
 
 def test_spin_chain_report_command(capsys):
-    code, out, _ = run_cli(capsys, "spin-chain", "--n", "12", "--k", "3", "--np", "6",
-                           "--mode", "dense")
+    code, out, _ = run_cli(capsys, "spin-chain", "--n", "12", "--k", "3", "--np", "6")
     assert code == 0
     payload = json.loads(out)
     assert payload["dim_subspace"] == 924
     assert payload["temperature"] == float("inf") or payload["temperature"] is None
     assert "threshold" in payload
     assert "product_approximation_distance" in payload
+
+
+def test_spin_chain_report_beyond_dense_range(capsys):
+    code, out, _ = run_cli(capsys, "spin-chain", "--n", "30", "--k", "13", "--np", "15")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim_system"] == 2**13
+    assert 0.0 < payload["product_approximation_distance"] < 2.0
+    assert 0.0 < payload["system_purity"] < 1.0
+    assert payload["effective_env_dim"] > 1.0
+
+
+def test_spin_chain_mode_flag_is_gone(capsys):
+    code, _, err = run_cli(capsys, "spin-chain", "--n", "8", "--k", "2", "--np", "4",
+                           "--mode", "dense")
+    assert code == 2
+    assert "unrecognized arguments: --mode dense" in err
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # d_R = 12 870: longer than the dot products OpenBLAS keeps on one thread
+    code = (
+        "from typicality.cli import main\n"
+        "main(['experiment', '--spin-chain', '16', '2', '8', '--trials', '50',"
+        " '--seed', '1', '--output', 'run'])\n"
+        "main(['purity-oracle', '--spin-chain', '16', '2', '8', '--trials', '50',"
+        " '--seed', '1', '--output', 'oracle.json'])\n"
+    )
+    artifacts = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        run_python(code, cwd, OPENBLAS_NUM_THREADS=threads)
+        artifacts[threads] = [(cwd / name).read_bytes()
+                              for name in ("run.csv", "run.json", "oracle.json")]
+    assert artifacts["1"] == artifacts["2"]
+
+
+def test_chain_experiment_does_not_import_numpy_ma(tmp_path):
+    code = (
+        "import sys\n"
+        "from typicality.cli import main\n"
+        "main(['experiment', '--spin-chain', '8', '2', '4', '--trials', '10',"
+        " '--seed', '1', '--output', 'run'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert run_python(code, tmp_path).stdout.splitlines()[-1] == "False"
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

@@ -591,3 +591,17 @@ def test_cli_rejects_epsilon_before_any_output(tmp_path, capsys, command, epsilo
     assert "epsilon must be a finite positive number" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 2.0, allow_subnormal=False), min_size=1, max_size=300),
+    st.booleans(),
+)
+def test_summary_quantiles_bit_equal_to_numpy(values, ties):
+    values = np.array(values)
+    if ties:  # rounding makes neighbours equal, where the interpolation is degenerate
+        values = np.round(values, 2)
+    stats = SummaryStats.from_samples(values)
+    for q, got in stats.quantiles.items():
+        assert got == float(np.quantile(values, q / 100.0))

@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from typicality.bounds import LEVY_CONSTANT
 from typicality.errors import DimensionCapError, EmptyWindowError
 from typicality.linalg import trace_norm
 from typicality.spin_chain import (
@@ -20,6 +21,7 @@ from typicality.spin_chain import (
     excitation_states,
     filtered_env_purity,
     product_approximation,
+    product_weights,
     spin_chain_report,
     temperature,
     typical_dim_bound,
@@ -307,3 +309,89 @@ def test_report_defaults():
     assert math.isfinite(rep.threshold)
     assert math.isfinite(rep.tail_bound)
     assert rep.env_dim_floor == pytest.approx(rep.dim_subspace / rep.support_dim)
+
+
+def test_report_distance_from_binomials_matches_dense_trace_norm():
+    # every chain with n <= 12, k <= 8 and 0 < p < 1
+    for n in range(2, 13):
+        for k in range(1, min(8, n - 1) + 1):
+            for np_ in range(1, n):
+                m = SpinChainModel(n, k, np_)
+                dense = trace_norm(exact_canonical_state(m) - product_approximation(m))
+                rep = spin_chain_report(n, k, np_)
+                assert abs(rep.product_approximation_distance - dense) <= 1e-14
+
+
+def test_report_chain_quantities():
+    rep = spin_chain_report(12, 3, 6, half_width=0.5)
+    m = SpinChainModel(12, 3, 6)
+    sys_purity, env_purity = canonical_purities(m)
+    assert rep.system_purity == sys_purity
+    assert rep.effective_env_dim == 1.0 / env_purity
+    assert rep.temperature == temperature(m)
+    assert rep.exact_tail == exact_typical_tail(m, typical_window(m, 0.5))
+    lower, upper, exact = binomial_entropy_bounds(12, 6)
+    assert rep.dim_subspace_bounds == {"lower": lower, "upper": upper, "exact": exact}
+    # k = 1: the hypergeometric and the product weights coincide
+    assert spin_chain_report(9, 1, 4).product_approximation_distance == 0.0
+    assert np.array_equal(canonical_weights(SpinChainModel(9, 1, 4)),
+                          product_weights(SpinChainModel(9, 1, 4)))
+
+
+def _former_threshold_and_tail(rep):
+    """The report's threshold and tail by the formulas it once spelled out inline."""
+    threshold = (
+        rep.epsilon + math.sqrt(rep.support_dim / rep.env_dim_floor) + 4.0 * math.sqrt(rep.miss_bound)
+    )
+    tail = 2.0 * math.exp(-LEVY_CONSTANT * rep.dim_subspace * rep.epsilon**2)
+    return threshold, tail
+
+
+@pytest.mark.parametrize(
+    ("n", "k", "np_", "xi", "eps"),
+    [
+        (12, 3, 6, None, None),
+        (8, 2, 4, 2.0, None),
+        (4, 2, 2, 0.5, None),  # Chernoff miss cap 1.76 > 1
+        (10, 4, 3, 0.5, None),
+        (9, 3, 4, 1.0, 0.2),
+        (40, 6, 10, None, None),
+        (100, 2, 50, 1.0, 0.05),
+    ],
+)
+def test_report_threshold_and_tail_bit_equal_to_former_formulas(n, k, np_, xi, eps):
+    rep = spin_chain_report(n, k, np_, half_width=xi, epsilon=eps)
+    assert (rep.threshold, rep.tail_bound) == _former_threshold_and_tail(rep)
+
+
+def _enumerated_window_diagonal(m, w):
+    """The window diagonal read off the enumerated shell strings."""
+    counts = np.bitwise_count(excitation_states(m.n, m.num_excited) >> (m.n - m.k))
+    return ((counts >= w.lo) & (counts <= w.hi)).astype(complex)
+
+
+def test_typical_projector_from_counts_matches_enumeration():
+    checked = 0
+    for n in range(2, 13):
+        for k in range(1, n):
+            for np_ in range(n + 1):
+                m = SpinChainModel(n, k, np_)
+                for xi in (0.0, 0.5, 1.0, 1.5, float(k)):
+                    try:
+                        w = typical_window(m, xi)
+                    except EmptyWindowError:
+                        continue
+                    diag = typical_projector(m, w).matrix
+                    assert diag.dtype == complex
+                    assert np.array_equal(diag, _enumerated_window_diagonal(m, w))
+                    checked += 1
+    assert checked > 2000
+
+
+def test_typical_projector_beyond_enumeration_range():
+    m = SpinChainModel(30, 2, 2)
+    diag = typical_projector(m, typical_window(m, 1.0)).matrix
+    # C(30, 2) strings; only the one with both system spins flipped is dropped
+    assert diag.shape == (435,)
+    assert diag.sum() == 434
+    assert diag[-1] == 0

@@ -263,3 +263,25 @@ def test_marginals_index_form_match_dense_form_and_partial_trace(model, kind, se
         omega_s, env_purity = s.marginals(weights, divisor)
         assert np.allclose(omega_s, want_s, rtol=0, atol=1e-12)
         assert env_purity == pytest.approx(want_purity, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("indices", "error"),
+    [
+        ([0, 2, 2], RankDeficiencyError),
+        ([3, 1, 3, 0], RankDeficiencyError),
+        ([0, 4], ShapeMismatchError),
+        ([-1, 2], ShapeMismatchError),
+        ([], ShapeMismatchError),
+        ([[0, 1]], ShapeMismatchError),
+    ],
+)
+def test_flat_indices_rejected(indices, error):
+    with pytest.raises(error):
+        ConstraintSubspace(SHAPE22, flat_indices=np.array(indices, dtype=np.int64))
+
+
+def test_flat_indices_accepted_unsorted():
+    sub = ConstraintSubspace(SHAPE22, flat_indices=np.array([3, 0, 2]))
+    assert sub.dim_subspace == 3
+    assert np.array_equal(sub.one_hot[0], [1, 0, 1])
