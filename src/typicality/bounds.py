@@ -243,8 +243,8 @@ def lipschitz_expectation_report(
     for a, b in pairs:
         if a.coords.shape[0] == x.shape[0]:
             va, vb = a.coords, b.coords
-        elif a.ambient.shape[0] == x.shape[0]:
-            va, vb = a.ambient, b.ambient
+        elif a.subspace.shape.dim == x.shape[0]:
+            va, vb = a.subspace.embed(a.coords), b.subspace.embed(b.coords)
         else:
             raise SubspaceMismatchError("observable matches neither coordinate space")
         dist = sphere_distance(a.coords, b.coords)

@@ -28,7 +28,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Sequence
 
@@ -48,6 +48,7 @@ from .filtering import MeasurementFilter, apply_filter, load_filter
 from .linalg import (
     DEFAULT_DIMENSION_CAP,
     BipartiteShape,
+    operator_norm,
     purity,
     require_hermitian,
 )
@@ -92,7 +93,6 @@ class ExperimentConfig:
     epsilon: float | None = None
     filter: dict | None = None
     workers: int = 1
-    track_coefficients: bool = True
     cap: int = DEFAULT_DIMENSION_CAP
 
     def __post_init__(self) -> None:
@@ -112,7 +112,8 @@ class ExperimentConfig:
             "seed": self.seed,
             "epsilon": self.epsilon,
             "filter": self.filter,
-            "track_coefficients": self.track_coefficients,
+            # schema constant: the kernel decides which runs track the Weyl family
+            "track_coefficients": True,
             "cap": self.cap,
         }
 
@@ -121,14 +122,15 @@ class ExperimentConfig:
         return hashlib.sha256(payload).hexdigest()
 
 
+def _chain_model(spec: dict) -> SpinChainModel:
+    return SpinChainModel(int(spec["n"]), int(spec["k"]), int(spec["num_excited"]))
+
+
 def resolve_subspace(spec: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:
     """Materialize a subspace from an inline config spec."""
     kind = spec.get("kind")
     if kind == "spin-chain":
-        model = SpinChainModel(
-            n=int(spec["n"]), k=int(spec["k"]), num_excited=int(spec["num_excited"])
-        )
-        return build_subspace(model, cap=cap)
+        return build_subspace(_chain_model(spec), cap=cap)
     if kind == "full":
         shape = BipartiteShape(int(spec["dim_system"]), int(spec["dim_environment"]))
         return full_space(shape, cap=cap)
@@ -144,11 +146,7 @@ def resolve_filter(spec: dict | None, subspace_spec: dict) -> MeasurementFilter 
     if kind == "typical-window":
         if subspace_spec.get("kind") != "spin-chain":
             raise ShapeMismatchError("typical-window filters need a spin-chain subspace")
-        model = SpinChainModel(
-            n=int(subspace_spec["n"]),
-            k=int(subspace_spec["k"]),
-            num_excited=int(subspace_spec["num_excited"]),
-        )
+        model = _chain_model(subspace_spec)
         window = typical_window(model, float(spec["half_width"]))
         return typical_projector(model, window)
     if kind == "file":
@@ -230,16 +228,6 @@ class BoundRow:
     satisfied: bool
     vacuous: bool
     threshold: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "formula_value": self.formula_value,
-            "empirical_value": self.empirical_value,
-            "satisfied": self.satisfied,
-            "vacuous": self.vacuous,
-            "threshold": self.threshold,
-        }
 
 
 def _tail_row(name: str, distances: np.ndarray, threshold: float, bound: float) -> BoundRow:
@@ -331,7 +319,6 @@ def _chunk_buffers(
 def _trial_block(
     sub: ConstraintSubspace,
     mean_state: np.ndarray | None,
-    ops_conj: np.ndarray | None,
     observables: np.ndarray | None,
     seed: int,
     start: int,
@@ -341,8 +328,8 @@ def _trial_block(
 
     Columns: trace distance to ``mean_state``, purity, max Weyl-coefficient
     deviation from ``mean_state``, then Tr(O rho) for each observable.  The
-    distance is NaN when ``mean_state`` is None, the deviation when
-    ``mean_state`` or ``ops_conj`` is None.
+    distance is NaN when ``mean_state`` is None; the deviation is NaN then and
+    when d_S > ``_COEFF_TRACK_MAX_DIM``, else the block builds the Weyl family.
     """
     d_s, d_r = sub.shape.dim_system, sub.dim_subspace
     n_obs = 0 if observables is None else observables.shape[0]
@@ -350,7 +337,8 @@ def _trial_block(
     # Each linear functional is a column acting on a flattened matrix,
     # C_x = vec(diff) . vec(conj U^x) and Tr(O rho) = vec(rho) . vec(O^T), so
     # a trial's coefficients are one (1, d_S^2) @ (d_S^2, m) product.
-    weyl = None if ops_conj is None else ops_conj.reshape(d_s * d_s, -1).T
+    tracked = mean_state is not None and d_s <= _COEFF_TRACK_MAX_DIM
+    weyl = weyl_basis(d_s).conj().reshape(d_s * d_s, -1).T if tracked else None
     obs_t = None if not n_obs else observables.transpose(0, 2, 1).reshape(n_obs, -1).T
     n_coeffs = 0 if weyl is None else weyl.shape[1]
     chunk, normals, coords, reduce, states, products = _chunk_buffers(sub, n_coeffs)
@@ -399,13 +387,6 @@ def _run_trials(common_args: tuple, trials: int, workers: int) -> np.ndarray:
         return np.concatenate([f.result() for f in futures])
 
 
-def _weyl_conj(config: ExperimentConfig, dim_system: int) -> np.ndarray | None:
-    """Conjugated Weyl stack when the coefficient family is tracked, else None."""
-    if config.track_coefficients and dim_system <= _COEFF_TRACK_MAX_DIM:
-        return weyl_basis(dim_system).conj()
-    return None
-
-
 def subspace_info(ensemble: CanonicalEnsemble) -> dict:
     """Dimensions and marginal purities of the ensemble's subspace."""
     sub = ensemble.subspace
@@ -442,13 +423,11 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceExperimentResul
     ensemble = canonical_ensemble(sub)
     filt = resolve_filter(config.filter, config.subspace)
     filtered = apply_filter(sub, filt) if filt is not None else None
-    ops_conj = _weyl_conj(config, sub.shape.dim_system)
     rows = _run_trials(
-        (sub, ensemble.system_state, ops_conj, None, config.seed), config.trials, config.workers
+        (sub, ensemble.system_state, None, config.seed), config.trials, config.workers
     )
     distances, purities, devs = rows.T.copy()
-    if ops_conj is None:
-        devs = None
+    devs = None if np.isnan(devs).all() else devs
 
     rows = bound_confrontation_report(distances, ensemble, config.epsilon, filtered)
     thresholds = [row.threshold for row in rows if row.name == "distance_tail"]
@@ -487,20 +466,21 @@ def run_expectation_experiment(
     """Deviation statistics of observable expectation values from their
     ensemble values, plus the full operator-family deviation.
     """
+    if config.filter is not None:
+        raise ValueError("expectation experiments do not apply a filter")
     sub = resolve_subspace(config.subspace, cap=config.cap)
     d_s = sub.shape.dim_system
     ensemble = canonical_ensemble(sub)
     obs = np.stack([require_hermitian(o) for o in observables])
     if obs.shape[1] != d_s:
         raise ShapeMismatchError("observables must act on the system space")
-    ops_conj = _weyl_conj(config, d_s)
 
     rows = _run_trials(
-        (sub, ensemble.system_state, ops_conj, obs, config.seed), config.trials, config.workers
+        (sub, ensemble.system_state, obs, config.seed), config.trials, config.workers
     )
     targets = np.einsum("oab,ba->o", obs, ensemble.system_state).real
     deviations = rows[:, 3:] - targets
-    devs = rows[:, 2].copy() if ops_conj is not None else None
+    devs = None if np.isnan(rows[:, 2]).all() else rows[:, 2].copy()
 
     d_r = sub.dim_subspace
     eps = suggested_epsilon(d_r) if config.epsilon is None else config.epsilon
@@ -512,7 +492,7 @@ def run_expectation_experiment(
         samples = np.abs(signed)
         stats.append(SummaryStats.from_samples(samples, [eps]))
         mean_values.append(float(targets[idx] + signed.mean()))
-        norm = float(np.max(np.abs(np.linalg.eigvalsh(obs[idx]))))
+        norm = operator_norm(obs[idx])
         bound = expectation_tail_bound(max(norm, 1e-300), d_r, eps)
         obs_rows.append(_tail_row(f"expectation_tail_{idx}", samples, eps, bound))
     family_stats = None
@@ -576,7 +556,7 @@ def mc_average_purity(
         raise ValueError("a standard error needs trials >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    purities = _run_trials((sub, None, None, None, seed), trials, workers)[:, 1].copy()
+    purities = _run_trials((sub, None, None, seed), trials, workers)[:, 1].copy()
     return float(purities.mean()), float(purities.std(ddof=1) / np.sqrt(trials))
 
 
@@ -610,7 +590,7 @@ def summary_dict(result: DistanceExperimentResult) -> dict:
             "purity": result.purity_stats.to_dict(),
             "max_coeff_dev": result.coeff_stats.to_dict() if result.coeff_stats else None,
         },
-        "bounds": [row.to_dict() for row in result.bound_rows],
+        "bounds": [asdict(row) for row in result.bound_rows],
     }
 
 

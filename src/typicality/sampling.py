@@ -73,11 +73,10 @@ class SampleStream:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state of the composite, constrained to a subspace."""
+    """Normalized state on a subspace, kept as coordinates; ``subspace.embed`` lifts it."""
 
     subspace: ConstraintSubspace
     coords: np.ndarray
-    ambient: np.ndarray
 
 
 def pcg64_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
@@ -204,8 +203,7 @@ def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
 
 def sample_pure(sub: ConstraintSubspace, stream: SampleStream) -> PureState:
     """Draw a Haar-uniform pure state on ``sub``."""
-    coords = sample_coords(sub.dim_subspace, stream)
-    return PureState(subspace=sub, coords=coords, ambient=sub.embed(coords))
+    return PureState(subspace=sub, coords=sample_coords(sub.dim_subspace, stream))
 
 
 class StateReducer:

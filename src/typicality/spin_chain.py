@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .bounds import check_epsilon, distance_tail_bound
+from .bounds import check_epsilon, distance_tail_bound, suggested_epsilon
 from .errors import DimensionCapError, EmptyWindowError
 from .filtering import MeasurementFilter
 from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, check_cap
@@ -354,7 +354,7 @@ def spin_chain_report(
     if half_width is None:
         half_width = float(k) ** (2.0 / 3.0)
     if epsilon is None:
-        epsilon = float(m.dim_subspace) ** (-1.0 / 3.0)
+        epsilon = suggested_epsilon(m.dim_subspace)
     check_epsilon(epsilon)
     w = typical_window(m, half_width)
     full_window = w.lo == 0 and w.hi == m.k

@@ -173,8 +173,8 @@ def test_lipschitz_orthogonal_pair_state_ratio():
     c1 = np.array([1, 0, 0, 0], dtype=complex)
     c2 = np.array([0, 0, 0, 1], dtype=complex)
     pair = (
-        PureState(sub, c1, sub.embed(c1)),
-        PureState(sub, c2, sub.embed(c2)),
+        PureState(sub, c1),
+        PureState(sub, c2),
     )
     report = lipschitz_distance_report(ens, [pair])
     assert report.max_state_ratio == pytest.approx(math.sqrt(2), rel=1e-9)

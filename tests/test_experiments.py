@@ -59,6 +59,14 @@ def test_config_validation_and_hash():
         ExperimentConfig(subspace=CHAIN_SPEC, trials=1, seed=-2)
 
 
+def test_config_bytes_are_pinned():
+    cfg = ExperimentConfig(
+        subspace={"kind": "spin-chain", "n": 8, "k": 2, "num_excited": 4}, trials=1000, seed=1
+    )
+    assert cfg.config_hash() == "78bb98fe957648536754678f84d2af71a16b93f41125c64426f954a1d6633664"
+    assert cfg.canonical_dict()["track_coefficients"] is True
+
+
 def test_resolve_subspace_kinds(tmp_path):
     sub = resolve_subspace(CHAIN_SPEC)
     assert sub.dim_subspace == 3
@@ -363,6 +371,21 @@ def test_expectation_experiment():
     assert result.family_bound.satisfied
 
 
+def test_expectation_experiment_rejects_a_filter_before_any_trial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(experiments, "_run_trials", refuse)
+    cfg = ExperimentConfig(
+        subspace={"kind": "spin-chain", "n": 8, "k": 2, "num_excited": 4},
+        trials=10,
+        seed=1,
+        filter={"kind": "typical-window", "half_width": 0.01},
+    )
+    with pytest.raises(ValueError, match="filter"):
+        run_expectation_experiment(cfg, [np.eye(4, dtype=complex)])
+
+
 def test_expectation_deviation_shrinks_with_subspace_dimension():
     z = np.diag([1.0, -1.0]).astype(complex)
     spreads = []
@@ -438,7 +461,7 @@ def _kernel_case(name):
 def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with_mean):
     sub, omega, ops, observables = _kernel_case(case)
     mean_state = omega if with_mean else None
-    rows = _trial_block(sub, mean_state, ops.conj(), observables, seed, start, count)
+    rows = _trial_block(sub, mean_state, observables, seed, start, count)
     assert rows.shape == (count, 5)
     for i, row in enumerate(rows):
         coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
@@ -463,7 +486,7 @@ def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with
 )
 def test_trial_block_is_independent_of_the_split(case, seed, count, data):
     sub, omega, ops, observables = _kernel_case(case)
-    args = (sub, omega, ops.conj(), observables, seed)
+    args = (sub, omega, observables, seed)
     edges = sorted({0, count, *data.draw(st.lists(st.integers(0, count), max_size=4))})
     pieces = [_trial_block(*args, lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
     assert np.array_equal(np.concatenate(pieces), _trial_block(*args, 0, count))
@@ -472,7 +495,7 @@ def test_trial_block_is_independent_of_the_split(case, seed, count, data):
 @pytest.mark.parametrize("chunk, chunk_bytes", [(1, 1 << 20), (7, 1 << 20), (64, 4096 * 5)])
 def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chunk_bytes):
     sub, omega, ops, observables = _kernel_case((8, 4, 4))
-    args = (sub, omega, ops.conj(), observables, 9, 3, 150)
+    args = (sub, omega, observables, 9, 3, 150)
     default = _trial_block(*args)
     monkeypatch.setattr(experiments, "_CHUNK", chunk)
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
@@ -487,7 +510,7 @@ def test_trial_block_redraws_short_rows_like_draw_coords(monkeypatch, case):
     monkeypatch.setattr(sampling, "_RESAMPLE_NORM", np.sqrt(2.0 * d_r))
     monkeypatch.setattr(experiments, "_CHUNK", 7)
     seed, start, count = 11, 5, 40
-    rows = _trial_block(sub, omega, ops.conj(), observables, seed, start, count)
+    rows = _trial_block(sub, omega, observables, seed, start, count)
     redrawn = 0
     for i, row in enumerate(rows):
         first = SampleStream(seed, start + i).rng().standard_normal((2, d_r))
@@ -528,7 +551,7 @@ def test_chunk_buffers_fit_the_byte_budget(name):
 ])
 def test_trial_block_matches_sample_streams_across_the_word_boundary(seed, start, count):
     sub, omega, ops, observables = _kernel_case((6, 2, 3))
-    rows = _trial_block(sub, omega, ops.conj(), observables, seed, start, count)
+    rows = _trial_block(sub, omega, observables, seed, start, count)
     for i, row in enumerate(rows):
         rho = reduced_state_from_coords(
             sub, sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
@@ -543,11 +566,46 @@ def test_trial_block_seeds_below_two_to_the_32_without_sample_streams(monkeypatc
 
     monkeypatch.setattr(SampleStream, "rng", refuse)
     sub, omega, ops, observables = _kernel_case((6, 2, 3))
-    args = (sub, omega, ops.conj(), observables)
+    args = (sub, omega, observables)
     assert np.isfinite(_trial_block(*args, 2**32 - 1, 0, 150)[:, :3]).all()
     assert np.isfinite(_trial_block(*args, 0, 2**32 - 150, 150)[:, :3]).all()
     with pytest.raises(AssertionError, match="per-trial generator"):
         _trial_block(*args, 2**32, 0, 1)
+
+
+@pytest.mark.parametrize("d_s, tracked", [(32, True), (33, False)])
+def test_weyl_family_is_tracked_up_to_d_s_32(tmp_path, capsys, d_s, tracked):
+    assert experiments._COEFF_TRACK_MAX_DIM == 32
+    prefix = tmp_path / "run"
+    assert main(["experiment", "--full", str(d_s), "1", "--trials", "1", "--seed", "1",
+                 "--output", str(prefix)]) == 0
+    capsys.readouterr()
+    last = (tmp_path / "run.csv").read_text().splitlines()[1].split(",")[3]
+    stats = json.loads((tmp_path / "run.json").read_text())["stats"]["max_coeff_dev"]
+    assert (last != "") == tracked
+    assert (stats is not None) == tracked
+    cfg = ExperimentConfig(
+        subspace={"kind": "full", "dim_system": d_s, "dim_environment": 1}, trials=2, seed=1
+    )
+    result = run_expectation_experiment(cfg, [np.eye(d_s, dtype=complex)])
+    assert (result.family_stats is not None) == tracked
+    assert (result.family_bound is not None) == tracked
+
+
+def test_kernel_builds_the_weyl_family_only_against_a_mean_state(monkeypatch):
+    # the benchmark's traced run times the kernel's calls of experiments.weyl_basis
+    calls = []
+
+    def counted(dim):
+        calls.append(dim)
+        return weyl_basis(dim)
+
+    monkeypatch.setattr(experiments, "weyl_basis", counted)
+    spec = {"kind": "spin-chain", "n": 8, "k": 2, "num_excited": 4}
+    run_distance_experiment(ExperimentConfig(subspace=spec, trials=10, seed=1))
+    assert calls == [4]
+    mc_average_purity(resolve_subspace(spec), trials=10, seed=1)
+    assert calls == [4]
 
 
 def test_benchmark_trace_targets_exist(monkeypatch):

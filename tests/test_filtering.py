@@ -209,7 +209,7 @@ def test_filtered_state_routes():
     sub = build_subspace(CHAIN)
     phi = sample_pure(sub, SampleStream(3, 1))
     ident = filtered_state(phi, identity_filter(sub.shape))
-    assert np.allclose(ident, phi.ambient, atol=1e-12)
+    assert np.allclose(ident, sub.embed(phi.coords), atol=1e-12)
 
     window = typical_window(CHAIN, 0.5)
     filt = typical_projector(CHAIN, window)
@@ -217,7 +217,7 @@ def test_filtered_state_routes():
     coords = np.array([0.0, 0.0, 1.0], dtype=complex)  # string 100, last in order
     from typicality.sampling import PureState
 
-    state = PureState(sub, coords, sub.embed(coords))
+    state = PureState(sub, coords)
     assert np.linalg.norm(filtered_state(state, filt)) == pytest.approx(0.0, abs=1e-12)
 
     x_sub = filt.subspace_matrix(sub)
