@@ -1,8 +1,10 @@
 """Closed-form concentration bounds and Lipschitz-constant probes.
 
-Everything here is a pure function of scalar inputs.  Probability bounds are
+The bounds are pure functions of scalar inputs.  Probability bounds are
 reported unclamped (they may exceed 1 at small dimension), with a ``vacuous``
-flag alongside.
+flag alongside.  The Lipschitz probes take pairs of states on one subspace;
+an observable is given on its coordinates (compress a composite one with
+``ConstraintSubspace.compress_operator``).
 """
 
 from __future__ import annotations
@@ -70,17 +72,6 @@ class DistanceTailBound:
     @property
     def vacuous(self) -> bool:
         return self.tail_bound >= 1.0 or self.threshold >= 2.0
-
-    def table_row(self) -> dict:
-        return {
-            "d_S": self.dim_system,
-            "d_R": self.dim_subspace,
-            "d_E_eff": self.effective_env_dim,
-            "epsilon": self.epsilon,
-            "eta": self.threshold,
-            "eta_prime": self.tail_bound,
-            "source_formula": "distance_tail",
-        }
 
 
 def distance_tail_bound(
@@ -232,8 +223,8 @@ def lipschitz_expectation_report(
 ) -> LipschitzReport:
     """Probe the Lipschitz constant of phi -> <phi|X|phi>.
 
-    ``observable`` is Hermitian, either on subspace coordinates (d_R x d_R)
-    or on the composite space; the bound is twice its operator norm.
+    ``observable`` is Hermitian on the subspace coordinates (d_R x d_R) that
+    both states of every pair share; the bound is twice its operator norm.
     """
     x = require_hermitian(observable)
     bound = 2.0 * operator_norm(x)
@@ -241,18 +232,14 @@ def lipschitz_expectation_report(
     checked = 0
     skipped = 0
     for a, b in pairs:
-        if a.coords.shape[0] == x.shape[0]:
-            va, vb = a.coords, b.coords
-        elif a.subspace.shape.dim == x.shape[0]:
-            va, vb = a.subspace.embed(a.coords), b.subspace.embed(b.coords)
-        else:
-            raise SubspaceMismatchError("observable matches neither coordinate space")
+        if not a.subspace.equals(b.subspace) or x.shape[0] != a.subspace.dim_subspace:
+            raise SubspaceMismatchError("pair and observable do not share one subspace")
         dist = sphere_distance(a.coords, b.coords)
         if dist == 0.0:
             skipped += 1
             continue
-        f_a = float(np.vdot(va, x @ va).real)
-        f_b = float(np.vdot(vb, x @ vb).real)
+        f_a = float(np.vdot(a.coords, x @ a.coords).real)
+        f_b = float(np.vdot(b.coords, x @ b.coords).real)
         max_ratio = max(max_ratio, abs(f_a - f_b) / dist)
         checked += 1
     return LipschitzReport(

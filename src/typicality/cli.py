@@ -185,7 +185,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
     rows = []
     for eps in epsilons:
-        rows.append(distance_tail_bound(d_s, d_r, d_eff, eps).table_row())
+        tail = distance_tail_bound(d_s, d_r, d_eff, eps)
+        rows.append(row("distance_tail", eps, tail.threshold, tail.tail_bound))
         rows.append(row("levy_tail", eps, eps, levy_tail(state_sphere_dim(d_r), 2.0, eps)))
     sharp, loose = average_distance_bound(d_s, d_r, d_eff)
     rows.append(row("average_distance_eff", "", sharp))

@@ -1,12 +1,13 @@
 """Measurement filters: conditioning the ensemble on an almost-certain outcome.
 
-A filter is a Hermitian effect operator X with 0 <= X <= 1, given either on
-the composite space or directly on subspace coordinates, where a 1-d matrix
-is the diagonal of X, checked and applied entry by entry.  Applying it to the
-equiprobable state yields a sub-normalized ensemble whose deficit
-``miss_weight`` (one minus the retained trace) is the probability of the
-complementary outcome.  Filters are always compressed to subspace coordinates
-internally; the square root is taken there.
+A filter is a Hermitian effect operator X with 0 <= X <= 1 on subspace
+coordinates: a 2-d d_R x d_R matrix, or a 1-d diagonal, checked and applied
+entry by entry.  States live on the subspace, so they see an operator on the
+composite space only through its compression P_R X P_R; such an operator
+comes in as ``MeasurementFilter(sub.compress_operator(x))``.  Applying a
+filter to the equiprobable state yields a sub-normalized ensemble whose
+deficit ``miss_weight`` (one minus the retained trace) is the probability of
+the complementary outcome.
 """
 
 from __future__ import annotations
@@ -14,19 +15,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .errors import HermiticityError, OperatorRangeError, ShapeMismatchError
 from .linalg import (
     HERMITICITY_ATOL,
-    BipartiteShape,
     complex_matrix_from_json,
     complex_matrix_to_json,
-    json_dimension,
     json_fields,
-    partial_trace,
     require_hermitian,
     sqrt_psd,
     trace_norm,
@@ -44,15 +41,13 @@ SUPPORT_RANK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MeasurementFilter:
-    """Effect operator, flagged with its coordinates; 1-d on subspace ones is a diagonal."""
+    """Effect operator on subspace coordinates; a 1-d matrix is its diagonal."""
 
     matrix: np.ndarray
-    coords: Literal["composite", "subspace"] = "composite"
-    shape: BipartiteShape | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim == 1 and self.coords == "subspace":
+        if m.ndim == 1:
             if np.abs(m.imag).max(initial=0.0) > HERMITICITY_ATOL:
                 raise HermiticityError("diagonal has an imaginary part beyond tolerance")
             eigs = m.real
@@ -63,40 +58,25 @@ class MeasurementFilter:
             raise OperatorRangeError(
                 f"effect spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
             )
-        if self.coords == "composite":
-            if self.shape is None:
-                raise ShapeMismatchError("composite filters need a BipartiteShape")
-            if m.shape != (self.shape.dim, self.shape.dim):
-                raise ShapeMismatchError("filter does not act on the composite space")
-        elif self.coords != "subspace":
-            raise ValueError(f"coords must be 'composite' or 'subspace', got {self.coords!r}")
         frozen = m.copy()
         frozen.setflags(write=False)
         object.__setattr__(self, "matrix", frozen)
 
     def subspace_matrix(self, sub: ConstraintSubspace) -> np.ndarray:
-        """The filter compressed to subspace coordinates, <b_i|X|b_j>; 1-d if given as a diagonal."""
-        if self.coords == "subspace":
-            if self.matrix.shape not in ((sub.dim_subspace,), (sub.dim_subspace,) * 2):
-                raise ShapeMismatchError("filter does not act on the subspace coordinates")
-            return np.asarray(self.matrix)
-        if self.shape != sub.shape:
-            raise ShapeMismatchError("filter and subspace disagree on the composite shape")
-        return sub.compress_operator(self.matrix)
+        """The filter on the coordinates of ``sub``, checked against d_R; 1-d if a diagonal."""
+        if len(self.matrix) != sub.dim_subspace:  # a diagonal, or square by construction
+            raise ShapeMismatchError("filter does not act on the subspace coordinates")
+        return self.matrix
 
-    def support_dim_system(self, sub: ConstraintSubspace | None = None) -> int:
+    def support_dim_system(self, sub: ConstraintSubspace) -> int:
         """Rank of the environment trace of the filter, at tolerance 1e-8.
 
-        For product filters P_S (x) 1_E this is exactly the rank of P_S.  A
-        filter written on subspace coordinates is embedded through the
-        subspace isometry before tracing.
+        The filter is embedded through the subspace isometry before tracing.
+        For the window projector P_S (x) 1_E on a chain shell, as a diagonal
+        or compressed, this counts the window strings that occur in the shell.
         """
-        if self.coords == "composite":
-            traced = partial_trace(self.matrix, self.shape, keep="system")
-        else:
-            if sub is None:
-                raise ShapeMismatchError("subspace-coordinate filters need the subspace")
-            traced = sub.marginals(self.matrix.real if self.matrix.ndim == 1 else self.matrix)[0]
+        x = self.subspace_matrix(sub)
+        traced = sub.marginals(x.real if x.ndim == 1 else x)[0]
         eigs = np.linalg.eigvalsh(traced)
         return int(np.sum(eigs > SUPPORT_RANK_TOL))
 
@@ -117,15 +97,10 @@ def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> CanonicalEnse
 
 
 def miss_weight_by_enumeration(sub: ConstraintSubspace, f: MeasurementFilter) -> float:
-    """Independent route to the miss weight: one minus the mean of the
-    per-basis-vector quadratic forms <b_i|X|b_i>.
+    """Second route to the miss weight: one minus the mean of the diagonal
+    entries <b_i|X|b_i>, where ``apply_filter`` sums the trace of X / d_R.
     """
-    if f.coords == "composite":
-        b = sub.basis
-        forms = np.einsum("id,de,ie->i", b.conj(), f.matrix, b)
-    else:
-        forms = _diagonal(f.subspace_matrix(sub))
-    return 1.0 - float(np.mean(forms.real))
+    return 1.0 - float(np.mean(_diagonal(f.subspace_matrix(sub)).real))
 
 
 def filtered_state(phi: PureState, f: MeasurementFilter) -> np.ndarray:
@@ -189,24 +164,17 @@ def _root_times(sub: ConstraintSubspace, f: MeasurementFilter, coords: np.ndarra
 
 
 def filter_to_json_dict(f: MeasurementFilter) -> dict:
-    obj: dict = {
-        "coordinates": f.coords,
-        "matrix": complex_matrix_to_json(f.matrix),
-    }
-    if f.shape is not None:
-        obj["dimS"] = f.shape.dim_system
-        obj["dimE"] = f.shape.dim_environment
-    return obj
+    return {"coordinates": "subspace", "matrix": complex_matrix_to_json(f.matrix)}
 
 
 def filter_from_json_dict(obj: dict) -> MeasurementFilter:
     coords, matrix = json_fields(obj, "coordinates", "matrix")
-    matrix = complex_matrix_from_json(matrix)
-    shape = None
-    if coords == "composite":
-        dim_s, dim_e = json_fields(obj, "dimS", "dimE")
-        shape = BipartiteShape(json_dimension(dim_s, "dimS"), json_dimension(dim_e, "dimE"))
-    return MeasurementFilter(matrix=matrix, coords=coords, shape=shape)
+    if coords != "subspace":
+        raise ShapeMismatchError(
+            f"filter coordinates must be 'subspace', got {coords!r}; compress a "
+            "composite operator with ConstraintSubspace.compress_operator first"
+        )
+    return MeasurementFilter(complex_matrix_from_json(matrix))
 
 
 def save_filter(f: MeasurementFilter, path) -> None:

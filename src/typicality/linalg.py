@@ -61,13 +61,13 @@ def check_cap(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> None:
         raise DimensionCapError(f"dimension {dim} exceeds dense cap {cap}")
 
 
-def kron(a: np.ndarray, b: np.ndarray, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with an explicit guard on the composite dimension."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    check_cap(a.shape[0] * b.shape[0], cap)
+    check_cap(a.shape[0] * b.shape[0])
     if a.ndim == 2 and b.ndim == 2:
-        check_cap(a.shape[1] * b.shape[1], cap)
+        check_cap(a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 

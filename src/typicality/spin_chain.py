@@ -138,17 +138,17 @@ def canonical_weights(m: SpinChainModel) -> np.ndarray:
     return weights
 
 
-def _count_diagonal(m: SpinChainModel, weights: np.ndarray, cap: int) -> np.ndarray:
+def _count_diagonal(m: SpinChainModel, weights: np.ndarray) -> np.ndarray:
     """Dense diagonal system operator giving each string the weight of its count."""
-    check_cap(m.dim_system, cap)
+    check_cap(m.dim_system)
     sys_strings = np.arange(m.dim_system, dtype=np.uint32)
     diag = weights[np.bitwise_count(sys_strings)]
     return np.diag(diag.astype(complex))
 
 
-def exact_canonical_state(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+def exact_canonical_state(m: SpinChainModel) -> np.ndarray:
     """Dense diagonal reduced state of the shell's equiprobable state."""
-    return _count_diagonal(m, canonical_weights(m), cap)
+    return _count_diagonal(m, canonical_weights(m))
 
 
 def product_weights(m: SpinChainModel) -> np.ndarray:
@@ -158,13 +158,13 @@ def product_weights(m: SpinChainModel) -> np.ndarray:
     return (1.0 - p) ** (m.k - j) * p**j
 
 
-def product_approximation(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+def product_approximation(m: SpinChainModel) -> np.ndarray:
     """Dense diagonal product state of k spins, each excited with probability p.
 
     Approaches :func:`exact_canonical_state` as the chain grows at fixed k
     and p; exact already at k=1.
     """
-    return _count_diagonal(m, product_weights(m), cap)
+    return _count_diagonal(m, product_weights(m))
 
 
 def temperature(m: SpinChainModel) -> float:
@@ -227,7 +227,7 @@ def typical_projector(m: SpinChainModel, w: TypicalWindow) -> MeasurementFilter:
     counts = np.bitwise_count(np.arange(m.dim_system))
     keep = (counts >= w.lo) & (counts <= w.hi)
     diagonal = np.repeat(keep, partners[counts]).astype(complex)
-    return MeasurementFilter(matrix=diagonal, coords="subspace")
+    return MeasurementFilter(diagonal)
 
 
 def typical_miss_bound(k: int, p: float, half_width: float) -> float:

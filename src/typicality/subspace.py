@@ -225,8 +225,8 @@ class ConstraintSubspace:
         return shape, complex_matrix_from_json(basis)
 
     @classmethod
-    def from_json_dict(cls, obj: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":
-        return from_basis_vectors(*cls._shape_and_rows(obj), cap=cap)
+    def from_json_dict(cls, obj: dict) -> "ConstraintSubspace":
+        return from_basis_vectors(*cls._shape_and_rows(obj))
 
     def save(self, path) -> None:
         write_json_object(self.to_json_dict(), path)
@@ -269,8 +269,6 @@ def random_subspace(
     shape: BipartiteShape,
     dim_subspace: int,
     rng: np.random.Generator,
-    *,
-    cap: int = DEFAULT_DIMENSION_CAP,
 ) -> ConstraintSubspace:
     """Haar-distributed subspace: orthonormalized i.i.d. complex Gaussian vectors."""
     if not 1 <= dim_subspace <= shape.dim:
@@ -280,7 +278,7 @@ def random_subspace(
     g = rng.standard_normal((dim_subspace, shape.dim)) + 1j * rng.standard_normal(
         (dim_subspace, shape.dim)
     )
-    return from_basis_vectors(shape, g, cap=cap)
+    return from_basis_vectors(shape, g)
 
 
 @dataclass(frozen=True)
@@ -318,10 +316,10 @@ class CanonicalEnsemble:
         """True for the all-zero filter (everything missed); flagged, not rejected."""
         return self.miss_weight >= 1.0 - 1e-12
 
-    def equiprobable(self, *, cap: int = DEFAULT_DIMENSION_CAP) -> np.ndarray:
+    def equiprobable(self) -> np.ndarray:
         """Dense composite equiprobable state P_R / d_R of the subspace, unfiltered."""
         sub = self.subspace
-        check_cap(sub.shape.dim, cap)
+        check_cap(sub.shape.dim)
         b = sub.basis
         return (b.T @ b.conj()) / sub.dim_subspace
 

@@ -19,6 +19,7 @@ from typicality.bounds import (
     suggested_epsilon,
     write_bound_table,
 )
+from typicality.errors import SubspaceMismatchError
 from typicality.linalg import BipartiteShape, random_hermitian
 from typicality.sampling import PureState, SampleStream, sample_pure
 from typicality.spin_chain import SpinChainModel, build_subspace
@@ -211,8 +212,29 @@ def test_lipschitz_expectation_accepts_random_hermitian():
         assert report.satisfied
 
 
+def test_lipschitz_expectation_rejects_pairs_on_two_subspaces():
+    # both shells have d_R = 6, so the coordinate vectors alone match
+    a_sub = build_subspace(SpinChainModel(n=4, k=1, num_excited=2))
+    b_sub = build_subspace(SpinChainModel(n=4, k=2, num_excited=2))
+    assert a_sub.dim_subspace == b_sub.dim_subspace == 6
+    pair = (sample_pure(a_sub, SampleStream(32, 0)), sample_pure(b_sub, SampleStream(32, 1)))
+    with pytest.raises(SubspaceMismatchError):
+        lipschitz_expectation_report(np.eye(6, dtype=complex), [pair])
+
+
+def test_lipschitz_expectation_rejects_a_composite_observable():
+    sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
+    pair = (sample_pure(sub, SampleStream(33, 0)), sample_pure(sub, SampleStream(33, 1)))
+    with pytest.raises(SubspaceMismatchError):
+        lipschitz_expectation_report(np.eye(sub.shape.dim, dtype=complex), [pair])
+    compressed = sub.compress_operator(np.eye(sub.shape.dim, dtype=complex))
+    assert lipschitz_expectation_report(compressed, [pair]).pairs_checked == 1
+
+
 def test_write_bound_table():
-    rows = [distance_tail_bound(2, 70, 35.0, 0.1).table_row()]
+    tail = distance_tail_bound(2, 70, 35.0, 0.1)
+    rows = [{"d_S": 2, "d_R": 70, "d_E_eff": 35.0, "epsilon": 0.1, "eta": tail.threshold,
+             "eta_prime": tail.tail_bound, "source_formula": "distance_tail"}]
     out = io.StringIO()
     write_bound_table(rows, out)
     lines = out.getvalue().splitlines()

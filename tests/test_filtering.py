@@ -18,7 +18,7 @@ from typicality.filtering import (
     perturbation_bound_check,
     save_filter,
 )
-from typicality.linalg import BipartiteShape
+from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import SampleStream, sample_pure
 from typicality.spin_chain import (
     SpinChainModel,
@@ -32,44 +32,44 @@ from typicality.subspace import canonical_ensemble, from_basis_vectors, random_s
 CHAIN = SpinChainModel(n=3, k=1, num_excited=1)
 
 
-def identity_filter(shape: BipartiteShape) -> MeasurementFilter:
-    return MeasurementFilter(np.eye(shape.dim, dtype=complex), coords="composite", shape=shape)
+def identity_filter(sub) -> MeasurementFilter:
+    """The composite identity, compressed to the coordinates of ``sub``."""
+    return MeasurementFilter(sub.compress_operator(np.eye(sub.shape.dim, dtype=complex)))
 
 
 def test_filter_construction_validation():
-    shape = BipartiteShape(2, 2)
     with pytest.raises(OperatorRangeError):
-        MeasurementFilter(1.5 * np.eye(4, dtype=complex), coords="composite", shape=shape)
+        MeasurementFilter(1.5 * np.eye(4, dtype=complex))
     with pytest.raises(OperatorRangeError):
-        MeasurementFilter(-0.1 * np.eye(4, dtype=complex), coords="composite", shape=shape)
+        MeasurementFilter(-0.1 * np.eye(4, dtype=complex))
     with pytest.raises(ShapeMismatchError):
-        MeasurementFilter(np.eye(4, dtype=complex), coords="composite", shape=None)
+        MeasurementFilter(np.eye(4, dtype=complex)[:3])
 
 
 def test_diagonal_filter_construction_validation():
     with pytest.raises(HermiticityError):
-        MeasurementFilter(np.array([1.0, 1e-3j]), coords="subspace")
+        MeasurementFilter(np.array([1.0, 1e-3j]))
     with pytest.raises(OperatorRangeError):
-        MeasurementFilter(np.array([1.0, 1.5]), coords="subspace")
+        MeasurementFilter(np.array([1.0, 1.5]))
     with pytest.raises(OperatorRangeError):
-        MeasurementFilter(np.array([-0.1, 1.0]), coords="subspace")
+        MeasurementFilter(np.array([-0.1, 1.0]))
     with pytest.raises(ShapeMismatchError):
-        MeasurementFilter(np.ones(4, dtype=complex), coords="composite", shape=BipartiteShape(2, 2))
+        MeasurementFilter(np.ones((2, 2, 2), dtype=complex))
 
 
 def test_apply_filter_rejects_diagonal_of_wrong_length():
     sub = build_subspace(CHAIN)
-    wrong = MeasurementFilter(np.ones(sub.dim_subspace + 1, dtype=complex), coords="subspace")
+    wrong = MeasurementFilter(np.ones(sub.dim_subspace + 1, dtype=complex))
     with pytest.raises(ShapeMismatchError):
         apply_filter(sub, wrong)
 
 
 def composite_window_projector(m: SpinChainModel, w) -> MeasurementFilter:
-    """P_S (x) 1_E on the composite space, P_S the window projector on system strings."""
+    """P_S (x) 1_E, P_S the window projector on system strings, compressed to the shell."""
     counts = np.bitwise_count(np.arange(m.dim_system))
     p_s = np.diag(((counts >= w.lo) & (counts <= w.hi)).astype(complex))
     return MeasurementFilter(
-        np.kron(p_s, np.eye(m.dim_environment)), coords="composite", shape=m.shape
+        build_subspace(m).compress_operator(np.kron(p_s, np.eye(m.dim_environment)))
     )
 
 
@@ -82,27 +82,25 @@ def test_window_diagonal_matches_composite_reference(n, k, num_excited, xi):
     sub = build_subspace(m)
     w = typical_window(m, xi)
     diag, ref = typical_projector(m, w), composite_window_projector(m, w)
-    assert diag.coords == "subspace" and diag.matrix.shape == (sub.dim_subspace,)
+    assert diag.matrix.shape == (sub.dim_subspace,)
+    assert ref.matrix.shape == (sub.dim_subspace,) * 2
     a, b = apply_filter(sub, diag), apply_filter(sub, ref)
     assert a.miss_weight == pytest.approx(b.miss_weight, rel=0, abs=1e-12)
     assert miss_weight_by_enumeration(sub, diag) == pytest.approx(b.miss_weight, rel=0, abs=1e-12)
     assert np.allclose(a.system_state, b.system_state, rtol=0, atol=1e-12)
     assert a.environment_purity == pytest.approx(b.environment_purity, rel=0, abs=1e-12)
-    shell_counts = range(max(0, num_excited - (n - k)), min(k, num_excited) + 1)
-    if all(j in shell_counts for j in range(w.lo, w.hi + 1)):
-        assert a.support_dim == b.support_dim
-    else:
-        assert a.support_dim < b.support_dim
+    assert a.support_dim == b.support_dim
 
 
 def test_window_support_counts_only_shell_strings():
     # The window [0, 2] holds 7 system strings of (4,3,1), but with a single
-    # excitation no shell string has system count 2: the diagonal keeps 4.
+    # excitation no shell string has system count 2: the compressed P_S (x) 1_E
+    # and the diagonal both keep 4.
     m = SpinChainModel(n=4, k=3, num_excited=1)
     w = typical_window(m, 1.5)
     assert (w.lo, w.hi) == (0, 2)
     sub = build_subspace(m)
-    assert apply_filter(sub, composite_window_projector(m, w)).support_dim == 7
+    assert apply_filter(sub, composite_window_projector(m, w)).support_dim == 4
     assert apply_filter(sub, typical_projector(m, w)).support_dim == 4
 
 
@@ -121,7 +119,7 @@ def test_window_filter_builds_no_square_matrix():
 def test_identity_filter_reduces_to_unfiltered():
     sub = build_subspace(CHAIN)
     ens = canonical_ensemble(sub)
-    filtered = apply_filter(sub, identity_filter(sub.shape))
+    filtered = apply_filter(sub, identity_filter(sub))
     assert filtered.miss_weight == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(filtered.system_state, ens.system_state, atol=1e-12)
     assert filtered.environment_purity == pytest.approx(ens.environment_purity, abs=1e-12)
@@ -133,7 +131,7 @@ def test_identity_filter_reduces_to_unfiltered():
 
 def test_zero_filter_is_degenerate_not_rejected():
     sub = build_subspace(CHAIN)
-    zero = MeasurementFilter(np.zeros((8, 8), dtype=complex), coords="composite", shape=sub.shape)
+    zero = MeasurementFilter(sub.compress_operator(np.zeros((8, 8), dtype=complex)))
     filtered = apply_filter(sub, zero)
     assert filtered.degenerate
     assert filtered.miss_weight == pytest.approx(1.0)
@@ -162,20 +160,19 @@ def test_subspace_coordinate_filter_equals_composite_route():
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = g @ g.conj().T
     x = h / (np.linalg.eigvalsh(h).max() + 1e-9)
-    f_comp = MeasurementFilter(x, coords="composite", shape=sub.shape)
-    f_sub = MeasurementFilter(
-        f_comp.subspace_matrix(sub), coords="subspace"
+    filtered = apply_filter(sub, MeasurementFilter(sub.compress_operator(x)))
+    # reference on the composite space: the filtered state P_R X P_R / d_R
+    p_r = sub.basis.T @ sub.basis.conj()
+    state = p_r @ x @ p_r / sub.dim_subspace
+    reduced = partial_trace(state, sub.shape, "system")
+    assert filtered.miss_weight == pytest.approx(1.0 - np.trace(state).real, abs=1e-12)
+    assert np.allclose(filtered.system_state, reduced, atol=1e-12)
+    assert filtered.environment_purity == pytest.approx(
+        purity(partial_trace(state, sub.shape, "environment")), abs=1e-12
     )
-    a = apply_filter(sub, f_comp)
-    b = apply_filter(sub, f_sub)
-    assert a.miss_weight == pytest.approx(b.miss_weight, abs=1e-12)
-    assert np.allclose(a.system_state, b.system_state, atol=1e-12)
-    assert a.environment_purity == pytest.approx(b.environment_purity, abs=1e-12)
-    # support ranks may differ between the two coordinate systems by design;
-    # both must respect the effective-dimension floor
-    for ens in (a, b):
-        if ens.support_dim:
-            assert ens.effective_env_dim >= sub.dim_subspace / ens.support_dim - 1e-9
+    traced_x = reduced * sub.dim_subspace
+    assert filtered.support_dim == int(np.sum(np.linalg.eigvalsh(traced_x) > 1e-8))
+    assert filtered.effective_env_dim >= sub.dim_subspace / filtered.support_dim - 1e-9
 
 
 @pytest.mark.parametrize("n,k,num_excited,xi", [(6, 2, 3, 0.5), (7, 3, 3, 1.0), (8, 3, 4, 1.0)])
@@ -208,7 +205,7 @@ def test_malformed_filter_json_raises_shape_mismatch(obj):
 def test_filtered_state_routes():
     sub = build_subspace(CHAIN)
     phi = sample_pure(sub, SampleStream(3, 1))
-    ident = filtered_state(phi, identity_filter(sub.shape))
+    ident = filtered_state(phi, identity_filter(sub))
     assert np.allclose(ident, sub.embed(phi.coords), atol=1e-12)
 
     window = typical_window(CHAIN, 0.5)
@@ -232,7 +229,7 @@ def test_filtered_state_routes():
 def test_perturbation_bound_identity_and_random_projectors():
     sub = build_subspace(CHAIN)
     phi = sample_pure(sub, SampleStream(5, 0))
-    lhs, rhs = perturbation_bound_check(phi, identity_filter(sub.shape))
+    lhs, rhs = perturbation_bound_check(phi, identity_filter(sub))
     assert lhs == pytest.approx(0.0, abs=1e-10)
     assert rhs == pytest.approx(0.0, abs=1e-6)
 
@@ -243,7 +240,7 @@ def test_perturbation_bound_identity_and_random_projectors():
         g = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         q, _ = np.linalg.qr(g)
         proj = q @ q.conj().T
-        filt = MeasurementFilter(proj, coords="subspace")
+        filt = MeasurementFilter(proj)
         filtered = apply_filter(sub, filt)
         lhs_sum = 0.0
         n = 100
@@ -282,10 +279,20 @@ def test_filter_json_roundtrip():
     model = SpinChainModel(n=4, k=2, num_excited=2)
     filt = typical_projector(model, typical_window(model, 1.0))
     obj = filter_to_json_dict(filt)
+    assert list(obj) == ["coordinates", "matrix"]
+    assert obj["coordinates"] == "subspace"
     back = filter_from_json_dict(obj)
-    assert back.coords == filt.coords
-    assert back.shape == filt.shape
     assert np.allclose(back.matrix, filt.matrix, atol=1e-15)
+
+
+def test_save_filter_keeps_the_bytes_of_a_window_filter_file(tmp_path):
+    # the file the window filter of (4,2,2) at half-width 0.5 has always saved
+    model = SpinChainModel(n=4, k=2, num_excited=2)
+    save_filter(typical_projector(model, typical_window(model, 0.5)), tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_text(encoding="utf-8") == (
+        '{"coordinates": "subspace", "matrix": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], '
+        '[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}'
+    )
 
 
 def test_save_filter_writes_the_bytes_of_json_dump(tmp_path):

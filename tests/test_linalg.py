@@ -56,7 +56,7 @@ def test_kron_associativity():
 
 def test_kron_dimension_cap():
     with pytest.raises(DimensionCapError):
-        kron(np.eye(80), np.eye(80), cap=4096)
+        kron(np.eye(80), np.eye(80))
 
 
 def test_partial_trace_maximally_entangled():
