@@ -10,16 +10,17 @@ draws exactly what ``SampleStream(seed, i).rng()`` would.
 
 The kernel works a chunk of up to ``_CHUNK`` trials at a time.  Only the
 Gaussian draw runs once per trial, into a row of a reused normals buffer;
-everything after it is one call per chunk: ``sampling.normalize_draws``
-builds and normalizes the coordinate vectors, a ``sampling.StateReducer``
-turns them into a stack of reduced states, and a stacked eigensolve, a purity
-sum and a stacked vector-matrix product for the linear functionals evaluate
-the stack.  Each of these works row by row or matrix by matrix, with the same
-arithmetic for a trial wherever it sits in the stack, so a record does not
-depend on where the chunk and worker boundaries fall.  Folding the trials of
-a chunk into one matrix-matrix product would not keep that: the product's
-rows can change in the last bits with the number of rows.  Every per-chunk
-buffer is allocated once per block, within ``_CHUNK_BYTES``.
+everything after it is a few stacked calls per chunk:
+``sampling.normalize_draws`` builds and normalizes the coordinate vectors, a
+``sampling.StateReducer`` turns them into a stack of reduced states, and a
+stacked eigensolve per system block, a purity sum and stacked products for
+the Weyl coefficients and the observables evaluate the stack.  Each of these
+works row by row or matrix by matrix, with the same arithmetic for a trial
+wherever it sits in the stack, so a record does not depend on where the chunk
+and worker boundaries fall.  Folding the trials of a chunk into one
+matrix-matrix product would not keep that: the product's rows can change in
+the last bits with the number of rows.  Every per-chunk buffer is allocated
+once per call of the kernel, within ``_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Sequence
@@ -65,7 +65,7 @@ from .weyl import weyl_basis
 
 SCHEMA_VERSION = 1
 
-#: Weyl-family tracking is skipped above this system dimension (d_S^4 per trial).
+#: Weyl-family tracking is skipped above this system dimension (d_S^3 per trial).
 _COEFF_TRACK_MAX_DIM = 32
 
 #: Trials per chunk in ``_trial_block``, fewer when its per-chunk buffers
@@ -75,6 +75,9 @@ _CHUNK = 64
 _CHUNK_BYTES = 1 << 20
 
 TRIALS_CSV_COLUMNS = ("trial", "trace_distance", "purity", "max_coeff_dev")
+
+#: Rows of ``run.csv`` formatted per write.
+_CSV_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -312,8 +315,34 @@ def _chunk_buffers(
         np.empty((chunk, d_r), dtype=complex),
         StateReducer(sub, chunk),
         np.empty((2, chunk, d_s, d_s), dtype=complex),
-        np.empty((chunk, 1, n_coeffs), dtype=complex),
+        np.empty((chunk, n_coeffs), dtype=complex),
     )
+
+
+def _eigen_blocks(
+    blocks: Sequence[np.ndarray], mean_state: np.ndarray
+) -> tuple[np.ndarray, list[tuple]]:
+    """How ``_trial_block`` splits the eigensolve of rho - ``mean_state``.
+
+    Returns (the system indices of the 1 x 1 blocks, an index key per larger
+    block).  Every rho is zero off the reducer's ``blocks``; when the mean
+    state is too, as every canonical or filtered state of the subspace is,
+    rho - mean is block diagonal and its eigenvalues are those of its
+    blocks.  Otherwise the whole matrix is one block.
+    """
+    d_s = mean_state.shape[0]
+    on_blocks = np.zeros(mean_state.shape, dtype=bool)
+    for idx in blocks:
+        on_blocks[np.ix_(idx, idx)] = True
+    if mean_state[~on_blocks].any():
+        blocks = (np.arange(d_s),)
+    singles = np.array([idx[0] for idx in blocks if idx.size == 1], dtype=np.int64)
+    keys = [
+        (slice(None),) * 3 if idx.size == d_s else (slice(None), *np.ix_(idx, idx))
+        for idx in blocks
+        if idx.size > 1
+    ]
+    return singles, keys
 
 
 def _trial_block(
@@ -330,18 +359,28 @@ def _trial_block(
     deviation from ``mean_state``, then Tr(O rho) for each observable.  The
     distance is NaN when ``mean_state`` is None; the deviation is NaN then and
     when d_S > ``_COEFF_TRACK_MAX_DIM``, else the block builds the Weyl family.
+
+    The distance sums |eigenvalue| block by block (``_eigen_blocks``): first
+    the |diagonal entry| of every 1 x 1 block, then one stacked eigensolve
+    per larger block, in block order.
     """
     d_s, d_r = sub.shape.dim_system, sub.dim_subspace
     n_obs = 0 if observables is None else observables.shape[0]
     rows = np.full((count, 3 + n_obs), np.nan)
-    # Each linear functional is a column acting on a flattened matrix,
-    # C_x = vec(diff) . vec(conj U^x) and Tr(O rho) = vec(rho) . vec(O^T), so
-    # a trial's coefficients are one (1, d_S^2) @ (d_S^2, m) product.
+    # U^x with x = b d + a holds only U^x[(s + a) mod d, s] = U^(b d)[s, s], so
+    # C_x = Tr(U^x' diff) = sum_s diff[(s + a) mod d, s] conj(U^(b d)[s, s]):
+    # a trial's coefficients are one (d, d) @ (d, d) product V @ F.
     tracked = mean_state is not None and d_s <= _COEFF_TRACK_MAX_DIM
-    weyl = weyl_basis(d_s).conj().reshape(d_s * d_s, -1).T if tracked else None
+    if tracked:
+        ops = weyl_basis(d_s)
+        shift = ops[:d_s].real.argmax(axis=1)
+        phases = np.diagonal(ops[::d_s], axis1=1, axis2=2).conj().T
+    # Tr(O rho) = vec(rho) . vec(O^T): one (1, d_S^2) @ (d_S^2, m) product
     obs_t = None if not n_obs else observables.transpose(0, 2, 1).reshape(n_obs, -1).T
-    n_coeffs = 0 if weyl is None else weyl.shape[1]
+    n_coeffs = d_s * d_s if tracked else 0
     chunk, normals, coords, reduce, states, products = _chunk_buffers(sub, n_coeffs)
+    if mean_state is not None:
+        singles, keys = _eigen_blocks(reduce.blocks, mean_state)
     rngs = stream_generators(seed, start, count)
     for lo in range(0, count, chunk):
         c = min(chunk, count - lo)
@@ -355,9 +394,13 @@ def _trial_block(
         block[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
         if mean_state is not None:
             diff = np.subtract(rho, mean_state, out=states[1, :c])
-            block[:, 0] = np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
-            if weyl is not None:
-                coeffs = np.matmul(diff.reshape(c, 1, d_s * d_s), weyl, out=products[:c])
+            distance = np.abs(diff[:, singles, singles].real).sum(axis=1)
+            for key in keys:
+                distance += np.abs(np.linalg.eigvalsh(diff[key])).sum(axis=1)
+            block[:, 0] = distance
+            if tracked:
+                v = diff[:, shift, np.arange(d_s)]
+                coeffs = np.matmul(v, phases, out=products[:c].reshape(c, d_s, d_s))
                 block[:, 2] = np.abs(coeffs).max(axis=(1, 2))
         if obs_t is not None:
             block[:, 3:] = (rho.reshape(c, 1, d_s * d_s) @ obs_t)[:, 0].real
@@ -382,6 +425,8 @@ def _run_trials(common_args: tuple, trials: int, workers: int) -> np.ndarray:
     blocks = _split_blocks(trials, workers)
     if len(blocks) == 1:
         return _trial_block(*common_args, 0, trials)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
         futures = [pool.submit(_trial_block, *common_args, start, count) for start, count in blocks]
         return np.concatenate([f.result() for f in futures])
@@ -563,19 +608,23 @@ def mc_average_purity(
 # -- output artifacts ---------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_trials_csv(fh, result: DistanceExperimentResult) -> None:
-    """One row per trial: (trial, trace_distance, purity, max_coeff_dev)."""
+    """One row per trial: (trial, trace_distance, purity, max_coeff_dev), each
+    value as ``f"{value:.17g}"``, the last empty when the Weyl family is not
+    tracked.  Rows are formatted from Python floats and written
+    ``_CSV_ROWS`` at a time, so the text in memory stays small."""
     fh.write(",".join(TRIALS_CSV_COLUMNS) + "\n")
+    n = result.distances.size
     devs = result.max_coeff_devs
-    for i in range(result.distances.size):
-        dev = _fmt(devs[i]) if devs is not None else ""
-        fh.write(
-            f"{i},{_fmt(result.distances[i])},{_fmt(result.purities[i])},{dev}\n"
+    for lo in range(0, n, _CSV_ROWS):
+        part = slice(lo, min(lo + _CSV_ROWS, n))
+        dev_text = (
+            [""] * (part.stop - lo) if devs is None
+            else [f"{v:.17g}" for v in devs[part].tolist()]
         )
+        lines = zip(range(lo, part.stop), result.distances[part].tolist(),
+                    result.purities[part].tolist(), dev_text)
+        fh.write("".join(f"{i},{d:.17g},{p:.17g},{v}\n" for i, d, p, v in lines))
 
 
 def summary_dict(result: DistanceExperimentResult) -> dict:

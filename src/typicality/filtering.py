@@ -47,6 +47,8 @@ class MeasurementFilter:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
+        if m.size == 0:
+            raise ShapeMismatchError("a filter needs at least one entry")
         if m.ndim == 1:
             if np.abs(m.imag).max(initial=0.0) > HERMITICITY_ATOL:
                 raise HermiticityError("diagonal has an imaginary part beyond tolerance")

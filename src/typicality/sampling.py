@@ -209,50 +209,63 @@ def sample_pure(sub: ConstraintSubspace, stream: SampleStream) -> PureState:
 class StateReducer:
     """Reduced system states of stacks of up to ``chunk`` coordinate vectors.
 
-    The one place that tells index form from dense form.  In index form the
-    amplitudes of a state are scattered into an (environment group, system)
-    matrix M, and rho = M^T conj(M); basis vectors in different groups do not
-    interfere.  A dense state is lifted to the composite space, viewed as a
-    (system, environment) matrix M, and rho = M M^H.  Either way a call makes
-    one stacked product, matrix by matrix, into reused work rows: a state's
-    bits do not depend on the stack.
+    The one place that tells index form from dense form.  In index form rho
+    is zero off the blocks of ``sub.system_blocks``: block b scatters the
+    amplitudes of its states into an (environment group, block index) matrix
+    M_b, and rho is M_b^T conj(M_b) on the block; basis vectors in different
+    groups do not interfere.  A dense state is lifted to the composite space,
+    viewed as one (system, environment) matrix M, and rho = M M^H.  Either way
+    a call makes one stacked product per block, matrix by matrix, from reused
+    work rows: a state's bits do not depend on the stack.  ``blocks`` lists
+    each block's system indices; a dense subspace is one block.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
-        groups = sub.env_groups
         d_s = sub.shape.dim_system
-        if groups is not None:
-            group, sys_idx, n_groups = groups
-            self._offsets = group * d_s + sys_idx
-            self._matrix = (n_groups, d_s)
+        if sub.env_groups is not None:
+            self.blocks = sub.system_blocks
+            self._source, self._holes, self._slabs = sub.block_slabs
+            width = self._source.size
         else:
-            self._offsets = None
+            self.blocks = (np.arange(d_s),)
+            self._source = None
             self._basis = sub.basis
             self._matrix = (d_s, sub.shape.dim_environment)
-        # M, then conj(M), per state; index form only ever writes the same
-        # offsets, so the rest stays zero from here on
-        self.work = np.zeros((2, chunk, StateReducer.width(sub)), dtype=complex)
+            width = StateReducer.width(sub)
+        # M, then conj(M), per state
+        self.work = np.empty((2, chunk, width), dtype=complex)
 
     @staticmethod
     def width(sub: ConstraintSubspace) -> int:
-        """Complex entries of M for one state of ``sub``."""
-        groups = sub.env_groups
-        rows = sub.shape.dim_environment if groups is None else groups[2]
-        return rows * sub.shape.dim_system
+        """Complex entries of the matrices M for one state of ``sub``: the
+        sum of groups times size over the blocks in index form (d_R for a
+        spin chain), d_E d_S in dense form."""
+        if sub.env_groups is not None:
+            return sub.block_slabs[0].size
+        return sub.shape.dim_environment * sub.shape.dim_system
 
     def __call__(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rho of each row of ``coords``, written to ``out`` (c, d_S, d_S)."""
         c = coords.shape[0]
         m, m_conj = self.work[0, :c], self.work[1, :c]
-        if self._offsets is not None:
-            m[:, self._offsets] = coords
-        else:
+        if self._source is None:
             np.matmul(coords[:, None, :], self._basis, out=m[:, None, :])
+            np.conjugate(m, out=m_conj)
+            m, m_conj = m.reshape(c, *self._matrix), m_conj.reshape(c, *self._matrix)
+            return np.matmul(m, m_conj.transpose(0, 2, 1), out=out)
+        # every index is in range; "clip" spares the buffered copy of "raise"
+        np.take(coords, self._source, axis=1, out=m, mode="clip")
+        m[:, self._holes] = 0
         np.conjugate(m, out=m_conj)
-        m, m_conj = m.reshape(c, *self._matrix), m_conj.reshape(c, *self._matrix)
-        if self._offsets is not None:
-            return np.matmul(m.transpose(0, 2, 1), m_conj, out=out)
-        return np.matmul(m, m_conj.transpose(0, 2, 1), out=out)
+        out.fill(0)
+        for lo, hi, shape, entries in self._slabs:
+            slab = m[:, lo:hi].reshape(c, *shape).transpose(0, 2, 1)
+            slab_conj = m_conj[:, lo:hi].reshape(c, *shape)
+            if entries is None:
+                np.matmul(slab, slab_conj, out=out)
+            else:
+                out[(slice(None), *entries)] = np.matmul(slab, slab_conj)
+        return out
 
 
 def reduced_state_from_coords(sub: ConstraintSubspace, coords: np.ndarray) -> np.ndarray:

@@ -140,6 +140,84 @@ class ConstraintSubspace:
         _, group = np.unique(env_idx, return_inverse=True)
         return group, sys_idx, int(group.max()) + 1
 
+    @functools.cached_property
+    def system_blocks(self) -> tuple[np.ndarray, ...] | None:
+        """System indices partitioned into blocks; None unless in index form.
+
+        Two system indices share a block when some environment group holds
+        both, so the environment trace of every operator on the subspace (a
+        state, the canonical or a filtered ensemble) is zero off the blocks:
+        it pairs only basis vectors of one group.  For a spin chain the
+        blocks are the system's excitation shells; a full space is one
+        block.  Each block lists its indices in increasing order, blocks are
+        ordered by their first index, and a system index no basis vector
+        uses is a block of its own.
+        """
+        if self._flat is None:
+            return None
+        group, sys_idx, n_groups = self.env_groups
+        # every index takes the smallest label among the groups it is in,
+        # each label then its own label's, until nothing moves
+        label = np.arange(self.shape.dim_system)
+        while True:
+            low = np.full(n_groups, label.size)
+            np.minimum.at(low, group, label[sys_idx])
+            moved = label.copy()
+            np.minimum.at(moved, sys_idx, low[group])
+            moved = moved[moved]
+            if np.array_equal(moved, label):
+                break
+            label = moved
+        order = np.argsort(label, kind="stable")
+        return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+
+    @functools.cached_property
+    def block_slabs(self) -> tuple[np.ndarray, np.ndarray, list[tuple]] | None:
+        """The basis vectors laid out block by block; None unless in index form.
+
+        Block b of ``system_blocks`` gets a (groups, size) slab: the
+        environment groups that hold its indices, in increasing order, as
+        rows and its system indices as columns.  The slabs lie end to end in
+        block order.  Returns (the basis vector at each slab entry, the slab
+        entries no basis vector fills, one (start, end, (groups, size),
+        ``np.ix_(block, block)``) per block that has groups).  The ``ix_`` key
+        is None when one block holds every system index.  A spin chain's
+        slabs have no unfilled entries, since a group holds every string of
+        the complementary system shell, so they hold d_R entries in all.
+        """
+        if self._flat is None:
+            return None
+        group, sys_idx, n_groups = self.env_groups
+        blocks = self.system_blocks
+        sizes = np.array([b.size for b in blocks])
+        order = np.concatenate(blocks)
+        block_of = np.empty_like(order)
+        block_of[order] = np.repeat(np.arange(len(blocks)), sizes)
+        local = np.empty_like(order)
+        local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # each group's rank among the groups of its block, in group order
+        group_block = np.empty(n_groups, dtype=np.int64)
+        group_block[group] = block_of[sys_idx]
+        counts = np.bincount(group_block, minlength=len(blocks))
+        rank = np.empty(n_groups, dtype=np.int64)
+        rank[np.argsort(group_block, kind="stable")] = (
+            np.arange(n_groups) - np.repeat(np.cumsum(counts) - counts, counts)
+        )
+        ends = np.cumsum(counts * sizes)
+        starts = ends - counts * sizes
+        block = block_of[sys_idx]
+        offsets = starts[block] + rank[group] * sizes[block] + local[sys_idx]
+        source = np.zeros(ends[-1], dtype=np.int64)
+        source[offsets] = np.arange(offsets.size)
+        filled = np.zeros(ends[-1], dtype=bool)
+        filled[offsets] = True
+        slabs = [
+            (int(lo), int(hi), (int(n), idx.size), None if len(blocks) == 1 else np.ix_(idx, idx))
+            for lo, hi, n, idx in zip(starts, ends, counts, blocks)
+            if n
+        ]
+        return source, np.flatnonzero(~filled), slabs
+
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """Lift coordinates on the subspace to a composite vector."""
         coords = np.asarray(coords, dtype=complex)

@@ -398,6 +398,12 @@ def test_chain_experiment_does_not_import_numpy_ma(tmp_path):
     assert run_python(code, tmp_path).stdout.splitlines()[-1] == "False"
 
 
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    # the pool's modules load only for a run split across workers
+    code = "import sys\nimport typicality.cli\nprint('concurrent.futures' in sys.modules)\n"
+    assert run_python(code, tmp_path).stdout.splitlines()[-1] == "False"
+
+
 def test_unwritable_output_exits_4(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--spin-chain", "3", "1", "1",
                            "--trials", "5", "--seed", "1",

@@ -28,6 +28,7 @@ from typicality.experiments import (
     summary_dict,
     write_trials_csv,
 )
+from typicality.filtering import MeasurementFilter, apply_filter
 from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import (
     SampleStream,
@@ -38,6 +39,7 @@ from typicality.sampling import (
 )
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
+    ConstraintSubspace,
     canonical_ensemble,
     from_basis_vectors,
     full_space,
@@ -46,6 +48,28 @@ from typicality.subspace import (
 from typicality.weyl import coefficients, weyl_basis
 
 CHAIN_SPEC = {"kind": "spin-chain", "n": 3, "k": 1, "num_excited": 1}
+
+
+def _blockwise_distance(sub, rho, mean):
+    """Trace norm of rho - mean summed as the kernel sums it, one trial at a
+    time: the |real diagonal entry| of each 1 x 1 block, then the
+    |eigenvalues| of each larger block, in block order.  The blocks are the
+    subspace's, or the whole matrix when the mean is nonzero off them.
+    """
+    d_s = sub.shape.dim_system
+    diff = rho - mean
+    blocks = sub.system_blocks or (np.arange(d_s),)
+    on = np.zeros((d_s, d_s), dtype=bool)
+    for idx in blocks:
+        on[np.ix_(idx, idx)] = True
+    if np.any(mean[~on] != 0):
+        blocks = (np.arange(d_s),)
+    singles = [idx[0] for idx in blocks if idx.size == 1]
+    total = np.sum(np.abs(np.diagonal(diff)[singles].real))
+    for idx in blocks:
+        if idx.size > 1:
+            total += np.sum(np.abs(np.linalg.eigvalsh(diff[np.ix_(idx, idx)])))
+    return float(total)
 
 
 def test_config_validation_and_hash():
@@ -353,8 +377,9 @@ def test_trial_values_match_direct_sampling():
     for i in (0, 7, 19):
         coords = sample_coords(3, SampleStream(23, i))
         rho = reduced_state_from_coords(sub, coords)
-        expected = float(np.sum(np.abs(np.linalg.eigvalsh(rho - omega))))
-        assert result.distances[i] == expected
+        assert result.distances[i] == _blockwise_distance(sub, rho, omega)
+        full = float(np.sum(np.abs(np.linalg.eigvalsh(rho - omega))))
+        assert abs(result.distances[i] - full) <= 1e-14
 
 
 def test_expectation_experiment():
@@ -420,6 +445,11 @@ def test_csv_and_json_artifacts():
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == result.distances[0]
+    # the text of formatting each numpy value on its own
+    assert lines[1:] == [
+        f"{i},{result.distances[i]:.17g},{result.purities[i]:.17g},{result.max_coeff_devs[i]:.17g}"
+        for i in range(5)
+    ]
 
     payload = summary_dict(result)
     assert payload["schema_version"] == 1
@@ -432,8 +462,10 @@ def test_csv_and_json_artifacts():
 
 # -- the chunked trial kernel ------------------------------------------------
 
-#: Chains with d_S = 2, 4, 8, 16, then a dense 5-dimensional subspace of 3 x 4.
-KERNEL_CASES = ((6, 1, 3), (6, 2, 3), (7, 3, 3), (8, 4, 4), "dense")
+#: Chains with d_S = 2, 4, 8, 16, then a dense 5-dimensional subspace of 3 x 4,
+#: then 12 random computational basis states of 8 x 16, whose system blocks
+#: have sizes 1, 1, 2, 1, 1, 2.
+KERNEL_CASES = ((6, 1, 3), (6, 2, 3), (7, 3, 3), (8, 4, 4), "dense", "index")
 
 
 @functools.cache
@@ -442,6 +474,9 @@ def _kernel_case(name):
     rng = np.random.default_rng(12)
     if name == "dense":
         sub = random_subspace(BipartiteShape(3, 4), 5, rng)
+    elif name == "index":
+        flat = np.random.default_rng(1).choice(8 * 16, size=12, replace=False)
+        sub = ConstraintSubspace(BipartiteShape(8, 16), flat_indices=flat)
     else:
         sub = build_subspace(SpinChainModel(*name))
     d_s = sub.shape.dim_system
@@ -473,7 +508,8 @@ def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with
             assert np.isnan(row[0]) and np.isnan(row[2])
             continue
         diff = rho - mean_state
-        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+        assert row[0] == _blockwise_distance(sub, rho, mean_state)
+        assert abs(row[0] - np.sum(np.abs(np.linalg.eigvalsh(diff)))) <= 1e-14
         assert abs(row[2] - np.max(np.abs(coefficients(ops, diff)))) <= 1e-14
 
 
@@ -494,12 +530,40 @@ def test_trial_block_is_independent_of_the_split(case, seed, count, data):
 
 @pytest.mark.parametrize("chunk, chunk_bytes", [(1, 1 << 20), (7, 1 << 20), (64, 4096 * 5)])
 def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chunk_bytes):
-    sub, omega, ops, observables = _kernel_case((8, 4, 4))
-    args = (sub, omega, observables, 9, 3, 150)
-    default = _trial_block(*args)
-    monkeypatch.setattr(experiments, "_CHUNK", chunk)
-    monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
-    assert np.array_equal(_trial_block(*args), default)
+    for case in ((8, 4, 4), "index"):
+        sub, omega, ops, observables = _kernel_case(case)
+        args = (sub, omega, observables, 9, 3, 150)
+        default = _trial_block(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_CHUNK", chunk)
+            patch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+            assert np.array_equal(_trial_block(*args), default)
+
+
+def test_trial_block_takes_one_block_when_the_mean_couples_blocks():
+    # Every canonical or filtered state of an index-form subspace is zero off
+    # its system blocks: the environment trace pairs only basis vectors of one
+    # group.  A mean state from elsewhere, here mixed with a random state, is
+    # not, and then the eigensolve takes the whole matrix.
+    sub, omega, ops, observables = _kernel_case((7, 3, 3))
+    d_s, d_r = sub.shape.dim_system, sub.dim_subspace
+    rng = np.random.default_rng(7)
+
+    def wishart(d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return g @ g.conj().T
+
+    x = wishart(d_r)
+    filtered = apply_filter(sub, MeasurementFilter(x / np.linalg.eigvalsh(x).max()))
+    _, keys = experiments._eigen_blocks(sub.system_blocks, filtered.system_state)
+    assert len(keys) == sum(b.size > 1 for b in sub.system_blocks) > 1
+    sigma = wishart(d_s)
+    mean = 0.5 * omega + 0.5 * sigma / np.trace(sigma).real
+    seed, start, count = 5, 3, 40
+    rows = _trial_block(sub, mean, None, seed, start, count)
+    for i, row in enumerate(rows):
+        rho = reduced_state_from_coords(sub, sample_coords(d_r, SampleStream(seed, start + i)))
+        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(rho - mean))))
 
 
 @pytest.mark.parametrize("case", [(6, 2, 3), "dense"])
@@ -518,7 +582,7 @@ def test_trial_block_redraws_short_rows_like_draw_coords(monkeypatch, case):
         coords = draw_coords(SampleStream(seed, start + i).rng(), d_r)
         rho = reduced_state_from_coords(sub, coords)
         assert row[1] == purity(rho)
-        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(rho - omega))))
+        assert row[0] == _blockwise_distance(sub, rho, omega)
     assert 0.2 * count < redrawn < 0.8 * count
 
 
@@ -557,7 +621,7 @@ def test_trial_block_matches_sample_streams_across_the_word_boundary(seed, start
             sub, sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
         )
         assert row[1] == purity(rho)
-        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(rho - omega))))
+        assert row[0] == _blockwise_distance(sub, rho, omega)
 
 
 def test_trial_block_seeds_below_two_to_the_32_without_sample_streams(monkeypatch):

@@ -44,6 +44,8 @@ def test_filter_construction_validation():
         MeasurementFilter(-0.1 * np.eye(4, dtype=complex))
     with pytest.raises(ShapeMismatchError):
         MeasurementFilter(np.eye(4, dtype=complex)[:3])
+    with pytest.raises(ShapeMismatchError):
+        MeasurementFilter(np.zeros((0, 0), dtype=complex))
 
 
 def test_diagonal_filter_construction_validation():
@@ -55,6 +57,8 @@ def test_diagonal_filter_construction_validation():
         MeasurementFilter(np.array([-0.1, 1.0]))
     with pytest.raises(ShapeMismatchError):
         MeasurementFilter(np.ones((2, 2, 2), dtype=complex))
+    with pytest.raises(ShapeMismatchError):
+        MeasurementFilter([])
 
 
 def test_apply_filter_rejects_diagonal_of_wrong_length():
@@ -196,6 +200,7 @@ def test_window_filter_index_form_matches_dense_form(n, k, num_excited, xi):
     {"coordinates": "subspace"},
     {"matrix": [[[1.0, 0.0]]]},
     {"coordinates": "composite", "matrix": [[[1.0, 0.0]]]},
+    {"coordinates": "subspace", "matrix": []},
 ])
 def test_malformed_filter_json_raises_shape_mismatch(obj):
     with pytest.raises(ShapeMismatchError):

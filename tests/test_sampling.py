@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typicality.errors import SubspaceMismatchError
-from typicality.linalg import BipartiteShape, trace_norm
+from typicality.linalg import BipartiteShape, partial_trace, trace_norm
 from typicality.sampling import (
     PureState,
     SampleStream,
@@ -95,22 +96,39 @@ def _per_trial_draw(rng, dim_subspace):
 
 
 def _per_trial_reduction(sub, coords):
-    """The reduction before stacking: 2-d scatter or embedding, then one product."""
+    """The reduction one state at a time: in index form, per system block a
+    2-d scatter into its (group, block index) matrix and one product; in
+    dense form the embedding, then one product."""
+    d_s = sub.shape.dim_system
     groups = sub.env_groups
     if groups is not None:
-        group, sys_idx, n_groups = groups
-        m = np.zeros((n_groups, sub.shape.dim_system), dtype=complex)
-        m[group, sys_idx] = coords
-        return m.T @ m.conj()
-    m = sub.embed(coords).reshape(sub.shape.dim_system, sub.shape.dim_environment)
+        group, sys_idx, _ = groups
+        rho = np.zeros((d_s, d_s), dtype=complex)
+        for idx in sub.system_blocks:
+            members = np.isin(sys_idx, idx)
+            rows = np.unique(group[members])
+            m = np.zeros((rows.size, idx.size), dtype=complex)
+            m[np.searchsorted(rows, group[members]), np.searchsorted(idx, sys_idx[members])] = (
+                coords[members]
+            )
+            rho[np.ix_(idx, idx)] = m.T @ m.conj()
+        return rho
+    m = sub.embed(coords).reshape(d_s, sub.shape.dim_environment)
     return m @ m.conj().T
 
 
+def index_subspace(d_s, d_e, count, seed):
+    """Index form on ``count`` random computational basis states of d_S x d_E."""
+    flat = np.random.default_rng(seed).choice(d_s * d_e, size=count, replace=False)
+    return ConstraintSubspace(BipartiteShape(d_s, d_e), flat_indices=flat)
+
+
 #: Chains (n, k, excitations) with d_S = 2, 4, 8, 16, then dense subspaces
-#: (d_S, d_E, d_R).
+#: (d_S, d_E, d_R), then index subspaces (d_S, d_E, d_R) on random basis
+#: states: system blocks of sizes 3, 2, 1, 1, 1, and one block with holes.
 STACK_CASES = (
     ("chain", 6, 1, 3), ("chain", 8, 2, 4), ("chain", 7, 3, 3), ("chain", 10, 4, 5),
-    ("dense", 3, 4, 5), ("dense", 8, 16, 40),
+    ("dense", 3, 4, 5), ("dense", 8, 16, 40), ("index", 8, 16, 12), ("index", 8, 16, 40),
 )
 
 
@@ -119,7 +137,64 @@ def _stack_case(case):
     kind, a, b, c = case
     if kind == "chain":
         return build_subspace(SpinChainModel(a, b, c))
+    if kind == "index":
+        return index_subspace(a, b, c, 0)
     return random_subspace(BipartiteShape(a, b), c, np.random.default_rng(4))
+
+
+#: Index-form subspaces: chains, full spaces, then random basis states from
+#: sparse (many small blocks, unused system indices) to dense (one block).
+BLOCK_CASES = (
+    ("chain", 6, 1, 3), ("chain", 8, 2, 4), ("chain", 12, 4, 6), ("chain", 9, 3, 1),
+    ("full", 3, 4), ("full", 4, 1), ("full", 1, 5),
+    ("index", 8, 16, 12, 1), ("index", 8, 6, 12, 1), ("index", 8, 16, 40, 0),
+    ("index", 8, 16, 100, 2),
+)
+
+
+def _block_case(case):
+    kind, *dims = case
+    if kind == "chain":
+        return build_subspace(SpinChainModel(*dims))
+    if kind == "full":
+        return full_space(BipartiteShape(*dims))
+    return index_subspace(*dims)
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_system_blocks_partition_the_system_and_hold_every_reduced_state(case):
+    sub = _block_case(case)
+    d_s = sub.shape.dim_system
+    blocks = sub.system_blocks
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d_s))
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    assert all(np.array_equal(b, np.sort(b)) for b in blocks)
+    if case[0] == "chain":
+        # the occupied excitation shells, and each string of an empty shell alone
+        shells = np.bitwise_count(np.arange(d_s))
+        used = set(shells[sub.one_hot[0]].tolist())
+        want = [np.flatnonzero(shells == m) for m in used]
+        want += [np.array([s]) for s in range(d_s) if shells[s] not in used]
+        assert sorted(map(tuple, blocks)) == sorted(map(tuple, want))
+    if case[0] == "full":
+        assert len(blocks) == 1
+    on_blocks = np.zeros((d_s, d_s), dtype=bool)
+    for b in blocks:
+        on_blocks[np.ix_(b, b)] = True
+    count = 5
+    coords = np.stack([sample_coords(sub.dim_subspace, SampleStream(3, i)) for i in range(count)])
+    rho = StateReducer(sub, count)(coords, np.empty((count, d_s, d_s), dtype=complex))
+    for j in range(count):
+        v = sub.embed(coords[j])
+        want = partial_trace(np.outer(v, v.conj()), sub.shape)
+        assert np.abs(rho[j] - want).max() <= 1e-14
+        assert not rho[j][~on_blocks].any()
+
+
+def test_block_work_rows_of_a_half_filled_chain_hold_d_r_entries():
+    # one row per environment group and system string would be 2**20 entries
+    sub = build_subspace(SpinChainModel(20, 10, 10))
+    assert StateReducer.width(sub) == math.comb(20, 10) == sub.dim_subspace
 
 
 @settings(max_examples=60, deadline=None)
