@@ -302,12 +302,12 @@ def _chunk_buffers(
 ) -> tuple[int, np.ndarray, np.ndarray, StateReducer, np.ndarray, np.ndarray]:
     """Trials per chunk of ``_trial_block``, then the buffers every chunk reuses.
 
-    Per trial these hold 2 d_R normals, d_R coordinates, the reducer's work
-    rows, rho and rho - mean, and ``n_coeffs`` Weyl coefficients.  A chunk is
-    ``_CHUNK`` trials, fewer when the buffers would pass ``_CHUNK_BYTES``.
+    Per trial these hold 2 d_R normals, d_R coordinates, the reducer's
+    buffers, rho and rho - mean, and ``n_coeffs`` Weyl coefficients.  A chunk
+    is ``_CHUNK`` trials, fewer when the buffers would pass ``_CHUNK_BYTES``.
     """
     d_s, d_r = sub.shape.dim_system, sub.dim_subspace
-    per_trial = 16 * (2 * d_r + 2 * StateReducer.width(sub) + 2 * d_s * d_s + n_coeffs)
+    per_trial = 16 * (2 * d_r + StateReducer.entries(sub) + 2 * d_s * d_s + n_coeffs)
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // per_trial))
     return (
         chunk,
@@ -317,32 +317,6 @@ def _chunk_buffers(
         np.empty((2, chunk, d_s, d_s), dtype=complex),
         np.empty((chunk, n_coeffs), dtype=complex),
     )
-
-
-def _eigen_blocks(
-    blocks: Sequence[np.ndarray], mean_state: np.ndarray
-) -> tuple[np.ndarray, list[tuple]]:
-    """How ``_trial_block`` splits the eigensolve of rho - ``mean_state``.
-
-    Returns (the system indices of the 1 x 1 blocks, an index key per larger
-    block).  Every rho is zero off the reducer's ``blocks``; when the mean
-    state is too, as every canonical or filtered state of the subspace is,
-    rho - mean is block diagonal and its eigenvalues are those of its
-    blocks.  Otherwise the whole matrix is one block.
-    """
-    d_s = mean_state.shape[0]
-    on_blocks = np.zeros(mean_state.shape, dtype=bool)
-    for idx in blocks:
-        on_blocks[np.ix_(idx, idx)] = True
-    if mean_state[~on_blocks].any():
-        blocks = (np.arange(d_s),)
-    singles = np.array([idx[0] for idx in blocks if idx.size == 1], dtype=np.int64)
-    keys = [
-        (slice(None),) * 3 if idx.size == d_s else (slice(None), *np.ix_(idx, idx))
-        for idx in blocks
-        if idx.size > 1
-    ]
-    return singles, keys
 
 
 def _trial_block(
@@ -360,9 +334,9 @@ def _trial_block(
     distance is NaN when ``mean_state`` is None; the deviation is NaN then and
     when d_S > ``_COEFF_TRACK_MAX_DIM``, else the block builds the Weyl family.
 
-    The distance sums |eigenvalue| block by block (``_eigen_blocks``): first
-    the |diagonal entry| of every 1 x 1 block, then one stacked eigensolve
-    per larger block, in block order.
+    The distance sums |eigenvalue| over one stacked eigensolve per block of
+    the reducer, in block order.  It takes ``mean_state`` to be zero off
+    those blocks, as rho is; the runners pass Omega_S, which is.
     """
     d_s, d_r = sub.shape.dim_system, sub.dim_subspace
     n_obs = 0 if observables is None else observables.shape[0]
@@ -379,8 +353,7 @@ def _trial_block(
     obs_t = None if not n_obs else observables.transpose(0, 2, 1).reshape(n_obs, -1).T
     n_coeffs = d_s * d_s if tracked else 0
     chunk, normals, coords, reduce, states, products = _chunk_buffers(sub, n_coeffs)
-    if mean_state is not None:
-        singles, keys = _eigen_blocks(reduce.blocks, mean_state)
+    keys = [(slice(None), *np.ix_(idx, idx)) for idx in reduce.blocks]
     rngs = stream_generators(seed, start, count)
     for lo in range(0, count, chunk):
         c = min(chunk, count - lo)
@@ -394,7 +367,7 @@ def _trial_block(
         block[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
         if mean_state is not None:
             diff = np.subtract(rho, mean_state, out=states[1, :c])
-            distance = np.abs(diff[:, singles, singles].real).sum(axis=1)
+            distance = np.zeros(c)
             for key in keys:
                 distance += np.abs(np.linalg.eigvalsh(diff[key])).sum(axis=1)
             block[:, 0] = distance

@@ -210,30 +210,36 @@ class StateReducer:
     """Reduced system states of stacks of up to ``chunk`` coordinate vectors.
 
     The one place that tells index form from dense form.  In index form rho
-    is zero off the blocks of ``sub.system_blocks``: block b scatters the
+    is zero off the blocks of ``sub.system_blocks``: block b gathers the
     amplitudes of its states into an (environment group, block index) matrix
     M_b, and rho is M_b^T conj(M_b) on the block; basis vectors in different
-    groups do not interfere.  A dense state is lifted to the composite space,
-    viewed as one (system, environment) matrix M, and rho = M M^H.  Either way
-    a call makes one stacked product per block, matrix by matrix, from reused
-    work rows: a state's bits do not depend on the stack.  ``blocks`` lists
-    each block's system indices; a dense subspace is one block.
+    groups do not interfere.  The block products lie end to end in
+    ``products`` and one gather puts them into rho in computational order;
+    a single block writes its product into rho directly.  A dense state is
+    lifted to the composite space, viewed as one (system, environment)
+    matrix M, and rho = M M^H.  Either way a call makes one stacked product
+    per block, matrix by matrix, from reused work rows: a state's bits do not
+    depend on the stack.  ``blocks`` lists each block's system indices; a
+    dense subspace is one block.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
         d_s = sub.shape.dim_system
-        if sub.env_groups is not None:
-            self.blocks = sub.system_blocks
-            self._source, self._holes, self._slabs = sub.block_slabs
-            width = self._source.size
-        else:
+        self.products = None
+        if sub.env_groups is None:
             self.blocks = (np.arange(d_s),)
             self._source = None
             self._basis = sub.basis
             self._matrix = (d_s, sub.shape.dim_environment)
-            width = StateReducer.width(sub)
+            self.work = np.empty((2, chunk, StateReducer.width(sub)), dtype=complex)
+            return
+        self.blocks = sub.system_blocks
+        self._source, self._holes, self._slabs, self._gather = sub.block_slabs
         # M, then conj(M), per state
-        self.work = np.empty((2, chunk, width), dtype=complex)
+        self.work = np.empty((2, chunk, self._source.size), dtype=complex)
+        if self._gather is not None:
+            # the last column stays zero: rho off the blocks
+            self.products = np.zeros((chunk, self._gather.max() + 1), dtype=complex)
 
     @staticmethod
     def width(sub: ConstraintSubspace) -> int:
@@ -243,6 +249,15 @@ class StateReducer:
         if sub.env_groups is not None:
             return sub.block_slabs[0].size
         return sub.shape.dim_environment * sub.shape.dim_system
+
+    @staticmethod
+    def entries(sub: ConstraintSubspace) -> int:
+        """Complex entries the buffers hold per state: M and conj(M), then,
+        in index form with several blocks, the packed block products and
+        their zero."""
+        gather = None if sub.block_slabs is None else sub.block_slabs[3]
+        products = 0 if gather is None else int(gather.max()) + 1
+        return 2 * StateReducer.width(sub) + products
 
     def __call__(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rho of each row of ``coords``, written to ``out`` (c, d_S, d_S)."""
@@ -257,14 +272,15 @@ class StateReducer:
         np.take(coords, self._source, axis=1, out=m, mode="clip")
         m[:, self._holes] = 0
         np.conjugate(m, out=m_conj)
-        out.fill(0)
-        for lo, hi, shape, entries in self._slabs:
-            slab = m[:, lo:hi].reshape(c, *shape).transpose(0, 2, 1)
-            slab_conj = m_conj[:, lo:hi].reshape(c, *shape)
-            if entries is None:
-                np.matmul(slab, slab_conj, out=out)
-            else:
-                out[(slice(None), *entries)] = np.matmul(slab, slab_conj)
+        flat = out.reshape(c, -1)
+        products = flat if self.products is None else self.products[:c]
+        for lo, hi, (groups, size), pos in self._slabs:
+            slab = m[:, lo:hi].reshape(c, groups, size).transpose(0, 2, 1)
+            slab_conj = m_conj[:, lo:hi].reshape(c, groups, size)
+            block = products[:, pos : pos + size * size].reshape(c, size, size)
+            np.matmul(slab, slab_conj, out=block)
+        if self.products is not None:
+            np.take(products, self._gather, axis=1, out=flat, mode="clip")
         return out
 
 

@@ -172,18 +172,21 @@ class ConstraintSubspace:
         return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
     @functools.cached_property
-    def block_slabs(self) -> tuple[np.ndarray, np.ndarray, list[tuple]] | None:
+    def block_slabs(self) -> tuple[np.ndarray, np.ndarray, list[tuple], np.ndarray | None] | None:
         """The basis vectors laid out block by block; None unless in index form.
 
         Block b of ``system_blocks`` gets a (groups, size) slab: the
         environment groups that hold its indices, in increasing order, as
         rows and its system indices as columns.  The slabs lie end to end in
-        block order.  Returns (the basis vector at each slab entry, the slab
-        entries no basis vector fills, one (start, end, (groups, size),
-        ``np.ix_(block, block)``) per block that has groups).  The ``ix_`` key
-        is None when one block holds every system index.  A spin chain's
-        slabs have no unfilled entries, since a group holds every string of
-        the complementary system shell, so they hold d_R entries in all.
+        block order, and so do the blocks' size x size products.  Returns
+        (the basis vector at each slab entry, the slab entries no basis
+        vector fills, one (slab start, slab end, (groups, size), product
+        start) per block that has groups, the product entry of each flat
+        (d_S x d_S) index).  Entries off the blocks point one past the last
+        product, at a zero; the last item is None when one block holds every
+        system index, whose product is rho itself.  A spin chain's slabs have
+        no unfilled entries, since a group holds every string of the
+        complementary system shell, so they hold d_R entries in all.
         """
         if self._flat is None:
             return None
@@ -211,12 +214,19 @@ class ConstraintSubspace:
         source[offsets] = np.arange(offsets.size)
         filled = np.zeros(ends[-1], dtype=bool)
         filled[offsets] = True
+        firsts = np.cumsum([0] + [idx.size**2 for idx in blocks])
         slabs = [
-            (int(lo), int(hi), (int(n), idx.size), None if len(blocks) == 1 else np.ix_(idx, idx))
-            for lo, hi, n, idx in zip(starts, ends, counts, blocks)
+            (int(lo), int(hi), (int(n), idx.size), int(first))
+            for lo, hi, n, idx, first in zip(starts, ends, counts, blocks, firsts)
             if n
         ]
-        return source, np.flatnonzero(~filled), slabs
+        gather = None
+        if len(blocks) > 1:
+            d_s = self.shape.dim_system
+            gather = np.full(d_s * d_s, firsts[-1])
+            for idx, first in zip(blocks, firsts):
+                gather[(idx[:, None] * d_s + idx).ravel()] = first + np.arange(idx.size**2)
+        return source, np.flatnonzero(~filled), slabs, gather
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """Lift coordinates on the subspace to a composite vector."""

@@ -28,7 +28,6 @@ from typicality.experiments import (
     summary_dict,
     write_trials_csv,
 )
-from typicality.filtering import MeasurementFilter, apply_filter
 from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import (
     SampleStream,
@@ -52,23 +51,13 @@ CHAIN_SPEC = {"kind": "spin-chain", "n": 3, "k": 1, "num_excited": 1}
 
 def _blockwise_distance(sub, rho, mean):
     """Trace norm of rho - mean summed as the kernel sums it, one trial at a
-    time: the |real diagonal entry| of each 1 x 1 block, then the
-    |eigenvalues| of each larger block, in block order.  The blocks are the
-    subspace's, or the whole matrix when the mean is nonzero off them.
+    time: the |eigenvalues| of each system block, in block order; a dense
+    subspace is one block.
     """
-    d_s = sub.shape.dim_system
     diff = rho - mean
-    blocks = sub.system_blocks or (np.arange(d_s),)
-    on = np.zeros((d_s, d_s), dtype=bool)
-    for idx in blocks:
-        on[np.ix_(idx, idx)] = True
-    if np.any(mean[~on] != 0):
-        blocks = (np.arange(d_s),)
-    singles = [idx[0] for idx in blocks if idx.size == 1]
-    total = np.sum(np.abs(np.diagonal(diff)[singles].real))
-    for idx in blocks:
-        if idx.size > 1:
-            total += np.sum(np.abs(np.linalg.eigvalsh(diff[np.ix_(idx, idx)])))
+    total = 0.0
+    for idx in sub.system_blocks or (np.arange(sub.shape.dim_system),):
+        total += np.sum(np.abs(np.linalg.eigvalsh(diff[np.ix_(idx, idx)])))
     return float(total)
 
 
@@ -540,30 +529,18 @@ def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chu
             assert np.array_equal(_trial_block(*args), default)
 
 
-def test_trial_block_takes_one_block_when_the_mean_couples_blocks():
-    # Every canonical or filtered state of an index-form subspace is zero off
-    # its system blocks: the environment trace pairs only basis vectors of one
-    # group.  A mean state from elsewhere, here mixed with a random state, is
-    # not, and then the eigensolve takes the whole matrix.
-    sub, omega, ops, observables = _kernel_case((7, 3, 3))
-    d_s, d_r = sub.shape.dim_system, sub.dim_subspace
-    rng = np.random.default_rng(7)
-
-    def wishart(d):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return g @ g.conj().T
-
-    x = wishart(d_r)
-    filtered = apply_filter(sub, MeasurementFilter(x / np.linalg.eigvalsh(x).max()))
-    _, keys = experiments._eigen_blocks(sub.system_blocks, filtered.system_state)
-    assert len(keys) == sum(b.size > 1 for b in sub.system_blocks) > 1
-    sigma = wishart(d_s)
-    mean = 0.5 * omega + 0.5 * sigma / np.trace(sigma).real
-    seed, start, count = 5, 3, 40
-    rows = _trial_block(sub, mean, None, seed, start, count)
-    for i, row in enumerate(rows):
-        rho = reduced_state_from_coords(sub, sample_coords(d_r, SampleStream(seed, start + i)))
-        assert row[0] == float(np.sum(np.abs(np.linalg.eigvalsh(rho - mean))))
+@pytest.mark.parametrize("case", [(8, 2, 4), (7, 3, 3), (12, 4, 6), "index"])
+def test_canonical_state_is_zero_off_the_system_blocks(case):
+    # the kernel's per-block eigensolve takes the mean state, Omega_S, to be
+    # zero where rho is: off the blocks
+    sub, omega = _kernel_case(case)[:2]
+    d_s = sub.shape.dim_system
+    on_blocks = np.zeros((d_s, d_s), dtype=bool)
+    for idx in sub.system_blocks:
+        on_blocks[np.ix_(idx, idx)] = True
+    assert len(sub.system_blocks) > 1
+    assert np.trace(omega).real == pytest.approx(1.0)
+    assert not omega[~on_blocks].any()
 
 
 @pytest.mark.parametrize("case", [(6, 2, 3), "dense"])
@@ -599,7 +576,10 @@ def test_chunk_buffers_fit_the_byte_budget(name):
     d_s = sub.shape.dim_system
     n_coeffs = d_s * d_s if d_s <= experiments._COEFF_TRACK_MAX_DIM else 0
     chunk, *buffers = experiments._chunk_buffers(sub, n_coeffs)
-    arrays = [b.work if isinstance(b, StateReducer) else b for b in buffers]
+    arrays = []
+    for b in buffers:
+        arrays += [b.work, b.products] if isinstance(b, StateReducer) else [b]
+    arrays = [a for a in arrays if a is not None]
     assert all(chunk in a.shape[:2] for a in arrays)
     assert sum(a.nbytes for a in arrays) <= experiments._CHUNK_BYTES or chunk == 1
     if name == "chain 8 2 4":

@@ -183,7 +183,7 @@ def test_system_blocks_partition_the_system_and_hold_every_reduced_state(case):
         on_blocks[np.ix_(b, b)] = True
     count = 5
     coords = np.stack([sample_coords(sub.dim_subspace, SampleStream(3, i)) for i in range(count)])
-    rho = StateReducer(sub, count)(coords, np.empty((count, d_s, d_s), dtype=complex))
+    rho = StateReducer(sub, count)(coords, np.full((count, d_s, d_s), np.nan, dtype=complex))
     for j in range(count):
         v = sub.embed(coords[j])
         want = partial_trace(np.outer(v, v.conj()), sub.shape)
@@ -212,7 +212,7 @@ def test_stacks_and_stacks_of_one_match_the_per_trial_code(case, seed, start, co
         SampleStream(seed, start + j).rng().standard_normal(out=normals[j])
     coords = np.empty((count, d_r), dtype=complex)
     assert normalize_draws(normals, coords).size == 0
-    rho = StateReducer(sub, count)(coords, np.empty((count, d_s, d_s), dtype=complex))
+    rho = StateReducer(sub, count)(coords, np.full((count, d_s, d_s), np.nan, dtype=complex))
     for j in range(count):
         stream = SampleStream(seed, start + j)
         want = _per_trial_draw(stream.rng(), d_r)
