@@ -11,7 +11,8 @@ bipartite space with system dimension ``dim_system`` and environment dimension
 
 from __future__ import annotations
 
-import json
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,39 +156,40 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
-def complex_matrix_to_json(m: np.ndarray) -> list:
-    """JSON form of a complex array: nested lists ending in [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+def complex_matrix_to_json(m: np.ndarray) -> dict:
+    """JSON form of a complex array: {"shape": [...], "base64": its row-major
+    little-endian complex128 bytes}."""
+    m = np.asarray(m, dtype="<c16")
+    return {"shape": list(m.shape), "base64": base64.b64encode(m.tobytes()).decode("ascii")}
 
 
 def complex_matrix_from_json(obj) -> np.ndarray:
-    """Inverse of :func:`complex_matrix_to_json`, bitwise exact (signed zeros too)."""
-    pairs = np.asarray(obj, dtype=float)
-    if pairs.ndim < 2 or pairs.shape[-1] != 2:
-        raise ShapeMismatchError(f"expected [re, im] pairs, got shape {pairs.shape}")
-    return pairs.view(complex)[..., 0]
+    """Inverse of :func:`complex_matrix_to_json`, bitwise exact (signed zeros,
+    subnormals, NaN and inf too).
 
-
-def write_json_object(obj: dict, path) -> None:
-    """Write the JSON object ``obj`` to ``path`` with the bytes of ``json.dump``.
-
-    ``json.dump`` runs the pure-Python encoder; ``json.dumps`` runs the C one
-    but holds the whole text.  Here each element of a list value (a basis
-    vector, a matrix row) goes through ``json.dumps`` on its own.
+    Nested lists ending in [re, im] pairs, the form of earlier versions, are
+    read as well.  Raises :class:`ShapeMismatchError` unless every shape entry
+    is an integer >= 1, the payload is strict base64 and it holds exactly the
+    bytes of that shape.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{")
-        for n, (key, value) in enumerate(obj.items()):
-            fh.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-            if not isinstance(value, list):
-                fh.write(json.dumps(value))
-                continue
-            fh.write("[")
-            for i, item in enumerate(value):
-                fh.write(f"{', ' if i else ''}{json.dumps(item)}")
-            fh.write("]")
-        fh.write("}")
+    if not isinstance(obj, dict):
+        pairs = np.asarray(obj, dtype=float)
+        if pairs.ndim < 2 or pairs.shape[-1] != 2:
+            raise ShapeMismatchError(f"expected [re, im] pairs, got shape {pairs.shape}")
+        return pairs.view(complex)[..., 0]
+    shape, payload = json_fields(obj, "shape", "base64")
+    if not isinstance(shape, list) or not shape:
+        raise ShapeMismatchError(f"shape must be a nonempty list, got {shape!r}")
+    shape = [json_dimension(n, "shape entry") for n in shape]
+    if not isinstance(payload, str):
+        raise ShapeMismatchError("base64 must be a string")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise ShapeMismatchError(f"base64 payload is malformed: {exc}") from None
+    if len(raw) != 16 * math.prod(shape):
+        raise ShapeMismatchError(f"{len(raw)} bytes do not hold a complex array of shape {shape}")
+    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(shape)
 
 
 def json_fields(obj, *keys: str) -> list:

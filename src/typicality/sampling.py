@@ -52,7 +52,8 @@ _WORD = 1 << 32
 #: array passes cost about the same for 1 index as for a few hundred.
 _SEED_BATCH = 256
 
-#: Entries per dot product in ``normalize_draws``: OpenBLAS threads longer ones.
+#: Entries per dot product in ``normalize_draws``, and groups per slab product
+#: in ``StateReducer``: OpenBLAS threads longer ones.
 _DOT_PIECE = 10_000
 
 
@@ -219,8 +220,10 @@ class StateReducer:
     lifted to the composite space, viewed as one (system, environment)
     matrix M, and rho = M M^H.  Either way a call makes one stacked product
     per block, matrix by matrix, from reused work rows: a state's bits do not
-    depend on the stack.  ``blocks`` lists each block's system indices; a
-    dense subspace is one block.
+    depend on the stack.  A slab of more than ``_DOT_PIECE`` groups is summed
+    in order over pieces of at most ``_DOT_PIECE`` groups, so they do not
+    depend on the BLAS thread count either.  ``blocks`` lists each block's
+    system indices; a dense subspace is one block.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
@@ -278,7 +281,9 @@ class StateReducer:
             slab = m[:, lo:hi].reshape(c, groups, size).transpose(0, 2, 1)
             slab_conj = m_conj[:, lo:hi].reshape(c, groups, size)
             block = products[:, pos : pos + size * size].reshape(c, size, size)
-            np.matmul(slab, slab_conj, out=block)
+            np.matmul(slab[..., :_DOT_PIECE], slab_conj[:, :_DOT_PIECE], out=block)
+            for g in range(_DOT_PIECE, groups, _DOT_PIECE):
+                block += np.matmul(slab[..., g : g + _DOT_PIECE], slab_conj[:, g : g + _DOT_PIECE])
         if self.products is not None:
             np.take(products, self._gather, axis=1, out=flat, mode="clip")
         return out

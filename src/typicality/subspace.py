@@ -27,7 +27,6 @@ from .linalg import (
     json_dimension,
     json_fields,
     purity,
-    write_json_object,
 )
 
 #: Residual norm below which a vector is declared linearly dependent.
@@ -299,33 +298,52 @@ class ConstraintSubspace:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """JSON object {dimS, dimE, basis: [[re, im], ...] per vector}."""
-        return {
-            "dimS": self.shape.dim_system,
-            "dimE": self.shape.dim_environment,
-            "basis": complex_matrix_to_json(self.basis),
-        }
-
-    @staticmethod
-    def _shape_and_rows(obj: dict) -> tuple[BipartiteShape, np.ndarray]:
-        dim_s, dim_e, basis = json_fields(obj, "dimS", "dimE", "basis")
-        shape = BipartiteShape(json_dimension(dim_s, "dimS"), json_dimension(dim_e, "dimE"))
-        return shape, complex_matrix_from_json(basis)
+        """JSON object {dimS, dimE} with ``flat_indices`` in index form, else
+        ``basis`` (see ``complex_matrix_to_json``), one row per vector."""
+        if self._flat is not None:
+            form = {"flat_indices": self._flat.tolist()}
+        else:
+            form = {"basis": complex_matrix_to_json(self.basis)}
+        return {"dimS": self.shape.dim_system, "dimE": self.shape.dim_environment, **form}
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "ConstraintSubspace":
-        return from_basis_vectors(*cls._shape_and_rows(obj))
+    def _decode(cls, obj, cap: int) -> functools.partial:
+        """The builder of the subspace a JSON object describes, its fields checked.
+
+        ``cap`` is checked on dimS * dimE before the basis is decoded.
+        """
+        dim_s, dim_e = json_fields(obj, "dimS", "dimE")
+        shape = BipartiteShape(json_dimension(dim_s, "dimS"), json_dimension(dim_e, "dimE"))
+        if ("basis" in obj) == ("flat_indices" in obj):
+            raise ShapeMismatchError("JSON object must hold exactly one of basis, flat_indices")
+        check_cap(shape.dim, cap)
+        if "basis" in obj:
+            rows = complex_matrix_from_json(obj["basis"])
+            if not np.isfinite(rows).all():
+                raise ShapeMismatchError("basis entries must be finite")
+            return functools.partial(from_basis_vectors, shape, rows, cap=cap)
+        indices = obj["flat_indices"]
+        if not isinstance(indices, list) or not all(
+            type(i) is int and 0 <= i < shape.dim for i in indices
+        ):
+            raise ShapeMismatchError(f"flat_indices must be integers in [0, {shape.dim})")
+        return functools.partial(cls, shape, flat_indices=np.array(indices, dtype=np.int64))
+
+    @classmethod
+    def from_json_dict(cls, obj) -> "ConstraintSubspace":
+        return cls._decode(obj, DEFAULT_DIMENSION_CAP)()
 
     def save(self, path) -> None:
-        write_json_object(self.to_json_dict(), path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_json_dict(), fh)
 
     @classmethod
     def load(cls, path, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":
-        # The parsed lists are freed before orthonormalization, so they and
+        # The parsed object is freed before the subspace is built, so it and
         # the QR's work arrays are never resident together.
         with open(path, "r", encoding="utf-8") as fh:
-            shape, rows = cls._shape_and_rows(json.load(fh))
-        return from_basis_vectors(shape, rows, cap=cap)
+            build = cls._decode(json.load(fh), cap)
+        return build()
 
 
 def full_space(shape: BipartiteShape, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:

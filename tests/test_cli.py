@@ -75,7 +75,11 @@ def test_subspace_file_obeys_cap(tmp_path, capsys):
     assert "error: dimension 64 exceeds dense cap 10" in err
 
 
-@pytest.mark.parametrize("content", ['{"dimS": 2}', "[1, 2]"])
+@pytest.mark.parametrize("content", [
+    '{"dimS": 2}',
+    "[1, 2]",
+    '{"dimS": 2, "dimE": 2, "basis": {"shape": [1, 4], "base64": "AAAA!"}}',
+])
 def test_malformed_subspace_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "sub.json"
     path.write_text(content)
@@ -84,6 +88,40 @@ def test_malformed_subspace_file_exits_2(tmp_path, capsys, content):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_purity_oracle_reads_both_basis_forms_alike(tmp_path, capsys):
+    from typicality.linalg import BipartiteShape
+    from typicality.subspace import random_subspace
+
+    sub = random_subspace(BipartiteShape(2, 8), 5, np.random.default_rng(8))
+    sub.save(tmp_path / "new.json")
+    old = json.loads((tmp_path / "new.json").read_text(encoding="utf-8"))
+    assert set(old["basis"]) == {"shape", "base64"}
+    # the nested [re, im] pairs that earlier versions wrote
+    old["basis"] = np.stack([sub.basis.real, sub.basis.imag], -1).tolist()
+    (tmp_path / "old.json").write_text(json.dumps(old), encoding="utf-8")
+    outputs = []
+    for form in ("old", "new"):
+        out = tmp_path / f"{form}-oracle.json"
+        code, _, _ = run_cli(capsys, "purity-oracle", "--subspace-file",
+                             str(tmp_path / f"{form}.json"), "--trials", "200", "--seed", "4",
+                             "--output", str(out))
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_saved_chain_runs_like_the_chain(tmp_path, capsys):
+    from typicality.spin_chain import SpinChainModel, build_subspace
+
+    build_subspace(SpinChainModel(8, 2, 4)).save(tmp_path / "subspace.json")
+    for name, spec in (("chain", ["--spin-chain", "8", "2", "4"]),
+                       ("file", ["--subspace-file", str(tmp_path / "subspace.json")])):
+        code, _, _ = run_cli(capsys, "experiment", *spec, "--trials", "300", "--seed", "6",
+                             "--output", str(tmp_path / name))
+        assert code == 0
+    assert (tmp_path / "chain.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
 #: A ``dimS``/``dimE`` pair with one value that is not an integer >= 1.  The
@@ -106,36 +144,6 @@ def test_subspace_file_with_non_integer_dimension_exits_2(tmp_path, capsys, dims
     bad_key = next(key for key, value in dims.items() if value not in (2, 4))
     assert err.startswith(f"error: {bad_key} must be an integer >= 1")
     assert "Traceback" not in err
-
-
-def test_composite_filter_file_raises_shape_mismatch(tmp_path):
-    # No flag takes a filter file; it reaches the program as an experiment
-    # config's {"kind": "file"} filter, through load_filter.  ShapeMismatchError
-    # is a TypicalityError, which the command line reports with exit code 2.
-    from typicality.errors import ShapeMismatchError
-    from typicality.filtering import MeasurementFilter, filter_to_json_dict, load_filter
-
-    obj = filter_to_json_dict(MeasurementFilter(np.eye(4)))
-    path = tmp_path / "filter.json"
-    path.write_text(json.dumps({**obj, "coordinates": "composite", "dimS": 2, "dimE": 2}))
-    with pytest.raises(ShapeMismatchError, match="compress_operator"):
-        load_filter(path)
-
-
-@pytest.mark.parametrize("dims", BAD_DIMENSIONS)
-def test_filter_file_with_non_integer_dimension_raises_shape_mismatch(tmp_path, dims):
-    # A composite filter file written before filters moved to subspace
-    # coordinates carries dimS/dimE.  Those keys are no longer read, so a bad
-    # value in them must not surface as a crash: the file is rejected for its
-    # coordinates with the same ShapeMismatchError as a well-formed one.
-    from typicality.errors import ShapeMismatchError
-    from typicality.filtering import MeasurementFilter, filter_to_json_dict, load_filter
-
-    obj = filter_to_json_dict(MeasurementFilter(np.eye(4)))
-    path = tmp_path / "filter.json"
-    path.write_text(json.dumps({**obj, "coordinates": "composite", **dims}))
-    with pytest.raises(ShapeMismatchError, match="compress_operator"):
-        load_filter(path)
 
 
 @pytest.mark.parametrize("xi", ["nan", "inf"])
@@ -369,21 +377,25 @@ def test_spin_chain_mode_flag_is_gone(capsys):
 
 
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
-    # d_R = 12 870: longer than the dot products OpenBLAS keeps on one thread
+    # d_R = 12 870: longer than the dot products OpenBLAS keeps on one thread;
+    # (18,2,9) has shells of 11 440 and 12 870 environment strings, longer
+    # than the slab products it keeps on one thread
     code = (
         "from typicality.cli import main\n"
         "main(['experiment', '--spin-chain', '16', '2', '8', '--trials', '50',"
         " '--seed', '1', '--output', 'run'])\n"
         "main(['purity-oracle', '--spin-chain', '16', '2', '8', '--trials', '50',"
         " '--seed', '1', '--output', 'oracle.json'])\n"
+        "main(['experiment', '--spin-chain', '18', '2', '9', '--trials', '30',"
+        " '--seed', '3', '--output', 'run18'])\n"
     )
     artifacts = {}
     for threads in ("1", "2"):
         cwd = tmp_path / threads
         cwd.mkdir()
         run_python(code, cwd, OPENBLAS_NUM_THREADS=threads)
-        artifacts[threads] = [(cwd / name).read_bytes()
-                              for name in ("run.csv", "run.json", "oracle.json")]
+        names = ("run.csv", "run.json", "oracle.json", "run18.csv", "run18.json")
+        artifacts[threads] = [(cwd / name).read_bytes() for name in names]
     assert artifacts["1"] == artifacts["2"]
 
 

@@ -20,7 +20,6 @@ from typicality.linalg import (
     random_hermitian,
     sqrt_psd,
     trace_norm,
-    write_json_object,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -182,36 +181,34 @@ def _reference_decode(obj):
     return np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
 
 
+#: Entries (NaN with a payload, signaling NaN), (-inf, least subnormal) and
+#: (-0.0, inf), set bit by bit: arithmetic could quiet the NaNs.
+ODD_ENTRIES = np.array(
+    [0x7FF8000000000123, 0x7FF0000000000001, 0xFFF0000000000000, 1, 1 << 63, 0x7FF0000000000000],
+    dtype=np.uint64,
+).view(complex)
+
+
 @given(
     arrays(
         complex,
         array_shapes(min_dims=2, max_dims=2, max_side=6),
-        elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        elements=st.complex_numbers(),
     )
 )
 @example(np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [-0.0j, 1e-310 - 2.5j]]))
+@example(np.stack([ODD_ENTRIES, ODD_ENTRIES[::-1]]))
 def test_complex_matrix_json_codec_is_bitwise(m):
     text = json.dumps(complex_matrix_to_json(m))
-    assert text == json.dumps(_reference_encode(m))
     back = complex_matrix_from_json(json.loads(text))
     assert back.shape == m.shape
     assert back.tobytes() == m.tobytes()
-    assert back.tobytes() == _reference_decode(json.loads(text)).tobytes()
-
-
-JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
-JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4), max_leaves=20)
-
-
-@given(st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=5))
-@example({})
-@example({"dimS": 2, "basis": [[[0.5, -0.0], [1e-310, float("nan")]], []], "empty": []})
-def test_write_json_object_writes_the_bytes_of_json_dump(tmp_path_factory, obj):
-    folder = tmp_path_factory.mktemp("json")
-    with open(folder / "reference.json", "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-    write_json_object(obj, folder / "streamed.json")
-    assert (folder / "streamed.json").read_bytes() == (folder / "reference.json").read_bytes()
+    # the nested [re, im] pairs of earlier versions decode as they always did
+    old = json.loads(json.dumps(_reference_encode(m)))
+    old_back = complex_matrix_from_json(old)
+    assert old_back.tobytes() == _reference_decode(old).tobytes()
+    if not np.isnan(m).any():  # the decimal text keeps no NaN payload
+        assert old_back.tobytes() == m.tobytes()
 
 
 def test_complex_matrix_from_json_rejects_non_pairs():

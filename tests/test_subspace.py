@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from typicality.errors import RankDeficiencyError, ShapeMismatchError, TypicalityError
+from typicality.errors import (
+    DimensionCapError,
+    RankDeficiencyError,
+    ShapeMismatchError,
+    TypicalityError,
+)
 from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
@@ -184,10 +190,53 @@ def test_gram_schmidt_rejects_zero_vector():
         gram_schmidt([[1.0, 0.0], [0.0, 0.0]])
 
 
-@pytest.mark.parametrize("obj", [[1, 2], {"dimS": 2}, {"dimS": 2, "dimE": 2}, {"basis": []}])
+def _file_object(basis, dims=(2, 2)):
+    return {"dimS": dims[0], "dimE": dims[1], "basis": basis}
+
+
+#: The base64 of one basis vector of a 2 x 2 space (64 bytes), and of 16 bytes.
+E0 = base64.b64encode(np.eye(1, 4, dtype=complex).tobytes()).decode()
+SHORT = base64.b64encode(bytes(16)).decode()
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"dimS": 2},
+    {"dimS": 2, "dimE": 2},
+    {"basis": []},
+    _file_object({"shape": [1, 4], "base64": E0[:-2] + "!!"}),
+    _file_object({"shape": [1, 4], "base64": E0 + "\n"}),
+    _file_object({"shape": [1, 4], "base64": SHORT}),
+    _file_object({"shape": [1, 4], "base64": E0 + SHORT}),
+    _file_object({"shape": [0], "base64": ""}),
+    _file_object({"shape": [1.5], "base64": SHORT}),
+    _file_object({"shape": [True], "base64": SHORT}),
+    _file_object({"shape": "1", "base64": SHORT}),
+    _file_object({"shape": [], "base64": SHORT}),
+    _file_object({"shape": [1, 4], "base64": None}),
+    _file_object({"shape": [1, 4]}),
+    _file_object([[[float("nan"), 0.0]] + [[1.0, 0.0]] * 3]),
+    _file_object({"shape": [1, 4], "base64": base64.b64encode(
+        np.array([np.inf, 1, 0, 0], dtype=complex).tobytes()).decode()}),
+    {**_file_object([[[1.0, 0.0]] * 4]), "flat_indices": [0]},
+    {"dimS": 2, "dimE": 2, "flat_indices": [0, 4]},
+    {"dimS": 2, "dimE": 2, "flat_indices": [-1]},
+    {"dimS": 2, "dimE": 2, "flat_indices": [1.0]},
+    {"dimS": 2, "dimE": 2, "flat_indices": [True]},
+    {"dimS": 2, "dimE": 2, "flat_indices": []},
+    {"dimS": 2, "dimE": 2, "flat_indices": 1},
+])
 def test_malformed_subspace_json_raises_shape_mismatch(obj):
     with pytest.raises(ShapeMismatchError):
         ConstraintSubspace.from_json_dict(obj)
+
+
+def test_subspace_json_cap_is_checked_before_the_basis_is_decoded():
+    obj = _file_object({"shape": [1, 10**6], "base64": "not base64"}, dims=(1000, 1000))
+    with pytest.raises(DimensionCapError, match="exceeds dense cap 4096"):
+        ConstraintSubspace.from_json_dict(obj)
+    with pytest.raises(DimensionCapError, match="exceeds dense cap 4096"):
+        ConstraintSubspace.from_json_dict({"dimS": 100, "dimE": 100, "flat_indices": [0]})
 
 
 def test_ensemble_builder_checks_trace_and_floor():
@@ -212,6 +261,32 @@ def test_json_roundtrip(tmp_path):
     loaded = ConstraintSubspace.load(path)
     assert loaded.shape == sub.shape
     assert np.allclose(loaded.basis, sub.basis, atol=1e-12)
+
+
+def test_saved_basis_loads_with_its_bits(tmp_path):
+    sub = random_subspace(BipartiteShape(4, 8), 6, np.random.default_rng(79))
+    sub.save(tmp_path / "subspace.json")
+    saved = json.loads((tmp_path / "subspace.json").read_text(encoding="utf-8"))
+    assert saved["basis"]["shape"] == [6, 32]
+    rows = base64.b64decode(saved["basis"]["base64"])
+    assert rows == sub.basis.astype("<c16").tobytes()
+    # loading orthonormalizes the rows again, as for any spanning vectors
+    loaded = ConstraintSubspace.load(tmp_path / "subspace.json")
+    assert loaded.basis.tobytes() == gram_schmidt(sub.basis).tobytes()
+
+
+@pytest.mark.parametrize("sub", [
+    build_subspace(SpinChainModel(8, 2, 4)),
+    build_subspace(SpinChainModel(7, 3, 3)),
+    full_space(BipartiteShape(2, 3)),
+], ids=["chain-8-2-4", "chain-7-3-3", "full-2-3"])
+def test_index_form_saves_its_flat_indices(tmp_path, sub):
+    sub.save(tmp_path / "subspace.json")
+    saved = json.loads((tmp_path / "subspace.json").read_text(encoding="utf-8"))
+    assert list(saved) == ["dimS", "dimE", "flat_indices"]
+    loaded = ConstraintSubspace.load(tmp_path / "subspace.json")
+    assert loaded.one_hot is not None and loaded.equals(sub)
+    assert [b.tolist() for b in loaded.system_blocks] == [b.tolist() for b in sub.system_blocks]
 
 
 def test_save_writes_the_bytes_of_json_dump(tmp_path):
