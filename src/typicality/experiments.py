@@ -44,7 +44,7 @@ from .bounds import (
     suggested_epsilon,
 )
 from .errors import ShapeMismatchError, TypicalityError
-from .filtering import MeasurementFilter, apply_filter
+from .filtering import MeasurementFilter, apply_filter, load_filter
 from .linalg import (
     DEFAULT_DIMENSION_CAP,
     BipartiteShape,
@@ -86,7 +86,8 @@ class ExperimentConfig:
 
     ``subspace`` is an inline spec: {"kind": "spin-chain", n, k, num_excited},
     {"kind": "full", dim_system, dim_environment} or {"kind": "file", path}.
-    ``filter`` is optional: {"kind": "typical-window", half_width}.
+    ``filter`` is optional: {"kind": "typical-window", half_width} or
+    {"kind": "file", path}.
     """
 
     subspace: dict
@@ -151,6 +152,8 @@ def resolve_filter(spec: dict | None, subspace_spec: dict) -> MeasurementFilter 
         model = _chain_model(subspace_spec)
         window = typical_window(model, float(spec["half_width"]))
         return typical_projector(model, window)
+    if kind == "file":
+        return load_filter(spec["path"])
     raise ValueError(f"unknown filter kind {kind!r}")
 
 

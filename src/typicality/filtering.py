@@ -12,6 +12,7 @@ the complementary outcome.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,9 @@ import numpy as np
 from .errors import HermiticityError, OperatorRangeError, ShapeMismatchError
 from .linalg import (
     HERMITICITY_ATOL,
+    complex_matrix_from_json,
+    complex_matrix_to_json,
+    json_fields,
     require_hermitian,
     sqrt_psd,
     trace_norm,
@@ -156,3 +160,29 @@ def _root_times(sub: ConstraintSubspace, f: MeasurementFilter, coords: np.ndarra
         return np.sqrt(np.clip(x_sub.real, 0.0, 1.0)) * coords
     return sqrt_psd(x_sub) @ coords
 
+
+# -- serialization ----------------------------------------------------------
+
+
+def filter_to_json_dict(f: MeasurementFilter) -> dict:
+    return {"coordinates": "subspace", "matrix": complex_matrix_to_json(f.matrix)}
+
+
+def filter_from_json_dict(obj: dict) -> MeasurementFilter:
+    coords, matrix = json_fields(obj, "coordinates", "matrix")
+    if coords != "subspace":
+        raise ShapeMismatchError(
+            f"filter coordinates must be 'subspace', got {coords!r}; compress a "
+            "composite operator with ConstraintSubspace.compress_operator first"
+        )
+    return MeasurementFilter(complex_matrix_from_json(matrix))
+
+
+def save_filter(f: MeasurementFilter, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(filter_to_json_dict(f), fh)
+
+
+def load_filter(path) -> MeasurementFilter:
+    with open(path, "r", encoding="utf-8") as fh:
+        return filter_from_json_dict(json.load(fh))

@@ -146,6 +146,36 @@ def test_subspace_file_with_non_integer_dimension_exits_2(tmp_path, capsys, dims
     assert "Traceback" not in err
 
 
+def test_composite_filter_file_raises_shape_mismatch(tmp_path):
+    # No flag takes a filter file; it reaches the program as an experiment
+    # config's {"kind": "file"} filter, through load_filter.  ShapeMismatchError
+    # is a TypicalityError, which the command line reports with exit code 2.
+    from typicality.errors import ShapeMismatchError
+    from typicality.filtering import MeasurementFilter, filter_to_json_dict, load_filter
+
+    obj = filter_to_json_dict(MeasurementFilter(np.eye(4)))
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps({**obj, "coordinates": "composite", "dimS": 2, "dimE": 2}))
+    with pytest.raises(ShapeMismatchError, match="compress_operator"):
+        load_filter(path)
+
+
+@pytest.mark.parametrize("dims", BAD_DIMENSIONS)
+def test_filter_file_with_non_integer_dimension_raises_shape_mismatch(tmp_path, dims):
+    # A composite filter file written before filters moved to subspace
+    # coordinates carries dimS/dimE.  Those keys are no longer read, so a bad
+    # value in them must not surface as a crash: the file is rejected for its
+    # coordinates with the same ShapeMismatchError as a well-formed one.
+    from typicality.errors import ShapeMismatchError
+    from typicality.filtering import MeasurementFilter, filter_to_json_dict, load_filter
+
+    obj = filter_to_json_dict(MeasurementFilter(np.eye(4)))
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps({**obj, "coordinates": "composite", **dims}))
+    with pytest.raises(ShapeMismatchError, match="compress_operator"):
+        load_filter(path)
+
+
 @pytest.mark.parametrize("xi", ["nan", "inf"])
 @pytest.mark.parametrize("command", [
     ["experiment", "--spin-chain", "8", "2", "4", "--seed", "1"],

@@ -294,6 +294,29 @@ def test_filter_row_reproduces_filtered_formula():
     assert row.formula_value == pytest.approx(recomputed.tail_bound, rel=1e-12)
 
 
+def test_filter_from_file_matches_inline_spec(tmp_path):
+    from typicality.filtering import save_filter
+    from typicality.spin_chain import typical_projector, typical_window
+
+    model = SpinChainModel(n=4, k=2, num_excited=2)
+    filt = typical_projector(model, typical_window(model, 1.0))
+    path = tmp_path / "filter.json"
+    save_filter(filt, path)
+    spec = {"kind": "spin-chain", "n": 4, "k": 2, "num_excited": 2}
+    inline = run_distance_experiment(ExperimentConfig(
+        subspace=spec, trials=100, seed=5,
+        filter={"kind": "typical-window", "half_width": 1.0},
+    ))
+    from_file = run_distance_experiment(ExperimentConfig(
+        subspace=spec, trials=100, seed=5,
+        filter={"kind": "file", "path": str(path)},
+    ))
+    assert inline.subspace_info["filter_miss_weight"] == pytest.approx(
+        from_file.subspace_info["filter_miss_weight"], abs=1e-14
+    )
+    assert np.array_equal(inline.distances, from_file.distances)
+
+
 def test_experiment_deterministic_across_workers():
     base = dict(subspace={"kind": "spin-chain", "n": 4, "k": 2, "num_excited": 2},
                 trials=300, seed=17)

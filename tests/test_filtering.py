@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,10 +9,14 @@ from typicality.experiments import resolve_filter, resolve_subspace
 from typicality.filtering import (
     MeasurementFilter,
     apply_filter,
+    filter_from_json_dict,
+    filter_to_json_dict,
     filtered_state,
+    load_filter,
     miss_weight_by_enumeration,
     omega_shift_check,
     perturbation_bound_check,
+    save_filter,
 )
 from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import SampleStream, sample_pure
@@ -190,6 +195,18 @@ def test_window_filter_index_form_matches_dense_form(n, k, num_excited, xi):
     assert a.support_dim == b.support_dim
 
 
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"coordinates": "subspace"},
+    {"matrix": [[[1.0, 0.0]]]},
+    {"coordinates": "composite", "matrix": [[[1.0, 0.0]]]},
+    {"coordinates": "subspace", "matrix": []},
+])
+def test_malformed_filter_json_raises_shape_mismatch(obj):
+    with pytest.raises(ShapeMismatchError):
+        filter_from_json_dict(obj)
+
+
 def test_filtered_state_routes():
     sub = build_subspace(CHAIN)
     phi = sample_pure(sub, SampleStream(3, 1))
@@ -261,3 +278,42 @@ def test_support_dim_of_product_filter():
     window = typical_window(model, 0.5)  # only |s| = 1
     filt = typical_projector(model, window)
     assert filt.support_dim_system(build_subspace(model)) == 2
+
+
+def test_filter_json_roundtrip():
+    model = SpinChainModel(n=4, k=2, num_excited=2)
+    filt = typical_projector(model, typical_window(model, 1.0))
+    obj = filter_to_json_dict(filt)
+    assert list(obj) == ["coordinates", "matrix"]
+    assert obj["coordinates"] == "subspace"
+    back = filter_from_json_dict(obj)
+    assert np.allclose(back.matrix, filt.matrix, atol=1e-15)
+
+
+def test_save_filter_keeps_the_bytes_of_a_window_filter_file(tmp_path):
+    # the file the window filter of (4,2,2) at half-width 0.5 saves: the
+    # diagonal 0, 1, 1, 1, 1, 0 as little-endian complex128 bytes
+    model = SpinChainModel(n=4, k=2, num_excited=2)
+    filt = typical_projector(model, typical_window(model, 0.5))
+    save_filter(filt, tmp_path / "f.json")
+    assert (tmp_path / "f.json").read_text(encoding="utf-8") == (
+        '{"coordinates": "subspace", "matrix": {"shape": [6], "base64": "'
+        'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAAAAAAAAAADwPwAAAAAAAAAAAAAAAAAA8D8A'
+        'AAAAAAAAAAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}}'
+    )
+    # the nested [re, im] file that earlier versions saved loads as the same filter
+    (tmp_path / "old.json").write_text(
+        '{"coordinates": "subspace", "matrix": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], '
+        '[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}', encoding="utf-8"
+    )
+    assert load_filter(tmp_path / "old.json").matrix.tobytes() == filt.matrix.tobytes()
+
+
+def test_save_filter_writes_the_bytes_of_json_dump(tmp_path):
+    model = SpinChainModel(n=4, k=2, num_excited=2)
+    filt = typical_projector(model, typical_window(model, 1.0))
+    save_filter(filt, tmp_path / "filter.json")
+    text = (tmp_path / "filter.json").read_text(encoding="utf-8")
+    assert text == json.dumps(filter_to_json_dict(filt))
+    back = load_filter(tmp_path / "filter.json")
+    assert back.matrix.tobytes() == filt.matrix.tobytes()
