@@ -41,7 +41,6 @@ from .experiments import (
     mc_average_purity,
     purity_inequality_check,
     run_distance_experiment,
-    run_expectation_experiment,
 )
 from .filtering import (
     MeasurementFilter,

@@ -13,11 +13,11 @@ Gaussian draw runs once per trial, into a row of a reused normals buffer;
 everything after it is a few stacked calls per chunk:
 ``sampling.normalize_draws`` builds and normalizes the coordinate vectors, a
 ``sampling.StateReducer`` turns them into a stack of reduced states, and a
-stacked eigensolve per system block, a purity sum and stacked products for
-the Weyl coefficients and the observables evaluate the stack.  Each of these
-works row by row or matrix by matrix, with the same arithmetic for a trial
-wherever it sits in the stack, so a record does not depend on where the chunk
-and worker boundaries fall.  Folding the trials of a chunk into one
+stacked eigensolve per system block, a purity sum and a stacked product for
+the Weyl coefficients evaluate the stack.  Each of these works row by row or
+matrix by matrix, with the same arithmetic for a trial wherever it sits in
+the stack, so a record does not depend on where the chunk and worker
+boundaries fall.  Folding the trials of a chunk into one
 matrix-matrix product would not keep that: the product's rows can change in
 the last bits with the number of rows.  Every per-chunk buffer is allocated
 once per call of the kernel, within ``_CHUNK_BYTES``.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -45,13 +46,7 @@ from .bounds import (
 )
 from .errors import ShapeMismatchError, TypicalityError
 from .filtering import MeasurementFilter, apply_filter, load_filter
-from .linalg import (
-    DEFAULT_DIMENSION_CAP,
-    BipartiteShape,
-    operator_norm,
-    purity,
-    require_hermitian,
-)
+from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, purity
 from .sampling import (
     SampleStream,
     StateReducer,
@@ -87,7 +82,9 @@ class ExperimentConfig:
     ``subspace`` is an inline spec: {"kind": "spin-chain", n, k, num_excited},
     {"kind": "full", dim_system, dim_environment} or {"kind": "file", path}.
     ``filter`` is optional: {"kind": "typical-window", half_width} or
-    {"kind": "file", path}.
+    {"kind": "file", path}.  ``epsilon`` is the deviation of the tail rows
+    (``distance_tail``, ``coefficient_family_tail`` and
+    ``filtered_distance_tail``), d_R^(-1/3) when None.
     """
 
     subspace: dict
@@ -252,8 +249,26 @@ def bound_confrontation_report(
     ensemble: CanonicalEnsemble,
     epsilon: float | None = None,
     filtered: CanonicalEnsemble | None = None,
+    max_coeff_devs: np.ndarray | None = None,
 ) -> list[BoundRow]:
-    """Confront the sampled distances with every applicable closed form."""
+    """Confront the sampled distances with every applicable closed form.
+
+    Given the per-trial ``max_coeff_devs``, max_x |C_x(rho - Omega_S)| over
+    the Weyl family, it adds the ``coefficient_family_tail`` row at threshold
+    epsilon (d_R^(-1/3) when None), a union bound over the family.  With rho
+    the reduced state of phi and Omega_S = E[rho], C_x(rho - Omega_S) is
+    <phi|U_x^dagger (x) 1|phi> minus its mean.  Its real and imaginary parts
+    are the deviations of <phi|H|phi> for the Hermitian
+    H = (U_x^dagger + U_x) / 2 (x) 1 and H = (U_x^dagger - U_x) / 2i (x) 1,
+    of norm <= 1, so each is 2-Lipschitz on the sphere and
+    ``expectation_tail_bound(1, d_R, t)`` bounds its tail at t.
+    |C_x| >= epsilon forces one part to reach epsilon / sqrt(2), and
+    C_0(rho - Omega_S) = Tr(rho - Omega_S) = 0, so the union over the other
+    d_S^2 - 1 unitaries and both parts gives
+
+        Prob[max_x |C_x| >= epsilon]
+            <= 2 (d_S^2 - 1) expectation_tail_bound(1, d_R, epsilon / sqrt(2)).
+    """
     sub = ensemble.subspace
     d_s = sub.shape.dim_system
     d_r = sub.dim_subspace
@@ -280,6 +295,9 @@ def bound_confrontation_report(
     rows.append(_tail_row("distance_tail", distances, tail.threshold, tail.tail_bound))
     threshold, bound = operator_basis_tail_bound(d_s, d_r)
     rows.append(_tail_row("operator_basis_tail", distances, threshold, bound))
+    if max_coeff_devs is not None:
+        family = 2 * (d_s**2 - 1) * expectation_tail_bound(1.0, d_r, eps / math.sqrt(2.0))
+        rows.append(_tail_row("coefficient_family_tail", max_coeff_devs, eps, family))
     if filtered is not None and not filtered.degenerate:
         ftail = filtered_distance_tail_bound(
             filtered.support_dim,
@@ -322,7 +340,6 @@ def _chunk_buffers(
 def _trial_block(
     sub: ConstraintSubspace,
     mean_state: np.ndarray | None,
-    observables: np.ndarray | None,
     seed: int,
     start: int,
     count: int,
@@ -330,17 +347,17 @@ def _trial_block(
     """Records of trials ``start .. start + count - 1``, one row per trial.
 
     Columns: trace distance to ``mean_state``, purity, max Weyl-coefficient
-    deviation from ``mean_state``, then Tr(O rho) for each observable.  The
-    distance is NaN when ``mean_state`` is None; the deviation is NaN then and
-    when d_S > ``_COEFF_TRACK_MAX_DIM``, else the block builds the Weyl family.
+    deviation from ``mean_state``.  The distance is NaN when ``mean_state`` is
+    None; the deviation is NaN then and when d_S > ``_COEFF_TRACK_MAX_DIM``,
+    else the block builds the Weyl family.
 
     The distance sums |eigenvalue| over one stacked eigensolve per block of
     the reducer, in block order.  It takes ``mean_state`` to be zero off
-    those blocks, as rho is; the runners pass Omega_S, which is.
+    those blocks, as rho is; ``run_distance_experiment`` passes Omega_S, which
+    is.
     """
     d_s, d_r = sub.shape.dim_system, sub.dim_subspace
-    n_obs = 0 if observables is None else observables.shape[0]
-    rows = np.full((count, 3 + n_obs), np.nan)
+    rows = np.full((count, 3), np.nan)
     # U^x with x = b d + a holds only U^x[(s + a) mod d, s] = U^(b d)[s, s], so
     # C_x = Tr(U^x' diff) = sum_s diff[(s + a) mod d, s] conj(U^(b d)[s, s]):
     # a trial's coefficients are one (d, d) @ (d, d) product V @ F.
@@ -349,8 +366,6 @@ def _trial_block(
         ops = weyl_basis(d_s)
         shift = ops[:d_s].real.argmax(axis=1)
         phases = np.diagonal(ops[::d_s], axis1=1, axis2=2).conj().T
-    # Tr(O rho) = vec(rho) . vec(O^T): one (1, d_S^2) @ (d_S^2, m) product
-    obs_t = None if not n_obs else observables.transpose(0, 2, 1).reshape(n_obs, -1).T
     n_coeffs = d_s * d_s if tracked else 0
     chunk, normals, coords, reduce, states, products = _chunk_buffers(sub, n_coeffs)
     keys = [(slice(None), *np.ix_(idx, idx)) for idx in reduce.blocks]
@@ -375,8 +390,6 @@ def _trial_block(
                 v = diff[:, shift, np.arange(d_s)]
                 coeffs = np.matmul(v, phases, out=products[:c].reshape(c, d_s, d_s))
                 block[:, 2] = np.abs(coeffs).max(axis=(1, 2))
-        if obs_t is not None:
-            block[:, 3:] = (rho.reshape(c, 1, d_s * d_s) @ obs_t)[:, 0].real
     return rows
 
 
@@ -441,13 +454,11 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceExperimentResul
     ensemble = canonical_ensemble(sub)
     filt = resolve_filter(config.filter, config.subspace)
     filtered = apply_filter(sub, filt) if filt is not None else None
-    rows = _run_trials(
-        (sub, ensemble.system_state, None, config.seed), config.trials, config.workers
-    )
+    rows = _run_trials((sub, ensemble.system_state, config.seed), config.trials, config.workers)
     distances, purities, devs = rows.T.copy()
     devs = None if np.isnan(devs).all() else devs
 
-    rows = bound_confrontation_report(distances, ensemble, config.epsilon, filtered)
+    rows = bound_confrontation_report(distances, ensemble, config.epsilon, filtered, devs)
     thresholds = [row.threshold for row in rows if row.name == "distance_tail"]
     info = subspace_info(ensemble)
     if filtered is not None:
@@ -464,69 +475,6 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceExperimentResul
         purity_stats=SummaryStats.from_samples(purities),
         coeff_stats=SummaryStats.from_samples(devs) if devs is not None else None,
         bound_rows=rows,
-    )
-
-
-@dataclass
-class ExpectationExperimentResult:
-    config: ExperimentConfig
-    observable_stats: list
-    observable_means: list
-    observable_targets: list
-    observable_bounds: list
-    family_stats: SummaryStats | None
-    family_bound: BoundRow | None
-
-
-def run_expectation_experiment(
-    config: ExperimentConfig, observables: Sequence[np.ndarray]
-) -> ExpectationExperimentResult:
-    """Deviation statistics of observable expectation values from their
-    ensemble values, plus the full operator-family deviation.
-    """
-    if config.filter is not None:
-        raise ValueError("expectation experiments do not apply a filter")
-    sub = resolve_subspace(config.subspace, cap=config.cap)
-    d_s = sub.shape.dim_system
-    ensemble = canonical_ensemble(sub)
-    obs = np.stack([require_hermitian(o) for o in observables])
-    if obs.shape[1] != d_s:
-        raise ShapeMismatchError("observables must act on the system space")
-
-    rows = _run_trials(
-        (sub, ensemble.system_state, obs, config.seed), config.trials, config.workers
-    )
-    targets = np.einsum("oab,ba->o", obs, ensemble.system_state).real
-    deviations = rows[:, 3:] - targets
-    devs = None if np.isnan(rows[:, 2]).all() else rows[:, 2].copy()
-
-    d_r = sub.dim_subspace
-    eps = suggested_epsilon(d_r) if config.epsilon is None else config.epsilon
-    stats = []
-    mean_values = []
-    obs_rows = []
-    for idx in range(obs.shape[0]):
-        signed = deviations[:, idx]
-        samples = np.abs(signed)
-        stats.append(SummaryStats.from_samples(samples, [eps]))
-        mean_values.append(float(targets[idx] + signed.mean()))
-        norm = operator_norm(obs[idx])
-        bound = expectation_tail_bound(max(norm, 1e-300), d_r, eps)
-        obs_rows.append(_tail_row(f"expectation_tail_{idx}", samples, eps, bound))
-    family_stats = None
-    family_row = None
-    if devs is not None:
-        family_stats = SummaryStats.from_samples(devs, [eps])
-        family_bound = d_s**2 * expectation_tail_bound(1.0, d_r, eps)
-        family_row = _tail_row("coefficient_family_tail", devs, eps, family_bound)
-    return ExpectationExperimentResult(
-        config=config,
-        observable_stats=stats,
-        observable_means=mean_values,
-        observable_targets=[float(v) for v in targets],
-        observable_bounds=obs_rows,
-        family_stats=family_stats,
-        family_bound=family_row,
     )
 
 
@@ -574,7 +522,7 @@ def mc_average_purity(
         raise ValueError("a standard error needs trials >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    purities = _run_trials((sub, None, None, seed), trials, workers)[:, 1].copy()
+    purities = _run_trials((sub, None, seed), trials, workers)[:, 1].copy()
     return float(purities.mean()), float(purities.std(ddof=1) / np.sqrt(trials))
 
 

@@ -51,10 +51,6 @@ class BipartiteShape:
         """Composite dimension ``dim_system * dim_environment``."""
         return self.dim_system * self.dim_environment
 
-    def flat_index(self, s: int, e: int) -> int:
-        """Flat composite index of |s>|e>."""
-        return s * self.dim_environment + e
-
 
 def check_cap(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> None:
     """Raise :class:`DimensionCapError` if ``dim`` exceeds the dense cap."""
@@ -167,13 +163,17 @@ def complex_matrix_from_json(obj) -> np.ndarray:
     """Inverse of :func:`complex_matrix_to_json`, bitwise exact (signed zeros,
     subnormals, NaN and inf too).
 
-    Nested lists ending in [re, im] pairs, the form of earlier versions, are
-    read as well.  Raises :class:`ShapeMismatchError` unless every shape entry
-    is an integer >= 1, the payload is strict base64 and it holds exactly the
-    bytes of that shape.
+    Nested lists ending in [re, im] pairs of JSON numbers, the form of
+    earlier versions, are read as well.  Raises :class:`ShapeMismatchError`
+    unless every shape entry is an integer >= 1, the payload is strict base64
+    and it holds exactly the bytes of that shape, or, for nested lists, unless
+    every entry is an int or a float (not a bool or a string).
     """
     if not isinstance(obj, dict):
-        pairs = np.asarray(obj, dtype=float)
+        entries = np.asarray(obj, dtype=object)
+        if not all(type(v) in (int, float) for v in entries.flat):
+            raise ShapeMismatchError("[re, im] entries must be JSON numbers")
+        pairs = entries.astype(float)
         if pairs.ndim < 2 or pairs.shape[-1] != 2:
             raise ShapeMismatchError(f"expected [re, im] pairs, got shape {pairs.shape}")
         return pairs.view(complex)[..., 0]

@@ -240,15 +240,6 @@ class ConstraintSubspace:
             return out
         return coords @ self.basis
 
-    def project(self, ambient: np.ndarray) -> np.ndarray:
-        """Coordinates of the orthogonal projection of a composite vector."""
-        ambient = np.asarray(ambient, dtype=complex)
-        if ambient.shape != (self.shape.dim,):
-            raise ShapeMismatchError("ambient vector has wrong dimension")
-        if self._flat is not None:
-            return ambient[self._flat].copy()
-        return self.basis.conj() @ ambient
-
     def compress_operator(self, x: np.ndarray) -> np.ndarray:
         """Restrict a composite-space operator to subspace coordinates, <b_i|X|b_j>."""
         x = np.asarray(x, dtype=complex)
@@ -421,13 +412,6 @@ class CanonicalEnsemble:
     def degenerate(self) -> bool:
         """True for the all-zero filter (everything missed); flagged, not rejected."""
         return self.miss_weight >= 1.0 - 1e-12
-
-    def equiprobable(self) -> np.ndarray:
-        """Dense composite equiprobable state P_R / d_R of the subspace, unfiltered."""
-        sub = self.subspace
-        check_cap(sub.shape.dim)
-        b = sub.basis
-        return (b.T @ b.conj()) / sub.dim_subspace
 
 
 def build_ensemble(

@@ -79,6 +79,7 @@ def test_subspace_file_obeys_cap(tmp_path, capsys):
     '{"dimS": 2}',
     "[1, 2]",
     '{"dimS": 2, "dimE": 2, "basis": {"shape": [1, 4], "base64": "AAAA!"}}',
+    '{"dimS": 1, "dimE": 2, "basis": [[["1", "0"], ["0", "0"]]]}',
 ])
 def test_malformed_subspace_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "sub.json"

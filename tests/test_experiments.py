@@ -1,9 +1,11 @@
+import ast
 import functools
 import importlib.util
 import io
 import json
 import math
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,6 @@ from typicality.experiments import (
     purity_inequality_check,
     resolve_subspace,
     run_distance_experiment,
-    run_expectation_experiment,
     summary_dict,
     write_trials_csv,
 )
@@ -343,7 +344,6 @@ def test_split_blocks_caps_blocks_at_cpu_count(monkeypatch):
 
 
 def test_monte_carlo_runs_share_trial_records():
-    z = np.diag([1.0, -1.0]).astype(complex)
     cfg = ExperimentConfig(subspace=CHAIN_SPEC, trials=300, seed=41, epsilon=0.3)
     distance_run = run_distance_experiment(cfg)
     purities = distance_run.purities
@@ -351,10 +351,9 @@ def test_monte_carlo_runs_share_trial_records():
         float(purities.mean()),
         float(purities.std(ddof=1) / np.sqrt(300)),
     )
-    expectation_run = run_expectation_experiment(cfg, [z])
-    assert expectation_run.family_stats == SummaryStats.from_samples(
-        distance_run.max_coeff_devs, [0.3]
-    )
+    family = next(r for r in distance_run.bound_rows if r.name == "coefficient_family_tail")
+    tails = SummaryStats.from_samples(distance_run.max_coeff_devs, [0.3]).tail_frequencies
+    assert family.empirical_value == tails[0.3]
 
 
 def test_trial_values_match_direct_sampling():
@@ -372,46 +371,24 @@ def test_trial_values_match_direct_sampling():
 
 
 def test_expectation_experiment():
+    # over Haar states on the chain, <Tr(O rho)> approaches Tr(O Omega) for O = 1, Z
+    sub = resolve_subspace(CHAIN_SPEC)
+    omega = canonical_ensemble(sub).system_state
     z = np.diag([1.0, -1.0]).astype(complex)
-    cfg = ExperimentConfig(subspace=CHAIN_SPEC, trials=10_000, seed=29)
-    result = run_expectation_experiment(cfg, [np.eye(2, dtype=complex), z])
+    trials = 10_000
+    rhos = np.stack([
+        reduced_state_from_coords(sub, sample_coords(sub.dim_subspace, SampleStream(29, i)))
+        for i in range(trials)
+    ])
     # identity deviations vanish
-    assert result.observable_stats[0].maximum < 1e-12
+    identity = np.trace(rhos, axis1=1, axis2=2).real - np.trace(omega).real
+    assert np.abs(identity).max() < 1e-12
     # <Tr(Z rho)> approaches Tr(Z Omega) = 1/3
-    assert result.observable_targets[1] == pytest.approx(1 / 3, abs=1e-12)
-    se = result.observable_stats[1].stddev / np.sqrt(10_000)
-    assert abs(result.observable_means[1] - 1 / 3) < 5 * se
-    assert result.family_stats is not None
-    assert result.family_bound.satisfied
-
-
-def test_expectation_experiment_rejects_a_filter_before_any_trial(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a trial was drawn")
-
-    monkeypatch.setattr(experiments, "_run_trials", refuse)
-    cfg = ExperimentConfig(
-        subspace={"kind": "spin-chain", "n": 8, "k": 2, "num_excited": 4},
-        trials=10,
-        seed=1,
-        filter={"kind": "typical-window", "half_width": 0.01},
-    )
-    with pytest.raises(ValueError, match="filter"):
-        run_expectation_experiment(cfg, [np.eye(4, dtype=complex)])
-
-
-def test_expectation_deviation_shrinks_with_subspace_dimension():
-    z = np.diag([1.0, -1.0]).astype(complex)
-    spreads = []
-    for n in (6, 8, 10):
-        cfg = ExperimentConfig(
-            subspace={"kind": "spin-chain", "n": n, "k": 1, "num_excited": n // 2},
-            trials=2000,
-            seed=31,
-        )
-        result = run_expectation_experiment(cfg, [z])
-        spreads.append(result.observable_stats[0].stddev)
-    assert spreads[0] > spreads[1] > spreads[2]
+    target = float(np.trace(z @ omega).real)
+    assert target == pytest.approx(1 / 3, abs=1e-12)
+    values = np.einsum("ab,tba->t", z, rhos).real
+    se = values.std(ddof=1) / np.sqrt(trials)
+    assert abs(values.mean() - 1 / 3) < 5 * se
 
 
 def test_summary_stats_consistency():
@@ -459,7 +436,7 @@ KERNEL_CASES = ((6, 1, 3), (6, 2, 3), (7, 3, 3), (8, 4, 4), "dense", "index")
 
 @functools.cache
 def _kernel_case(name):
-    """(subspace, mean state, Weyl basis, two random Hermitian observables)."""
+    """(subspace, mean state, Weyl basis)."""
     rng = np.random.default_rng(12)
     if name == "dense":
         sub = random_subspace(BipartiteShape(3, 4), 5, rng)
@@ -468,10 +445,7 @@ def _kernel_case(name):
         sub = ConstraintSubspace(BipartiteShape(8, 16), flat_indices=flat)
     else:
         sub = build_subspace(SpinChainModel(*name))
-    d_s = sub.shape.dim_system
-    g = rng.standard_normal((2, d_s, d_s)) + 1j * rng.standard_normal((2, d_s, d_s))
-    observables = g + g.conj().transpose(0, 2, 1)
-    return sub, canonical_ensemble(sub).system_state, weyl_basis(d_s), observables
+    return sub, canonical_ensemble(sub).system_state, weyl_basis(sub.shape.dim_system)
 
 
 @settings(max_examples=25, deadline=None)
@@ -483,16 +457,14 @@ def _kernel_case(name):
     with_mean=st.booleans(),
 )
 def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with_mean):
-    sub, omega, ops, observables = _kernel_case(case)
+    sub, omega, ops = _kernel_case(case)
     mean_state = omega if with_mean else None
-    rows = _trial_block(sub, mean_state, observables, seed, start, count)
-    assert rows.shape == (count, 5)
+    rows = _trial_block(sub, mean_state, seed, start, count)
+    assert rows.shape == (count, 3)
     for i, row in enumerate(rows):
         coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
         rho = reduced_state_from_coords(sub, coords)
         assert row[1] == purity(rho)
-        expected_obs = np.einsum("oab,ba->o", observables, rho).real
-        np.testing.assert_allclose(row[3:], expected_obs, rtol=0, atol=1e-14)
         if mean_state is None:
             assert np.isnan(row[0]) and np.isnan(row[2])
             continue
@@ -510,8 +482,8 @@ def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with
     data=st.data(),
 )
 def test_trial_block_is_independent_of_the_split(case, seed, count, data):
-    sub, omega, ops, observables = _kernel_case(case)
-    args = (sub, omega, observables, seed)
+    sub, omega, ops = _kernel_case(case)
+    args = (sub, omega, seed)
     edges = sorted({0, count, *data.draw(st.lists(st.integers(0, count), max_size=4))})
     pieces = [_trial_block(*args, lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
     assert np.array_equal(np.concatenate(pieces), _trial_block(*args, 0, count))
@@ -520,8 +492,8 @@ def test_trial_block_is_independent_of_the_split(case, seed, count, data):
 @pytest.mark.parametrize("chunk, chunk_bytes", [(1, 1 << 20), (7, 1 << 20), (64, 4096 * 5)])
 def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chunk_bytes):
     for case in ((8, 4, 4), "index"):
-        sub, omega, ops, observables = _kernel_case(case)
-        args = (sub, omega, observables, 9, 3, 150)
+        sub, omega, ops = _kernel_case(case)
+        args = (sub, omega, 9, 3, 150)
         default = _trial_block(*args)
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "_CHUNK", chunk)
@@ -546,12 +518,12 @@ def test_canonical_state_is_zero_off_the_system_blocks(case):
 @pytest.mark.parametrize("case", [(6, 2, 3), "dense"])
 def test_trial_block_redraws_short_rows_like_draw_coords(monkeypatch, case):
     # at a threshold of sqrt(2 d_R), about the median norm, half the rows redraw
-    sub, omega, ops, observables = _kernel_case(case)
+    sub, omega, ops = _kernel_case(case)
     d_r = sub.dim_subspace
     monkeypatch.setattr(sampling, "_RESAMPLE_NORM", np.sqrt(2.0 * d_r))
     monkeypatch.setattr(experiments, "_CHUNK", 7)
     seed, start, count = 11, 5, 40
-    rows = _trial_block(sub, omega, observables, seed, start, count)
+    rows = _trial_block(sub, omega, seed, start, count)
     redrawn = 0
     for i, row in enumerate(rows):
         first = SampleStream(seed, start + i).rng().standard_normal((2, d_r))
@@ -594,8 +566,8 @@ def test_chunk_buffers_fit_the_byte_budget(name):
     (2**32 - 1, 2**32 - 70, 70),
 ])
 def test_trial_block_matches_sample_streams_across_the_word_boundary(seed, start, count):
-    sub, omega, ops, observables = _kernel_case((6, 2, 3))
-    rows = _trial_block(sub, omega, observables, seed, start, count)
+    sub, omega, ops = _kernel_case((6, 2, 3))
+    rows = _trial_block(sub, omega, seed, start, count)
     for i, row in enumerate(rows):
         rho = reduced_state_from_coords(
             sub, sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
@@ -609,10 +581,10 @@ def test_trial_block_seeds_below_two_to_the_32_without_sample_streams(monkeypatc
         raise AssertionError(f"per-trial generator built for {self}")
 
     monkeypatch.setattr(SampleStream, "rng", refuse)
-    sub, omega, ops, observables = _kernel_case((6, 2, 3))
-    args = (sub, omega, observables)
-    assert np.isfinite(_trial_block(*args, 2**32 - 1, 0, 150)[:, :3]).all()
-    assert np.isfinite(_trial_block(*args, 0, 2**32 - 150, 150)[:, :3]).all()
+    sub, omega, ops = _kernel_case((6, 2, 3))
+    args = (sub, omega)
+    assert np.isfinite(_trial_block(*args, 2**32 - 1, 0, 150)).all()
+    assert np.isfinite(_trial_block(*args, 0, 2**32 - 150, 150)).all()
     with pytest.raises(AssertionError, match="per-trial generator"):
         _trial_block(*args, 2**32, 0, 1)
 
@@ -625,15 +597,37 @@ def test_weyl_family_is_tracked_up_to_d_s_32(tmp_path, capsys, d_s, tracked):
                  "--output", str(prefix)]) == 0
     capsys.readouterr()
     last = (tmp_path / "run.csv").read_text().splitlines()[1].split(",")[3]
-    stats = json.loads((tmp_path / "run.json").read_text())["stats"]["max_coeff_dev"]
+    summary = json.loads((tmp_path / "run.json").read_text())
     assert (last != "") == tracked
-    assert (stats is not None) == tracked
-    cfg = ExperimentConfig(
-        subspace={"kind": "full", "dim_system": d_s, "dim_environment": 1}, trials=2, seed=1
-    )
-    result = run_expectation_experiment(cfg, [np.eye(d_s, dtype=complex)])
-    assert (result.family_stats is not None) == tracked
-    assert (result.family_bound is not None) == tracked
+    assert (summary["stats"]["max_coeff_dev"] is not None) == tracked
+    names = [row["name"] for row in summary["bounds"]]
+    assert ("coefficient_family_tail" in names) == tracked
+
+
+@pytest.mark.parametrize("flags, d_s, d_r, epsilon", [
+    (["--spin-chain", "8", "2", "4"], 4, 70, 70 ** (-1 / 3)),
+    (["--full", "2", "8", "--epsilon", "0.3"], 2, 16, 0.3),
+])
+def test_family_row_is_the_union_bound_over_the_weyl_family(tmp_path, capsys, flags, d_s,
+                                                              d_r, epsilon):
+    prefix = tmp_path / "run"
+    assert main(["experiment", *flags, "--trials", "400", "--seed", "3",
+                 "--output", str(prefix)]) == 0
+    out = capsys.readouterr().out
+    rows = json.loads((tmp_path / "run.json").read_text())["bounds"]
+    names = [row["name"] for row in rows]
+    assert names.index("coefficient_family_tail") == names.index("operator_basis_tail") + 1
+    row = rows[names.index("coefficient_family_tail")]
+    # 2 (d_S^2 - 1) unions of a 2-Lipschitz tail at epsilon / sqrt(2)
+    levy_c = 1.0 / (18.0 * math.pi**3)
+    formula = 2 * (d_s**2 - 1) * 2 * math.exp(-levy_c * d_r * epsilon**2 / 2)
+    assert row["formula_value"] == pytest.approx(formula, rel=1e-12)
+    assert row["threshold"] == epsilon
+    devs = np.array([float(line.split(",")[3]) for line in
+                     (tmp_path / "run.csv").read_text().splitlines()[1:]])
+    assert row["empirical_value"] == float(np.mean(devs >= epsilon))
+    assert row["satisfied"] and row["vacuous"]
+    assert f"coefficient_family_tail: formula {formula:.6g}" in out
 
 
 def test_kernel_builds_the_weyl_family_only_against_a_mean_state(monkeypatch):
@@ -661,6 +655,33 @@ def test_benchmark_trace_targets_exist(monkeypatch):
     spec.loader.exec_module(child)
     for owner, attr, _name, _peak in child._command_targets():
         assert attr in owner.__dict__, (owner, attr)
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark's prepare, setup and traced replay import these names from
+    # the package, and use attributes of the modules they import
+    child = Path(__file__).resolve().parent.parent / "benchmarks" / "child.py"
+    tree = ast.parse(child.read_text())
+    modules = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "typicality":
+                    modules[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "typicality":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(getattr(module, alias.name), types.ModuleType):
+                    modules[alias.asname or alias.name] = getattr(module, alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = modules.get(node.value.id)
+            if module is not None and not hasattr(module, node.attr):
+                missing.append(f"{module.__name__}.{node.attr}")
+    assert missing == []
 
 
 BAD_EPSILONS = (-1.0, 0.0, math.nan, math.inf)

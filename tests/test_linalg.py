@@ -30,7 +30,6 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 def test_shape_validation():
     shape = BipartiteShape(2, 3)
     assert shape.dim == 6
-    assert shape.flat_index(1, 2) == 5
     with pytest.raises(ShapeMismatchError):
         BipartiteShape(0, 3)
 

@@ -49,7 +49,7 @@ def test_from_basis_vectors_single_vector():
     v[2] = 1.0
     sub = from_basis_vectors(SHAPE22, [v])
     assert sub.dim_subspace == 1
-    eq = canonical_ensemble(sub).equiprobable()
+    eq = sub.basis.T @ sub.basis.conj() / sub.dim_subspace
     assert np.allclose(eq, np.outer(v, v.conj()))
     assert np.allclose(eq @ eq, eq)  # pure
 
@@ -98,7 +98,7 @@ def test_embed_unit_coordinate_and_roundtrip():
         coords /= np.linalg.norm(coords)
         ambient = sub.embed(coords)
         assert np.linalg.norm(ambient) == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(sub.project(ambient), coords, atol=1e-10)
+        assert np.allclose(sub.basis.conj() @ ambient, coords, atol=1e-10)
 
 
 def test_embed_length_mismatch():
@@ -124,7 +124,7 @@ def test_marginals_match_equiprobable_partial_trace():
     rng = np.random.default_rng(31)
     sub = random_subspace(BipartiteShape(3, 4), 6, rng)
     ens = canonical_ensemble(sub)
-    eq = ens.equiprobable()
+    eq = sub.basis.T @ sub.basis.conj() / sub.dim_subspace
     assert np.trace(eq).real == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(partial_trace(eq, sub.shape, "system"), ens.system_state, atol=1e-11)
     assert purity(partial_trace(eq, sub.shape, "environment")) == pytest.approx(
@@ -225,6 +225,9 @@ SHORT = base64.b64encode(bytes(16)).decode()
     {"dimS": 2, "dimE": 2, "flat_indices": [True]},
     {"dimS": 2, "dimE": 2, "flat_indices": []},
     {"dimS": 2, "dimE": 2, "flat_indices": 1},
+    _file_object([[["1", "0"], ["0", "0"]]], dims=(1, 2)),
+    _file_object([[[True, False], [0, 0]]], dims=(1, 2)),
+    _file_object([[[1, True], [0.5, 0]]], dims=(1, 2)),
 ])
 def test_malformed_subspace_json_raises_shape_mismatch(obj):
     with pytest.raises(ShapeMismatchError):
