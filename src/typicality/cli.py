@@ -58,7 +58,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="unconstrained composite space")
         p.add_argument("--subspace-file", help="JSON subspace produced by this package")
         p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP,
-                       help="dense dimension cap: d_S of a chain, else d_S*d_E")
+                       help="dense dimension cap: d_S of a chain or index file, else d_S*d_E")
 
     p_info = add_command("subspace-info", help="dimensions and marginal purities")
     add_subspace_args(p_info)

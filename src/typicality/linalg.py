@@ -22,6 +22,9 @@ from .errors import DimensionCapError, HermiticityError, ShapeMismatchError
 #: Largest composite dimension materialized as a dense matrix by default.
 DEFAULT_DIMENSION_CAP = 4096
 
+#: Largest log2 of a composite space enumerated or loaded in index form.
+MAX_ENUMERATION_BITS = 26
+
 #: Absolute skew tolerated before an operator is rejected as non-Hermitian.
 HERMITICITY_ATOL = 1e-8
 
@@ -155,14 +158,15 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
 def complex_matrix_to_json(m: np.ndarray) -> dict:
     """JSON form of a complex array: {"shape": [...], "base64": its row-major
     little-endian complex128 bytes}."""
-    m = np.asarray(m, dtype="<c16")
-    return {"shape": list(m.shape), "base64": base64.b64encode(m.tobytes()).decode("ascii")}
+    m = np.asarray(m, dtype="<c16", order="C")  # base64 reads its buffer in place
+    return {"shape": list(m.shape), "base64": base64.b64encode(m).decode("ascii")}
 
 
 def complex_matrix_from_json(obj) -> np.ndarray:
     """Inverse of :func:`complex_matrix_to_json`, bitwise exact (signed zeros,
     subnormals, NaN and inf too).
 
+    The base64 form decodes to a read-only view of the payload's bytes.
     Nested lists ending in [re, im] pairs of JSON numbers, the form of
     earlier versions, are read as well.  Raises :class:`ShapeMismatchError`
     unless every shape entry is an integer >= 1, the payload is strict base64
@@ -189,7 +193,7 @@ def complex_matrix_from_json(obj) -> np.ndarray:
         raise ShapeMismatchError(f"base64 payload is malformed: {exc}") from None
     if len(raw) != 16 * math.prod(shape):
         raise ShapeMismatchError(f"{len(raw)} bytes do not hold a complex array of shape {shape}")
-    return np.frombuffer(raw, dtype="<c16").astype(complex).reshape(shape)
+    return np.frombuffer(raw, dtype="<c16").astype(complex, copy=False).reshape(shape)
 
 
 def json_fields(obj, *keys: str) -> list:

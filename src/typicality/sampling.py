@@ -6,13 +6,12 @@ Every trial is tied to a ``(seed, index)`` pair; results depend only on that
 pair, never on scheduling, so parallel runs reproduce serial ones bit for bit.
 
 The stream of a pair is defined as ``np.random.default_rng([seed, index])``
-(``SampleStream.rng``).  Building that generator costs more than a small
-trial's draw, so ``stream_generators`` computes the same PCG64 states for a
-range of indices at once: numpy's ``SeedSequence`` hash runs on uint32 arrays
-over the indices, then PCG64's seeding steps run on Python ints, and one
-reused generator takes each state in turn.  That covers seed and index below
-2**32, where each is a single entropy word; other pairs go through
-``SampleStream.rng``.
+(``SampleStream.rng``).  Its ``SeedSequence`` hash costs more than a small
+trial's draw, so ``stream_generators`` hashes a range of indices at once:
+``seed_words`` runs numpy's hash on uint32 arrays over the indices, and each
+index gets a new PCG64 that seeds itself from its row of words.  That covers
+seed and index below 2**32, where each is a single entropy word; other pairs
+go through ``SampleStream.rng``.
 
 A stack of draws is normalized by ``normalize_draws`` and reduced to system
 states by ``StateReducer``, each with one call per quantity for the whole
@@ -34,21 +33,18 @@ from .subspace import ConstraintSubspace
 #: Gaussian draws with norm below this are redrawn (probability ~ 0).
 _RESAMPLE_NORM = 1e-100
 
-# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
-# 128-bit LCG multiplier.
+# numpy's SeedSequence hash constants (pool of 4 uint32 words).
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 #: Seeds and indices below this are one ``SeedSequence`` entropy word each.
 _WORD = 1 << 32
 
-#: Indices seeded per ``pcg64_states`` call in ``stream_generators``; the
+#: Indices hashed per ``seed_words`` call in ``stream_generators``; the
 #: array passes cost about the same for 1 index as for a few hundred.
 _SEED_BATCH = 256
 
@@ -80,24 +76,22 @@ class PureState:
     coords: np.ndarray
 
 
-def pcg64_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng([seed, i])`` for each index
-    ``i`` in ``start .. start + count - 1``.
+def seed_words(seed: int, start: int, count: int) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)``, the words PCG64
+    seeds ``default_rng([seed, i])`` from, as row i - start for each index
+    ``i`` in ``start .. start + count - 1``; seed and indices lie in [0, 2**32).
 
-    Seed and every index must lie in [0, 2**32).  This is numpy's
-    ``SeedSequence([seed, i]).generate_state(4, uint64)`` with each pool word
-    held as a uint32 array over the indices, followed by PCG64's ``srandom``.
-    The evolving hash constants are the same for every index and stay masked
-    Python ints.
+    Each pool word of numpy's hash is a uint32 array over the indices; the
+    evolving hash constants are the same for every index and stay Python ints.
     """
     if not (0 <= seed < _WORD and 0 <= start and start + count <= _WORD):
         raise ValueError("seed and indices must lie in [0, 2**32)")
-    hash_const = _INIT_A
+    hash_const, hash_mult = _INIT_A, _MULT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
         nonlocal hash_const
         value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
+        hash_const = (hash_const * hash_mult) & _MASK32
         value = value * hash_const
         return value ^ (value >> _XSHIFT)
 
@@ -110,49 +104,40 @@ def pcg64_states(seed: int, start: int, count: int) -> list[tuple[int, int]]:
                 mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
                 pool[dst] = mixed ^ (mixed >> _XSHIFT)
 
-    hash_const = _INIT_B
-    words = []
-    for k in range(2 * _POOL_SIZE):
-        value = pool[k % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * hash_const
-        words.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    # generate_state(4, uint64) pairs the uint32 words little-endian
-    seed_hi, seed_lo, inc_hi, inc_lo = (
-        (words[2 * k] | (words[2 * k + 1] << np.uint64(32))).tolist() for k in range(4)
-    )
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state = (((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT) + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    # generate_state runs the same mix over the pool, with its own constants
+    hash_const, hash_mult = _INIT_B, _MULT_B
+    words = [hashmix(pool[k % _POOL_SIZE]) for k in range(2 * _POOL_SIZE)]
+    # as generate_state(4, uint64): the uint32 words' little-endian bytes, read as uint64
+    return np.stack(words, axis=1).astype("<u4", copy=False).view(np.uint64)
 
 
 def stream_generators(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
-    """For each index ``i`` in ``start .. start + count - 1``, a generator in
-    the state of ``SampleStream(seed, i).rng()``.
+    """For each index ``i`` in ``start .. start + count - 1``, a new generator
+    in the state of ``SampleStream(seed, i).rng()``.
 
-    Below 2**32 the generators are one reused object whose state is reset
-    for each index, so draw from each before taking the next.  Seeding runs
-    ``_SEED_BATCH`` indices at a time, so a long range holds no per-index
-    state beyond one batch.
+    Below 2**32 the seed words are hashed ``_SEED_BATCH`` indices at a time,
+    so a long range holds no per-index state beyond one batch.
     """
+    # importing it with the module would load numpy.random with the package
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A row of ``seed_words`` for PCG64's one call, ``generate_state(4,
+        np.uint64)``; a subclass, since isinstance on a registered class
+        misses the ABC cache each time."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
     # a numpy integer seed would change the dtype of the hash arrays
     in_range = isinstance(seed, int) and 0 <= seed < _WORD and 0 <= start
     fast_end = max(start, min(start + count, _WORD)) if in_range else start
-    if fast_end > start:
-        bit_generator = np.random.PCG64(0)
-        rng = np.random.Generator(bit_generator)
-        for lo in range(start, fast_end, _SEED_BATCH):
-            for state, inc in pcg64_states(seed, lo, min(_SEED_BATCH, fast_end - lo)):
-                bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                yield rng
+    for lo in range(start, fast_end, _SEED_BATCH):
+        for words in seed_words(seed, lo, min(_SEED_BATCH, fast_end - lo)):
+            yield np.random.Generator(np.random.PCG64(SeedWords(words)))
     for i in range(fast_end, start + count):
         yield SampleStream(seed, i).rng()
 
@@ -162,14 +147,15 @@ def normalize_draws(normals: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     ``normals[j]`` holds row j's real parts, then its imaginary parts, as one
     ``standard_normal((2, d))`` fills them; ``out[j]`` becomes that complex
-    vector over its norm.  The norm is sqrt(re.re + im.im), summed in index
-    order over pieces of ``_DOT_PIECE`` entries, each a ``(1, d) @ (d, 1)``
-    matmul on the strided ``.real``/``.imag`` views, so a row's bits depend
-    on neither the stack nor the BLAS thread count.  Returns the rows whose
-    norm is at most ``_RESAMPLE_NORM``; those are left undivided, to redraw.
+    vector times the reciprocal of its norm.  The norm is sqrt(re.re +
+    im.im), summed in index order over pieces of ``_DOT_PIECE`` entries, each
+    a ``(1, d) @ (d, 1)`` matmul on the strided ``.real``/``.imag`` views, so
+    a row's bits depend on neither the stack nor the BLAS thread count.
+    Returns the rows whose norm is at most ``_RESAMPLE_NORM``; those are left
+    unscaled, to redraw.
     """
-    np.multiply(1j, normals[:, 1], out=out)
-    np.add(normals[:, 0], out, out=out)
+    parts = out.view(float)
+    parts[:, 0::2], parts[:, 1::2] = normals[:, 0], normals[:, 1]
     norms = np.zeros((out.shape[0], 1))
     for lo in range(0, out.shape[1], _DOT_PIECE):
         for part in (out.real[:, lo:lo + _DOT_PIECE], out.imag[:, lo:lo + _DOT_PIECE]):
@@ -178,7 +164,8 @@ def normalize_draws(normals: np.ndarray, out: np.ndarray) -> np.ndarray:
     redraw = np.flatnonzero(norms <= _RESAMPLE_NORM)
     if redraw.size:
         norms[redraw] = 1.0
-    np.divide(out, norms, out=out)
+    # what complex / real computes, but for the sign of a zero part
+    np.multiply(parts, 1.0 / norms, out=parts)
     return redraw
 
 

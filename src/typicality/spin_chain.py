@@ -27,11 +27,8 @@ import numpy as np
 from .bounds import check_epsilon, distance_tail_bound, suggested_epsilon
 from .errors import DimensionCapError, EmptyWindowError
 from .filtering import MeasurementFilter
-from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, check_cap
+from .linalg import DEFAULT_DIMENSION_CAP, MAX_ENUMERATION_BITS, BipartiteShape, check_cap
 from .subspace import ConstraintSubspace
-
-#: Largest chain length for integer-enumeration routines (memory guard).
-MAX_ENUMERATION_BITS = 26
 
 
 @dataclass(frozen=True)

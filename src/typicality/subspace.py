@@ -16,10 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import RankDeficiencyError, ShapeMismatchError, TypicalityError
+from .errors import DimensionCapError, RankDeficiencyError, ShapeMismatchError, TypicalityError
 from .linalg import (
     DEFAULT_DIMENSION_CAP,
     INVARIANT_ATOL,
+    MAX_ENUMERATION_BITS,
     BipartiteShape,
     check_cap,
     complex_matrix_from_json,
@@ -301,14 +302,21 @@ class ConstraintSubspace:
     def _decode(cls, obj, cap: int) -> functools.partial:
         """The builder of the subspace a JSON object describes, its fields checked.
 
-        ``cap`` is checked on dimS * dimE before the basis is decoded.
+        Before the entries are read, ``cap`` is checked on dimS * dimE for a
+        dense basis; in index form it bounds dimS, as for a spin chain, and
+        dimS * dimE may not pass 2**``MAX_ENUMERATION_BITS``.
         """
         dim_s, dim_e = json_fields(obj, "dimS", "dimE")
         shape = BipartiteShape(json_dimension(dim_s, "dimS"), json_dimension(dim_e, "dimE"))
         if ("basis" in obj) == ("flat_indices" in obj):
             raise ShapeMismatchError("JSON object must hold exactly one of basis, flat_indices")
-        check_cap(shape.dim, cap)
-        if "basis" in obj:
+        dense = "basis" in obj
+        check_cap(shape.dim if dense else shape.dim_system, cap)
+        if not dense and shape.dim > 1 << MAX_ENUMERATION_BITS:
+            raise DimensionCapError(
+                f"dimension {shape.dim} exceeds index-form cap 2^{MAX_ENUMERATION_BITS}"
+            )
+        if dense:
             rows = complex_matrix_from_json(obj["basis"])
             if not np.isfinite(rows).all():
                 raise ShapeMismatchError("basis entries must be finite")

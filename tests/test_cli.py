@@ -75,6 +75,33 @@ def test_subspace_file_obeys_cap(tmp_path, capsys):
     assert "error: dimension 64 exceeds dense cap 10" in err
 
 
+def test_saved_chain_loads_without_cap_flag(tmp_path, capsys):
+    from typicality.spin_chain import SpinChainModel, build_subspace
+
+    path = tmp_path / "sub.json"
+    build_subspace(SpinChainModel(16, 2, 8)).save(path)
+    outputs = []
+    for spec in (["--spin-chain", "16", "2", "8"], ["--subspace-file", str(path)]):
+        code, out, err = run_cli(capsys, "subspace-info", *spec)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("dim_s, dim_e, cap, message", [
+    (8, 2, ["--cap", "4"], "error: dimension 8 exceeds dense cap 4"),
+    (2, 2**40, [], f"error: dimension {2**41} exceeds index-form cap 2^26"),
+])
+def test_index_file_is_capped_like_a_chain(tmp_path, capsys, dim_s, dim_e, cap, message):
+    # checked before the indices are read: d_S against --cap, d_S * d_E against 2^26
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"dimS": dim_s, "dimE": dim_e, "flat_indices": [0, 1]}))
+    code, out, err = run_cli(capsys, "subspace-info", "--subspace-file", str(path), *cap)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("content", [
     '{"dimS": 2}',
     "[1, 2]",
@@ -444,6 +471,12 @@ def test_chain_experiment_does_not_import_numpy_ma(tmp_path):
 def test_importing_the_cli_loads_no_process_pool(tmp_path):
     # the pool's modules load only for a run split across workers
     code = "import sys\nimport typicality.cli\nprint('concurrent.futures' in sys.modules)\n"
+    assert run_python(code, tmp_path).stdout.splitlines()[-1] == "False"
+
+
+def test_importing_the_package_loads_no_numpy_random(tmp_path):
+    # stream_generators imports numpy's seeding interface when it first runs
+    code = "import sys\nimport typicality\nprint('numpy.random' in sys.modules)\n"
     assert run_python(code, tmp_path).stdout.splitlines()[-1] == "False"
 
 

@@ -14,11 +14,11 @@ from typicality.sampling import (
     StateReducer,
     draw_coords,
     normalize_draws,
-    pcg64_states,
     reduced_state,
     reduced_state_from_coords,
     sample_coords,
     sample_pure,
+    seed_words,
     stream_generators,
 )
 from typicality.spin_chain import SpinChainModel, build_subspace
@@ -50,10 +50,11 @@ WORD = 2**32
 @example(seed=WORD - 1, start=0, count=1)
 def test_chunk_seeding_equals_default_rng(seed, start, count):
     start = min(start, WORD - count)  # the last index is at most 2**32 - 1
-    for i, (state, inc) in zip(range(start, start + count), pcg64_states(seed, start, count)):
-        reference = np.random.default_rng([seed, i]).bit_generator.state
-        assert reference["state"] == {"state": state, "inc": inc}
-        assert (reference["has_uint32"], reference["uinteger"]) == (0, 0)
+    words = seed_words(seed, start, count)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for i, row in zip(range(start, start + count), words):
+        reference = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+        assert np.array_equal(row, reference)
 
 
 @pytest.mark.parametrize("seed, start, count", [
@@ -61,7 +62,7 @@ def test_chunk_seeding_equals_default_rng(seed, start, count):
 ])
 def test_chunk_seeding_rejects_multi_word_entropy(seed, start, count):
     with pytest.raises(ValueError):
-        pcg64_states(seed, start, count)
+        seed_words(seed, start, count)
 
 
 @pytest.mark.parametrize("seed, start, count", [
@@ -75,6 +76,14 @@ def test_stream_generators_draw_like_sample_streams(seed, start, count):
     assert len(drawn) == count
     for i, draw in zip(range(start, start + count), drawn):
         assert np.array_equal(draw, SampleStream(seed, i).rng().standard_normal(9))
+
+
+def test_stream_generators_are_independent_objects():
+    # drawing from the generators in any order gives each stream's own draws
+    rngs = list(stream_generators(5, 0, 300))
+    drawn = [rng.standard_normal(9) for rng in reversed(rngs)][::-1]
+    for i, draw in enumerate(drawn):
+        assert np.array_equal(draw, SampleStream(5, i).rng().standard_normal(9))
 
 
 def test_sample_coords_matches_two_draw_reference():

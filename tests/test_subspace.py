@@ -238,8 +238,13 @@ def test_subspace_json_cap_is_checked_before_the_basis_is_decoded():
     obj = _file_object({"shape": [1, 10**6], "base64": "not base64"}, dims=(1000, 1000))
     with pytest.raises(DimensionCapError, match="exceeds dense cap 4096"):
         ConstraintSubspace.from_json_dict(obj)
-    with pytest.raises(DimensionCapError, match="exceeds dense cap 4096"):
-        ConstraintSubspace.from_json_dict({"dimS": 100, "dimE": 100, "flat_indices": [0]})
+    # index form: the cap bounds d_S, as for a chain, and d_S * d_E stays within 2^26
+    with pytest.raises(DimensionCapError, match="dimension 5000 exceeds dense cap 4096"):
+        ConstraintSubspace.from_json_dict({"dimS": 5000, "dimE": 1, "flat_indices": "bad"})
+    with pytest.raises(DimensionCapError, match="exceeds index-form cap 2\\^26"):
+        ConstraintSubspace.from_json_dict({"dimS": 2, "dimE": 2**25 + 1, "flat_indices": "bad"})
+    sub = ConstraintSubspace.from_json_dict({"dimS": 2, "dimE": 2**25, "flat_indices": [0]})
+    assert sub.shape.dim == 2**26
 
 
 def test_ensemble_builder_checks_trace_and_floor():
