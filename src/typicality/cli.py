@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 from . import experiments, spin_chain
@@ -174,9 +175,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     d_s, d_r = args.d_s, args.d_r
     if d_s < 1 or d_r < 1:
         raise TypicalityError("--d-s and --d-r must be positive")
+    try:  # the sphere tails take 2 d_R, the sphere dimension plus one, as a float
+        float(2 * d_r)
+    except OverflowError:
+        raise TypicalityError(f"d_R has {len(str(d_r))} digits; "
+                              "2 d_R is too large for a float") from None
     d_eff = args.d_eff if args.d_eff is not None else d_r / d_s
-    if d_eff <= 0:
-        raise TypicalityError("--d-eff must be positive")
+    if not (math.isfinite(d_eff) and d_eff > 0):
+        raise TypicalityError(f"--d-eff must be a finite positive number, got {d_eff!r}")
     epsilons = args.epsilon if args.epsilon is not None else [suggested_epsilon(d_r)]
 
     def row(formula: str, epsilon: float | str, eta: float, eta_prime: float | str = "") -> dict:

@@ -12,7 +12,6 @@ the complementary outcome.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -176,13 +175,3 @@ def filter_from_json_dict(obj: dict) -> MeasurementFilter:
             "composite operator with ConstraintSubspace.compress_operator first"
         )
     return MeasurementFilter(complex_matrix_from_json(matrix))
-
-
-def save_filter(f: MeasurementFilter, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(filter_to_json_dict(f), fh)
-
-
-def load_filter(path) -> MeasurementFilter:
-    with open(path, "r", encoding="utf-8") as fh:
-        return filter_from_json_dict(json.load(fh))

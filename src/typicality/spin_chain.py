@@ -25,7 +25,7 @@ from math import comb
 import numpy as np
 
 from .bounds import check_epsilon, distance_tail_bound, suggested_epsilon
-from .errors import DimensionCapError, EmptyWindowError
+from .errors import DimensionCapError, EmptyWindowError, TypicalityError
 from .filtering import MeasurementFilter
 from .linalg import DEFAULT_DIMENSION_CAP, MAX_ENUMERATION_BITS, BipartiteShape, check_cap
 from .subspace import ConstraintSubspace
@@ -273,12 +273,17 @@ def binomial_entropy_bounds(n: int, num_excited: int) -> tuple[float, float, int
     """Entropy-exponential sandwich around a binomial coefficient.
 
     Returns (2^(n H(p)) / (n+1), 2^(n H(p)), C(n, num_excited)) with
-    p = num_excited / n; lower <= exact <= upper always.
+    p = num_excited / n; lower <= exact <= upper always.  Raises
+    TypicalityError when 2^(n H(p)) overflows a float.
     """
     if not 0 <= num_excited <= n:
         raise ValueError("num_excited outside [0, n]")
     h = binary_entropy(num_excited / n)
-    upper = 2.0 ** (n * h)
+    try:
+        upper = 2.0 ** (n * h)
+    except OverflowError:
+        raise TypicalityError(f"d_R = C({n}, {num_excited}) is too large: "
+                              "2^(n H(p)) overflows a float") from None
     return upper / (n + 1), upper, comb(n, num_excited)
 
 
@@ -348,6 +353,7 @@ def spin_chain_report(
     p = m.excitation_fraction
     if not 0.0 < p < 1.0:
         raise ValueError("report needs 0 < p < 1")
+    lower, upper, exact = binomial_entropy_bounds(n, num_excited)  # refuses a d_R beyond floats
     if half_width is None:
         half_width = float(k) ** (2.0 / 3.0)
     if epsilon is None:
@@ -367,7 +373,6 @@ def spin_chain_report(
         + math.sqrt(n + 1.0) * (2.0 * half_width + 1.0) * 2.0 ** ((k - n / 2.0) * h + half_width * g)
         + math.sqrt(32.0) * math.exp(-(half_width**2) / (8.0 * k * p * (1.0 - p)))
     )
-    lower, upper, exact = binomial_entropy_bounds(n, num_excited)
     sys_purity, env_purity = canonical_purities(m)
     gaps = np.abs(canonical_weights(m) - product_weights(m))  # both diagonal by count
     return SpinChainReport(

@@ -174,36 +174,6 @@ def test_subspace_file_with_non_integer_dimension_exits_2(tmp_path, capsys, dims
     assert "Traceback" not in err
 
 
-def test_composite_filter_file_raises_shape_mismatch(tmp_path):
-    # No flag takes a filter file; it reaches the program as an experiment
-    # config's {"kind": "file"} filter, through load_filter.  ShapeMismatchError
-    # is a TypicalityError, which the command line reports with exit code 2.
-    from typicality.errors import ShapeMismatchError
-    from typicality.filtering import MeasurementFilter, filter_to_json_dict, load_filter
-
-    obj = filter_to_json_dict(MeasurementFilter(np.eye(4)))
-    path = tmp_path / "filter.json"
-    path.write_text(json.dumps({**obj, "coordinates": "composite", "dimS": 2, "dimE": 2}))
-    with pytest.raises(ShapeMismatchError, match="compress_operator"):
-        load_filter(path)
-
-
-@pytest.mark.parametrize("dims", BAD_DIMENSIONS)
-def test_filter_file_with_non_integer_dimension_raises_shape_mismatch(tmp_path, dims):
-    # A composite filter file written before filters moved to subspace
-    # coordinates carries dimS/dimE.  Those keys are no longer read, so a bad
-    # value in them must not surface as a crash: the file is rejected for its
-    # coordinates with the same ShapeMismatchError as a well-formed one.
-    from typicality.errors import ShapeMismatchError
-    from typicality.filtering import MeasurementFilter, filter_to_json_dict, load_filter
-
-    obj = filter_to_json_dict(MeasurementFilter(np.eye(4)))
-    path = tmp_path / "filter.json"
-    path.write_text(json.dumps({**obj, "coordinates": "composite", **dims}))
-    with pytest.raises(ShapeMismatchError, match="compress_operator"):
-        load_filter(path)
-
-
 @pytest.mark.parametrize("xi", ["nan", "inf"])
 @pytest.mark.parametrize("command", [
     ["experiment", "--spin-chain", "8", "2", "4", "--seed", "1"],
@@ -215,6 +185,36 @@ def test_non_finite_xi_exits_2_before_any_output(tmp_path, capsys, command, xi):
     assert out == ""
     assert err.startswith("error: half_width must be finite and non-negative")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("d_eff", ["nan", "inf"])
+def test_non_finite_d_eff_exits_2_before_any_output(tmp_path, capsys, d_eff, fmt):
+    code, out, err = run_cli(capsys, "bounds", "--d-s", "4", "--d-r", "70", "--d-eff", d_eff,
+                             "--format", fmt, "--output", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --d-eff must be a finite positive number")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["spin-chain", "--n", "1024", "--k", "2", "--np", "512", "--epsilon", "0.1"],
+    ["spin-chain", "--n", "1100", "--k", "2", "--np", "550"],
+    ["bounds", "--d-s", "2", "--d-r", "1" + "0" * 400],
+])
+def test_d_r_beyond_the_float_range_exits_2_before_any_output(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: d_R")
+    assert "too large" in err
+
+
+def test_spin_chain_just_inside_the_float_range_still_reports(capsys):
+    code, out, _ = run_cli(capsys, "spin-chain", "--n", "1020", "--k", "2", "--np", "510")
+    assert code == 0
+    assert json.loads(out)["dim_subspace_bounds"]["upper"] == 2.0**1020
 
 
 def test_subspace_info_requires_one_spec(capsys):

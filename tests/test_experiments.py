@@ -24,6 +24,7 @@ from typicality.experiments import (
     exact_average_purity,
     mc_average_purity,
     purity_inequality_check,
+    resolve_filter,
     resolve_subspace,
     run_distance_experiment,
     summary_dict,
@@ -295,27 +296,24 @@ def test_filter_row_reproduces_filtered_formula():
     assert row.formula_value == pytest.approx(recomputed.tail_bound, rel=1e-12)
 
 
-def test_filter_from_file_matches_inline_spec(tmp_path):
-    from typicality.filtering import save_filter
-    from typicality.spin_chain import typical_projector, typical_window
-
-    model = SpinChainModel(n=4, k=2, num_excited=2)
-    filt = typical_projector(model, typical_window(model, 1.0))
+def test_filter_file_spec_is_rejected_even_for_a_valid_filter_file(tmp_path):
+    # No command reads a filter file, and neither does the library: a
+    # {"kind": "file"} filter spec is an unknown kind, whatever the file holds.
+    # The file holds the window filter of (4,2,2) at half-width 0.5 in the
+    # form earlier versions wrote.
     path = tmp_path / "filter.json"
-    save_filter(filt, path)
-    spec = {"kind": "spin-chain", "n": 4, "k": 2, "num_excited": 2}
-    inline = run_distance_experiment(ExperimentConfig(
-        subspace=spec, trials=100, seed=5,
-        filter={"kind": "typical-window", "half_width": 1.0},
-    ))
-    from_file = run_distance_experiment(ExperimentConfig(
-        subspace=spec, trials=100, seed=5,
-        filter={"kind": "file", "path": str(path)},
-    ))
-    assert inline.subspace_info["filter_miss_weight"] == pytest.approx(
-        from_file.subspace_info["filter_miss_weight"], abs=1e-14
+    path.write_text(
+        '{"coordinates": "subspace", "matrix": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], '
+        '[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}', encoding="utf-8"
     )
-    assert np.array_equal(inline.distances, from_file.distances)
+    spec = {"kind": "spin-chain", "n": 4, "k": 2, "num_excited": 2}
+    file_spec = {"kind": "file", "path": str(path)}
+    with pytest.raises(ValueError, match="unknown filter kind"):
+        resolve_filter(file_spec, spec)
+    with pytest.raises(ValueError, match="unknown filter kind"):
+        run_distance_experiment(ExperimentConfig(
+            subspace=spec, trials=10, seed=5, filter=file_spec,
+        ))
 
 
 def test_experiment_deterministic_across_workers():

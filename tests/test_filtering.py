@@ -12,11 +12,9 @@ from typicality.filtering import (
     filter_from_json_dict,
     filter_to_json_dict,
     filtered_state,
-    load_filter,
     miss_weight_by_enumeration,
     omega_shift_check,
     perturbation_bound_check,
-    save_filter,
 )
 from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import SampleStream, sample_pure
@@ -290,30 +288,28 @@ def test_filter_json_roundtrip():
     assert np.allclose(back.matrix, filt.matrix, atol=1e-15)
 
 
-def test_save_filter_keeps_the_bytes_of_a_window_filter_file(tmp_path):
-    # the file the window filter of (4,2,2) at half-width 0.5 saves: the
+def test_filter_json_keeps_the_text_of_a_window_filter():
+    # the JSON text of the window filter of (4,2,2) at half-width 0.5: the
     # diagonal 0, 1, 1, 1, 1, 0 as little-endian complex128 bytes
     model = SpinChainModel(n=4, k=2, num_excited=2)
     filt = typical_projector(model, typical_window(model, 0.5))
-    save_filter(filt, tmp_path / "f.json")
-    assert (tmp_path / "f.json").read_text(encoding="utf-8") == (
+    assert json.dumps(filter_to_json_dict(filt)) == (
         '{"coordinates": "subspace", "matrix": {"shape": [6], "base64": "'
         'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAAAAAAAAAADwPwAAAAAAAAAAAAAAAAAA8D8A'
         'AAAAAAAAAAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}}'
     )
-    # the nested [re, im] file that earlier versions saved loads as the same filter
-    (tmp_path / "old.json").write_text(
+    # the nested [re, im] text that earlier versions wrote decodes as the same filter
+    old = filter_from_json_dict(json.loads(
         '{"coordinates": "subspace", "matrix": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], '
-        '[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}', encoding="utf-8"
-    )
-    assert load_filter(tmp_path / "old.json").matrix.tobytes() == filt.matrix.tobytes()
+        '[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}'
+    ))
+    assert old.matrix.tobytes() == filt.matrix.tobytes()
 
 
-def test_save_filter_writes_the_bytes_of_json_dump(tmp_path):
+def test_filter_json_text_round_trips_bitwise():
     model = SpinChainModel(n=4, k=2, num_excited=2)
     filt = typical_projector(model, typical_window(model, 1.0))
-    save_filter(filt, tmp_path / "filter.json")
-    text = (tmp_path / "filter.json").read_text(encoding="utf-8")
-    assert text == json.dumps(filter_to_json_dict(filt))
-    back = load_filter(tmp_path / "filter.json")
+    text = json.dumps(filter_to_json_dict(filt))
+    back = filter_from_json_dict(json.loads(text))
+    assert json.dumps(filter_to_json_dict(back)) == text
     assert back.matrix.tobytes() == filt.matrix.tobytes()
