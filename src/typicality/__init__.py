@@ -59,7 +59,7 @@ from .linalg import (
     partial_trace,
     trace_norm,
 )
-from .sampling import PureState, SampleStream, reduced_state, sample_pure
+from .sampling import SampleStream, sample_states
 from .spin_chain import (
     SpinChainModel,
     SpinChainReport,

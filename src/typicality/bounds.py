@@ -2,9 +2,9 @@
 
 The bounds are pure functions of scalar inputs.  Probability bounds are
 reported unclamped (they may exceed 1 at small dimension), with a ``vacuous``
-flag alongside.  The Lipschitz probes take pairs of states on one subspace;
-an observable is given on its coordinates (compress a composite one with
-``ConstraintSubspace.compress_operator``).
+flag alongside.  The Lipschitz probes take pairs of states on one subspace
+as two stacks of coordinate rows; an observable is given on its coordinates
+(compress a composite one with ``ConstraintSubspace.compress_operator``).
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import SubspaceMismatchError
-from .linalg import operator_norm, require_hermitian, trace_norm
-from .sampling import PureState, reduced_state_from_coords
+from .errors import ShapeMismatchError, SubspaceMismatchError
+from .linalg import operator_norm, require_hermitian
+from .sampling import StateReducer
 from .subspace import CanonicalEnsemble
 
 #: Constant in the spherical concentration exponent, 1/(18 pi^3).
@@ -180,71 +180,68 @@ class LipschitzReport:
         return ok
 
 
-def lipschitz_distance_report(
-    ensemble: CanonicalEnsemble, pairs: Iterable[tuple[PureState, PureState]]
+def _pairs(width: int, coords_a: np.ndarray, coords_b: np.ndarray) -> tuple:
+    """The two coordinate stacks, pair i in row i of both, and each pair's
+    ``sphere_distance``."""
+    a, b = np.asarray(coords_a, dtype=complex), np.asarray(coords_b, dtype=complex)
+    if a.shape[-1:] != (width,) or b.shape[-1:] != (width,):
+        raise SubspaceMismatchError(f"coordinate rows must have the subspace's {width} entries")
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeMismatchError("pairs must be two stacks of equally many coordinate rows")
+    return a, b, np.array([sphere_distance(x, y) for x, y in zip(a, b)])
+
+
+def _report(
+    dist: np.ndarray, bound: float, change: np.ndarray, state: np.ndarray | None = None
 ) -> LipschitzReport:
-    """Probe the Lipschitz constant of phi -> ||rho_S(phi) - Omega_S||.
+    """The largest change / dist (and state / dist) over the pairs at a
+    nonzero distance, 0 if none; pairs at distance 0 are skipped."""
+    kept = dist != 0.0
+    checked = int(np.count_nonzero(kept))
+
+    def worst(values: np.ndarray) -> float:
+        return float(np.max(values[kept] / dist[kept], initial=0.0))
+
+    return LipschitzReport(worst(change), bound, checked, dist.size - checked,
+                           None if state is None else worst(state))
+
+
+def lipschitz_distance_report(
+    ensemble: CanonicalEnsemble, coords_a: np.ndarray, coords_b: np.ndarray
+) -> LipschitzReport:
+    """Probe the Lipschitz constant of phi -> ||rho_S(phi) - Omega_S|| on the
+    pairs of states whose coordinates are the rows of ``coords_a`` and
+    ``coords_b``.
 
     ``max_ratio`` tracks differences of that function; ``max_state_ratio``
     tracks the intermediate marginal distance ||rho_1 - rho_2|| against the
-    same phase-aligned sphere distance.  Both are bounded by 2.
+    same phase-aligned sphere distance.  Both are bounded by 2.  Pairs at
+    distance 0 are skipped.
     """
     sub = ensemble.subspace
-    mean_state = ensemble.system_state
-    max_ratio = 0.0
-    max_state_ratio = 0.0
-    checked = 0
-    skipped = 0
-    for a, b in pairs:
-        if not (a.subspace.equals(sub) and b.subspace.equals(sub)):
-            raise SubspaceMismatchError("pair does not live on the ensemble's subspace")
-        dist = sphere_distance(a.coords, b.coords)
-        if dist == 0.0:
-            skipped += 1
-            continue
-        rho_a = reduced_state_from_coords(sub, a.coords)
-        rho_b = reduced_state_from_coords(sub, b.coords)
-        f_a = trace_norm(rho_a - mean_state)
-        f_b = trace_norm(rho_b - mean_state)
-        max_ratio = max(max_ratio, abs(f_a - f_b) / dist)
-        max_state_ratio = max(max_state_ratio, trace_norm(rho_a - rho_b) / dist)
-        checked += 1
-    return LipschitzReport(
-        max_ratio=max_ratio,
-        bound=2.0,
-        pairs_checked=checked,
-        pairs_skipped=skipped,
-        max_state_ratio=max_state_ratio,
-    )
+    a, b, dist = _pairs(sub.dim_subspace, coords_a, coords_b)
+    n, d_s = a.shape[0], sub.shape.dim_system
+    rho = np.empty((2 * n, d_s, d_s), dtype=complex)
+    StateReducer(sub, 2 * n)(np.concatenate([a, b]), rho)
+    diffs = np.concatenate([rho - ensemble.system_state, rho[:n] - rho[n:]])
+    f_a, f_b, state = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1).reshape(3, n)
+    return _report(dist, 2.0, np.abs(f_a - f_b), state)
 
 
 def lipschitz_expectation_report(
-    observable: np.ndarray, pairs: Iterable[tuple[PureState, PureState]]
+    observable: np.ndarray, coords_a: np.ndarray, coords_b: np.ndarray
 ) -> LipschitzReport:
-    """Probe the Lipschitz constant of phi -> <phi|X|phi>.
+    """Probe the Lipschitz constant of phi -> <phi|X|phi> on the pairs of
+    states whose coordinates are the rows of ``coords_a`` and ``coords_b``.
 
-    ``observable`` is Hermitian on the subspace coordinates (d_R x d_R) that
-    both states of every pair share; the bound is twice its operator norm.
+    ``observable`` is Hermitian on the subspace coordinates (d_R x d_R) of
+    the rows; the bound is twice its operator norm.  Pairs at distance 0 are
+    skipped.
     """
     x = require_hermitian(observable)
-    bound = 2.0 * operator_norm(x)
-    max_ratio = 0.0
-    checked = 0
-    skipped = 0
-    for a, b in pairs:
-        if not a.subspace.equals(b.subspace) or x.shape[0] != a.subspace.dim_subspace:
-            raise SubspaceMismatchError("pair and observable do not share one subspace")
-        dist = sphere_distance(a.coords, b.coords)
-        if dist == 0.0:
-            skipped += 1
-            continue
-        f_a = float(np.vdot(a.coords, x @ a.coords).real)
-        f_b = float(np.vdot(b.coords, x @ b.coords).real)
-        max_ratio = max(max_ratio, abs(f_a - f_b) / dist)
-        checked += 1
-    return LipschitzReport(
-        max_ratio=max_ratio, bound=bound, pairs_checked=checked, pairs_skipped=skipped
-    )
+    a, b, dist = _pairs(x.shape[0], coords_a, coords_b)
+    f_a, f_b = (np.einsum("ij,ij->i", c.conj(), c @ x.T).real for c in (a, b))
+    return _report(dist, 2.0 * operator_norm(x), np.abs(f_a - f_b))
 
 
 BOUND_TABLE_COLUMNS = ("d_S", "d_R", "d_E_eff", "epsilon", "eta", "eta_prime", "source_formula")

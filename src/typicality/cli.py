@@ -180,6 +180,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     except OverflowError:
         raise TypicalityError(f"d_R has {len(str(d_r))} digits; "
                               "2 d_R is too large for a float") from None
+    try:  # the operator-basis tail takes d_S^2 as a float
+        float(d_s * d_s)
+    except OverflowError:
+        raise TypicalityError(f"d_S has {len(str(d_s))} digits; "
+                              "d_S^2 is too large for a float") from None
     d_eff = args.d_eff if args.d_eff is not None else d_r / d_s
     if not (math.isfinite(d_eff) and d_eff > 0):
         raise TypicalityError(f"--d-eff must be a finite positive number, got {d_eff!r}")

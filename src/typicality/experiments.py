@@ -4,23 +4,17 @@ Every Monte Carlo run evaluates its trials through one kernel,
 ``_trial_block``.  Trial i draws its state from the stream keyed by
 (seed, i), so its record depends only on (config, seed, i): any partition of
 the trial range across workers reassembles to identical results, and output
-files are byte-stable under ``workers``.  The generators come from
-``sampling.stream_generators``, which seeds a batch of indices at once and
-draws exactly what ``SampleStream(seed, i).rng()`` would.
+files are byte-stable under ``workers``.
 
-The kernel works a chunk of up to ``_CHUNK`` trials at a time.  Only the
-Gaussian draw runs once per trial, into a row of a reused normals buffer;
-everything after it is a few stacked calls per chunk:
-``sampling.normalize_draws`` builds and normalizes the coordinate vectors, a
-``sampling.StateReducer`` turns them into a stack of reduced states, and a
-stacked eigensolve per system block, a purity sum and a stacked product for
-the Weyl coefficients evaluate the stack.  Each of these works row by row or
+The kernel draws its states through ``sampling.sample_states``, the one
+draw path, a stack of up to ``sampling._CHUNK`` at a time.  It evaluates a
+stack with a few stacked calls: a purity sum, one eigensolve per system block
+and a product for the Weyl coefficients.  Each of these works row by row or
 matrix by matrix, with the same arithmetic for a trial wherever it sits in
-the stack, so a record does not depend on where the chunk and worker
-boundaries fall.  Folding the trials of a chunk into one
-matrix-matrix product would not keep that: the product's rows can change in
-the last bits with the number of rows.  Every per-chunk buffer is allocated
-once per call of the kernel, within ``_CHUNK_BYTES``.
+the stack, so a record does not depend on where the stack and worker
+boundaries fall.  Folding the trials of a stack into one matrix-matrix
+product would not keep that: the product's rows can change in the last bits
+with the number of rows.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -47,13 +40,7 @@ from .bounds import (
 from .errors import ShapeMismatchError, TypicalityError
 from .filtering import MeasurementFilter, apply_filter
 from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, purity
-from .sampling import (
-    SampleStream,
-    StateReducer,
-    draw_coords,
-    normalize_draws,
-    stream_generators,
-)
+from .sampling import sample_states
 from .spin_chain import SpinChainModel, build_subspace, typical_projector, typical_window
 from .subspace import CanonicalEnsemble, ConstraintSubspace, canonical_ensemble, full_space
 from .weyl import weyl_basis
@@ -62,12 +49,6 @@ SCHEMA_VERSION = 1
 
 #: Weyl-family tracking is skipped above this system dimension (d_S^3 per trial).
 _COEFF_TRACK_MAX_DIM = 32
-
-#: Trials per chunk in ``_trial_block``, fewer when its per-chunk buffers
-#: would pass ``_CHUNK_BYTES`` (see ``_chunk_buffers``).  Records do not
-#: depend on the chunk size: every stacked call works trial by trial.
-_CHUNK = 64
-_CHUNK_BYTES = 1 << 20
 
 TRIALS_CSV_COLUMNS = ("trial", "trace_distance", "purity", "max_coeff_dev")
 
@@ -313,28 +294,6 @@ def bound_confrontation_report(
 # -- trial evaluation --------------------------------------------------------
 
 
-def _chunk_buffers(
-    sub: ConstraintSubspace, n_coeffs: int
-) -> tuple[int, np.ndarray, np.ndarray, StateReducer, np.ndarray, np.ndarray]:
-    """Trials per chunk of ``_trial_block``, then the buffers every chunk reuses.
-
-    Per trial these hold 2 d_R normals, d_R coordinates, the reducer's
-    buffers, rho and rho - mean, and ``n_coeffs`` Weyl coefficients.  A chunk
-    is ``_CHUNK`` trials, fewer when the buffers would pass ``_CHUNK_BYTES``.
-    """
-    d_s, d_r = sub.shape.dim_system, sub.dim_subspace
-    per_trial = 16 * (2 * d_r + StateReducer.entries(sub) + 2 * d_s * d_s + n_coeffs)
-    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // per_trial))
-    return (
-        chunk,
-        np.empty((chunk, 2, d_r)),
-        np.empty((chunk, d_r), dtype=complex),
-        StateReducer(sub, chunk),
-        np.empty((2, chunk, d_s, d_s), dtype=complex),
-        np.empty((chunk, n_coeffs), dtype=complex),
-    )
-
-
 def _trial_block(
     sub: ConstraintSubspace,
     mean_state: np.ndarray | None,
@@ -349,12 +308,12 @@ def _trial_block(
     None; the deviation is NaN then and when d_S > ``_COEFF_TRACK_MAX_DIM``,
     else the block builds the Weyl family.
 
-    The distance sums |eigenvalue| over one stacked eigensolve per block of
-    the reducer, in block order.  It takes ``mean_state`` to be zero off
-    those blocks, as rho is; ``run_distance_experiment`` passes Omega_S, which
-    is.
+    The distance sums |eigenvalue| over one stacked eigensolve per system
+    block (``sub.system_blocks``; a dense subspace is one block), in block
+    order.  It takes ``mean_state`` to be zero off those blocks, as rho is;
+    ``run_distance_experiment`` passes Omega_S, which is.
     """
-    d_s, d_r = sub.shape.dim_system, sub.dim_subspace
+    d_s = sub.shape.dim_system
     rows = np.full((count, 3), np.nan)
     # U^x with x = b d + a holds only U^x[(s + a) mod d, s] = U^(b d)[s, s], so
     # C_x = Tr(U^x' diff) = sum_s diff[(s + a) mod d, s] conj(U^(b d)[s, s]):
@@ -364,30 +323,19 @@ def _trial_block(
         ops = weyl_basis(d_s)
         shift = ops[:d_s].real.argmax(axis=1)
         phases = np.diagonal(ops[::d_s], axis1=1, axis2=2).conj().T
-    n_coeffs = d_s * d_s if tracked else 0
-    chunk, normals, coords, reduce, states, products = _chunk_buffers(sub, n_coeffs)
-    keys = [(slice(None), *np.ix_(idx, idx)) for idx in reduce.blocks]
-    rngs = stream_generators(seed, start, count)
-    for lo in range(0, count, chunk):
-        c = min(chunk, count - lo)
-        for j, rng in enumerate(islice(rngs, c)):
-            rng.standard_normal(out=normals[j])
-        # a row of (near) zero norm continues its own stream, as in draw_coords
-        for j in normalize_draws(normals[:c], coords[:c]):
-            coords[j] = draw_coords(SampleStream(seed, start + lo + j).rng(), d_r)
-        rho = reduce(coords[:c], states[0, :c])
-        block = rows[lo : lo + c]
-        block[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
+    keys = [(slice(None), *np.ix_(idx, idx)) for idx in sub.system_blocks or (np.arange(d_s),)]
+    for lo, _, rho in sample_states(sub, seed, start, count):
+        part = rows[lo : lo + rho.shape[0]]
+        part[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
         if mean_state is not None:
-            diff = np.subtract(rho, mean_state, out=states[1, :c])
-            distance = np.zeros(c)
+            diff = np.subtract(rho, mean_state, out=rho)
+            distance = np.zeros(rho.shape[0])
             for key in keys:
                 distance += np.abs(np.linalg.eigvalsh(diff[key])).sum(axis=1)
-            block[:, 0] = distance
+            part[:, 0] = distance
             if tracked:
                 v = diff[:, shift, np.arange(d_s)]
-                coeffs = np.matmul(v, phases, out=products[:c].reshape(c, d_s, d_s))
-                block[:, 2] = np.abs(coeffs).max(axis=(1, 2))
+                part[:, 2] = np.abs(np.matmul(v, phases)).max(axis=(1, 2))
     return rows
 
 

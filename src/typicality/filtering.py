@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HermiticityError, OperatorRangeError, ShapeMismatchError
+from .errors import HermiticityError, OperatorRangeError, ShapeMismatchError, SubspaceMismatchError
 from .linalg import (
     HERMITICITY_ATOL,
     complex_matrix_from_json,
@@ -27,7 +27,7 @@ from .linalg import (
     sqrt_psd,
     trace_norm,
 )
-from .sampling import PureState, reduced_state_from_coords
+from .sampling import StateReducer
 from .subspace import CanonicalEnsemble, ConstraintSubspace, build_ensemble
 
 #: Eigenvalue slack tolerated around the [0, 1] effect range.
@@ -103,31 +103,45 @@ def miss_weight_by_enumeration(sub: ConstraintSubspace, f: MeasurementFilter) ->
     return 1.0 - float(np.mean(_diagonal(f.subspace_matrix(sub)).real))
 
 
-def filtered_state(phi: PureState, f: MeasurementFilter) -> np.ndarray:
-    """Sub-normalized composite vector sqrt(X) |phi>.
+def filtered_state(
+    sub: ConstraintSubspace, coords: np.ndarray, f: MeasurementFilter
+) -> np.ndarray:
+    """Sub-normalized composite vector sqrt(X) |phi>, for phi given by its
+    coordinates on ``sub``.
 
     The squared norm equals <phi|X|phi> (at most 1).
     """
-    return phi.subspace.embed(_root_times(phi.subspace, f, phi.coords))
+    return sub.embed(_root_times(sub, f, coords))
 
 
-def perturbation_bound_check(phi: PureState, f: MeasurementFilter) -> tuple[float, float]:
-    """Distance moved by filtering one state, against its closed-form cap.
+def perturbation_bound_check(
+    sub: ConstraintSubspace, coords: np.ndarray, f: MeasurementFilter
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distance moved by filtering each state of a stack, against its closed-form cap.
 
-    Returns (lhs, rhs) with lhs the trace distance between the reduced states
-    of phi and of sqrt(X) phi, and rhs = 2 sqrt(1 - <phi|X|phi>).  The
-    inequality lhs <= rhs is checked here and a violation raises.
+    ``coords`` holds one state's coordinates on ``sub`` per row.  Returns
+    (lhs, rhs), one entry per state, with lhs the trace distance between the
+    reduced states of phi and of sqrt(X) phi, and rhs = 2 sqrt(1 -
+    <phi|X|phi>).  The inequality lhs <= rhs is checked here and a violation
+    raises.
     """
-    sub = phi.subspace
-    coords_tilde = _root_times(sub, f, phi.coords)
-    lhs = trace_norm(
-        reduced_state_from_coords(sub, phi.coords) - reduced_state_from_coords(sub, coords_tilde)
-    )
-    retained = float(np.vdot(coords_tilde, coords_tilde).real)
-    rhs = 2.0 * math.sqrt(max(0.0, 1.0 - retained))
-    if lhs > rhs + 1e-9:
+    coords = np.asarray(coords, dtype=complex)
+    if coords.ndim != 2 or coords.shape[1] != sub.dim_subspace:
+        raise SubspaceMismatchError(
+            f"expected a stack of rows of {sub.dim_subspace} coordinates, got shape {coords.shape}"
+        )
+    n, d_s = coords.shape[0], sub.shape.dim_system
+    tilde = _root_times(sub, f, coords)
+    rho = np.empty((2 * n, d_s, d_s), dtype=complex)
+    StateReducer(sub, 2 * n)(np.concatenate([coords, tilde]), rho)
+    lhs = np.abs(np.linalg.eigvalsh(rho[:n] - rho[n:])).sum(axis=1)
+    retained = np.einsum("ij,ij->i", tilde.conj(), tilde).real
+    rhs = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - retained))
+    over = np.flatnonzero(lhs > rhs + 1e-9)
+    if over.size:
+        i = over[0]
         raise OperatorRangeError(
-            f"filter perturbation {lhs:.12g} exceeded its bound {rhs:.12g}"
+            f"filter perturbation {lhs[i]:.12g} of row {i} exceeded its bound {rhs[i]:.12g}"
         )
     return lhs, rhs
 
@@ -153,11 +167,12 @@ def _diagonal(x: np.ndarray) -> np.ndarray:
 
 
 def _root_times(sub: ConstraintSubspace, f: MeasurementFilter, coords: np.ndarray) -> np.ndarray:
-    """sqrt(X) coords on subspace coordinates, the spectrum of X clipped into [0, 1]."""
+    """sqrt(X) applied to a coordinate vector, or to each row of a stack, the
+    spectrum of X clipped into [0, 1]."""
     x_sub = f.subspace_matrix(sub)
     if x_sub.ndim == 1:
         return np.sqrt(np.clip(x_sub.real, 0.0, 1.0)) * coords
-    return sqrt_psd(x_sub) @ coords
+    return coords @ sqrt_psd(x_sub).T
 
 
 # -- serialization ----------------------------------------------------------

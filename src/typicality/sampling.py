@@ -13,21 +13,24 @@ index gets a new PCG64 that seeds itself from its row of words.  That covers
 seed and index below 2**32, where each is a single entropy word; other pairs
 go through ``SampleStream.rng``.
 
-A stack of draws is normalized by ``normalize_draws`` and reduced to system
-states by ``StateReducer``, each with one call per quantity for the whole
-stack and the same arithmetic for a row wherever it sits in it.
-``draw_coords`` and ``reduced_state_from_coords`` are the same code on a stack
-of one, so a trial's bits do not depend on how many are drawn together.
+States are drawn one way: ``sample_states`` yields a range of indices as
+stacks of coordinates and reduced states.  ``normalize_draws`` normalizes a
+stack and ``StateReducer`` reduces it, each with one call per quantity for
+the whole stack and the same arithmetic for a row wherever it sits in it.
+``draw_coords`` (the redraw of a short row), ``sample_coords`` and
+``reduced_state_from_coords`` are the same code on a stack of one, so a
+state's bits do not depend on how many are drawn together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ShapeMismatchError, SubspaceMismatchError
+from .errors import ShapeMismatchError
 from .subspace import ConstraintSubspace
 
 #: Gaussian draws with norm below this are redrawn (probability ~ 0).
@@ -52,6 +55,11 @@ _SEED_BATCH = 256
 #: in ``StateReducer``: OpenBLAS threads longer ones.
 _DOT_PIECE = 10_000
 
+#: States per stack of ``sample_states``, fewer when its buffers would pass
+#: ``_CHUNK_BYTES``.  A state's bits do not depend on the stack size.
+_CHUNK = 64
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SampleStream:
@@ -66,14 +74,6 @@ class SampleStream:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.index])
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state on a subspace, kept as coordinates; ``subspace.embed`` lifts it."""
-
-    subspace: ConstraintSubspace
-    coords: np.ndarray
 
 
 def seed_words(seed: int, start: int, count: int) -> np.ndarray:
@@ -189,11 +189,6 @@ def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
     return draw_coords(stream.rng(), dim_subspace)
 
 
-def sample_pure(sub: ConstraintSubspace, stream: SampleStream) -> PureState:
-    """Draw a Haar-uniform pure state on ``sub``."""
-    return PureState(subspace=sub, coords=sample_coords(sub.dim_subspace, stream))
-
-
 class StateReducer:
     """Reduced system states of stacks of up to ``chunk`` coordinate vectors.
 
@@ -209,21 +204,17 @@ class StateReducer:
     per block, matrix by matrix, from reused work rows: a state's bits do not
     depend on the stack.  A slab of more than ``_DOT_PIECE`` groups is summed
     in order over pieces of at most ``_DOT_PIECE`` groups, so they do not
-    depend on the BLAS thread count either.  ``blocks`` lists each block's
-    system indices; a dense subspace is one block.
+    depend on the BLAS thread count either.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
-        d_s = sub.shape.dim_system
         self.products = None
         if sub.env_groups is None:
-            self.blocks = (np.arange(d_s),)
             self._source = None
             self._basis = sub.basis
-            self._matrix = (d_s, sub.shape.dim_environment)
+            self._matrix = (sub.shape.dim_system, sub.shape.dim_environment)
             self.work = np.empty((2, chunk, StateReducer.width(sub)), dtype=complex)
             return
-        self.blocks = sub.system_blocks
         self._source, self._holes, self._slabs, self._gather = sub.block_slabs
         # M, then conj(M), per state
         self.work = np.empty((2, chunk, self._source.size), dtype=complex)
@@ -262,7 +253,7 @@ class StateReducer:
         np.take(coords, self._source, axis=1, out=m, mode="clip")
         m[:, self._holes] = 0
         np.conjugate(m, out=m_conj)
-        flat = out.reshape(c, -1)
+        flat = out.reshape(c, out.shape[1] * out.shape[2])  # also for c = 0
         products = flat if self.products is None else self.products[:c]
         for lo, hi, (groups, size), pos in self._slabs:
             slab = m[:, lo:hi].reshape(c, groups, size).transpose(0, 2, 1)
@@ -276,6 +267,38 @@ class StateReducer:
         return out
 
 
+def sample_states(
+    sub: ConstraintSubspace, seed: int, start: int, count: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Haar-uniform states ``start .. start + count - 1`` on ``sub``, a stack at a time.
+
+    Yields ``(offset, coords, rho)``: the coordinates (c, d_R) and reduced
+    system states (c, d_S, d_S) of states ``start + offset`` to ``start +
+    offset + c - 1``.  State i draws from ``SampleStream(seed, i)``'s stream,
+    as ``stream_generators`` builds it; a row of (near) zero norm continues
+    its own stream, as in ``draw_coords``.  A stack holds ``_CHUNK`` states,
+    fewer when the buffers would pass ``_CHUNK_BYTES``: per state, 2 d_R
+    normals, d_R coordinates, the reducer's entries and rho.  ``coords`` and
+    ``rho`` are views of buffers that the next stack overwrites, so copy what
+    must outlive it; the caller may write to them.
+    """
+    d_s, d_r = sub.shape.dim_system, sub.dim_subspace
+    per_state = 16 * (2 * d_r + StateReducer.entries(sub) + d_s * d_s)
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // per_state, count))
+    normals = np.empty((chunk, 2, d_r))
+    coords = np.empty((chunk, d_r), dtype=complex)
+    reduce = StateReducer(sub, chunk)
+    states = np.empty((chunk, d_s, d_s), dtype=complex)
+    rngs = stream_generators(seed, start, count)
+    for lo in range(0, count, chunk):
+        c = min(chunk, count - lo)
+        for j, rng in enumerate(islice(rngs, c)):
+            rng.standard_normal(out=normals[j])
+        for j in normalize_draws(normals[:c], coords[:c]):
+            coords[j] = draw_coords(SampleStream(seed, start + lo + j).rng(), d_r)
+        yield lo, coords[:c], reduce(coords[:c], states[:c])
+
+
 def reduced_state_from_coords(sub: ConstraintSubspace, coords: np.ndarray) -> np.ndarray:
     """Environment trace of |phi><phi| for phi given by subspace coordinates.
 
@@ -287,13 +310,3 @@ def reduced_state_from_coords(sub: ConstraintSubspace, coords: np.ndarray) -> np
     d_s = sub.shape.dim_system
     out = np.empty((1, d_s, d_s), dtype=complex)
     return StateReducer(sub, 1)(coords[None], out)[0]
-
-
-def reduced_state(phi: PureState, sub: ConstraintSubspace) -> np.ndarray:
-    """Reduced system state of a sampled pure state.
-
-    The state must have been drawn from ``sub`` (or an equal subspace).
-    """
-    if phi.subspace is not sub and not phi.subspace.equals(sub):
-        raise SubspaceMismatchError("state belongs to a different subspace")
-    return reduced_state_from_coords(sub, phi.coords)

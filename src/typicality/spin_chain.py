@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -363,16 +364,16 @@ def spin_chain_report(
     full_window = w.lo == 0 and w.hi == m.k
     miss = 0.0 if full_window else typical_miss_bound(k, p, half_width)
     support = window_dim(k, w)
-    support_bound, _ = typical_dim_bound(k, p, half_width)
+    support_bound = _field("support_dim_bound", lambda: typical_dim_bound(k, p, half_width)[0])
     env_floor = m.dim_subspace / support
     unfiltered = distance_tail_bound(support, m.dim_subspace, env_floor, epsilon)
     h = binary_entropy(p)
     g = binary_entropy_slope(p)
-    threshold_asymptotic = (
+    threshold_asymptotic = _field("threshold_asymptotic", lambda: (
         epsilon
         + math.sqrt(n + 1.0) * (2.0 * half_width + 1.0) * 2.0 ** ((k - n / 2.0) * h + half_width * g)
         + math.sqrt(32.0) * math.exp(-(half_width**2) / (8.0 * k * p * (1.0 - p)))
-    )
+    ))
     sys_purity, env_purity = canonical_purities(m)
     gaps = np.abs(canonical_weights(m) - product_weights(m))  # both diagonal by count
     return SpinChainReport(
@@ -398,5 +399,17 @@ def spin_chain_report(
         dim_subspace_bounds={"lower": lower, "upper": upper, "exact": exact},
         system_purity=sys_purity,
         effective_env_dim=1.0 / env_purity,
-        product_approximation_distance=float(sum(comb(k, j) * gap for j, gap in enumerate(gaps))),
+        product_approximation_distance=_field(
+            "product_approximation_distance",
+            lambda: float(sum(comb(k, j) * gap for j, gap in enumerate(gaps))),
+        ),
     )
+
+
+def _field(name: str, compute: Callable[[], float]) -> float:
+    """``compute()`` for the report field ``name``; a TypicalityError naming
+    the field when its closed form overflows a float."""
+    try:
+        return compute()
+    except OverflowError:
+        raise TypicalityError(f"{name} overflows a float for this chain") from None

@@ -27,7 +27,6 @@ from typicality.linalg import (
     random_hermitian,
     trace_norm,
 )
-from typicality.sampling import SampleStream, reduced_state_from_coords, sample_coords, sample_pure
 from typicality.spin_chain import (
     SpinChainModel,
     build_subspace,
@@ -102,7 +101,7 @@ def test_criterion_03_average_distance_bound_spin_chain():
     report("C3", f"mean {mean:.4f} <= {sharp:.4f} <= {loose:.4f}, {elapsed:.1f}s")
 
 
-def test_criterion_04_mean_state_convergence():
+def test_criterion_04_mean_state_convergence(draw_states):
     sizes = (100, 1000, 10_000)
     details = []
     for n, k, np_ in ((3, 1, 1), (8, 2, 4)):
@@ -110,21 +109,16 @@ def test_criterion_04_mean_state_convergence():
         omega = canonical_ensemble(sub).system_state
         distances = np.zeros(len(sizes))
         for seed in range(5):
-            acc = np.zeros_like(omega)
-            drawn = 0
+            _, rhos = draw_states(sub, 400 + seed, 0, sizes[-1])
             for level, size in enumerate(sizes):
-                while drawn < size:
-                    coords = sample_coords(sub.dim_subspace, SampleStream(400 + seed, drawn))
-                    acc += reduced_state_from_coords(sub, coords)
-                    drawn += 1
-                distances[level] += trace_norm(acc / size - omega)
+                distances[level] += trace_norm(rhos[:size].sum(axis=0) / size - omega)
         distances /= 5
         assert distances[0] > distances[1] > distances[2]
         details.append("->".join(f"{d:.4f}" for d in distances))
     report("C4", f"3-spin {details[0]}, 8-spin {details[1]} (5 seeds)")
 
 
-def test_criterion_05_concentration_trend():
+def test_criterion_05_concentration_trend(draw_states):
     spreads = []
     for n in (6, 8, 10, 12):
         model = SpinChainModel(n=n, k=1, num_excited=n // 2)
@@ -132,11 +126,8 @@ def test_criterion_05_concentration_trend():
         omega = canonical_ensemble(sub).system_state
         level = 0.0
         for seed in range(5):
-            samples = np.empty(4000)
-            for i in range(4000):
-                coords = sample_coords(sub.dim_subspace, SampleStream(500 + seed, i))
-                rho = reduced_state_from_coords(sub, coords)
-                samples[i] = np.sum(np.abs(np.linalg.eigvalsh(rho - omega)))
+            _, rhos = draw_states(sub, 500 + seed, 0, 4000)
+            samples = np.abs(np.linalg.eigvalsh(rhos - omega)).sum(axis=1)
             level += samples.std(ddof=1)
         spreads.append(level / 5)
     assert all(a > b for a, b in zip(spreads, spreads[1:]))
@@ -223,17 +214,13 @@ def test_criterion_09_weyl_basis_identities():
     report("C9", "d_S in 2..8: orthogonality, unitarity, HS identity, norm chain")
 
 
-def test_criterion_10_lipschitz_suites():
+def test_criterion_10_lipschitz_suites(draw_states):
     sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
     ens = canonical_ensemble(sub)
-    pairs = [
-        (
-            sample_pure(sub, SampleStream(1000, 2 * i)),
-            sample_pure(sub, SampleStream(1000, 2 * i + 1)),
-        )
-        for i in range(10_000)
-    ]
-    dist_report = lipschitz_distance_report(ens, pairs)
+    # pair i: the states of indices 2i and 2i + 1
+    coords, _ = draw_states(sub, 1000, 0, 20_000)
+    firsts, seconds = coords[0::2], coords[1::2]
+    dist_report = lipschitz_distance_report(ens, firsts, seconds)
     assert dist_report.pairs_checked == 10_000
     assert dist_report.max_ratio <= 2.0 + 1e-9
     assert dist_report.max_state_ratio <= 2.0 + 1e-9
@@ -242,7 +229,7 @@ def test_criterion_10_lipschitz_suites():
     worst_margin = 0.0
     for _ in range(10):
         x = random_hermitian(sub.dim_subspace, rng, scale=rng.uniform(0.5, 3.0))
-        rep = lipschitz_expectation_report(x, pairs[:2000])
+        rep = lipschitz_expectation_report(x, firsts[:2000], seconds[:2000])
         assert rep.max_ratio <= 2.0 * operator_norm(x) + 1e-9
         worst_margin = max(worst_margin, rep.max_ratio / rep.bound)
 

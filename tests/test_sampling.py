@@ -6,18 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from typicality.errors import SubspaceMismatchError
+from typicality import sampling
 from typicality.linalg import BipartiteShape, partial_trace, trace_norm
 from typicality.sampling import (
-    PureState,
     SampleStream,
     StateReducer,
     draw_coords,
     normalize_draws,
-    reduced_state,
     reduced_state_from_coords,
     sample_coords,
-    sample_pure,
+    sample_states,
     seed_words,
     stream_generators,
 )
@@ -222,6 +220,14 @@ def test_stacks_and_stacks_of_one_match_the_per_trial_code(case, seed, start, co
     coords = np.empty((count, d_r), dtype=complex)
     assert normalize_draws(normals, coords).size == 0
     rho = StateReducer(sub, count)(coords, np.full((count, d_s, d_s), np.nan, dtype=complex))
+    generated = {}
+    for chunk in (1, 7, 64):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_CHUNK", chunk)
+            drawn = sample_states(sub, seed, start, count)
+            stacks = [(lo, c.copy(), r.copy()) for lo, c, r in drawn]
+        assert [lo for lo, _, _ in stacks] == list(range(0, count, len(stacks[0][1])))
+        generated[chunk] = [np.concatenate(part) for part in list(zip(*stacks))[1:]]
     for j in range(count):
         stream = SampleStream(seed, start + j)
         want = _per_trial_draw(stream.rng(), d_r)
@@ -230,6 +236,9 @@ def test_stacks_and_stacks_of_one_match_the_per_trial_code(case, seed, start, co
         want_rho = _per_trial_reduction(sub, want)
         assert reduced_state_from_coords(sub, want).tobytes() == want_rho.tobytes()
         assert rho[j].tobytes() == want_rho.tobytes()
+        for stacked_coords, stacked_rho in generated.values():
+            assert stacked_coords[j].tobytes() == want.tobytes()
+            assert stacked_rho[j].tobytes() == want_rho.tobytes()
 
 
 def test_normalize_draws_leaves_short_rows_to_the_caller():
@@ -240,32 +249,30 @@ def test_normalize_draws_leaves_short_rows_to_the_caller():
     assert np.array_equal(coords[1], [0, 0, 1, 0])
 
 
-def test_single_dimension_subspace_is_deterministic():
+def test_single_dimension_subspace_is_deterministic(draw_states):
     v = np.zeros(4, dtype=complex)
     v[1] = 1.0
     sub = from_basis_vectors(BipartiteShape(2, 2), [v])
-    phi = sample_pure(sub, SampleStream(seed=3, index=5))
-    assert abs(abs(phi.coords[0]) - 1.0) < 1e-12
+    (phi,), _ = draw_states(sub, 3, 5, 1)
+    assert abs(abs(phi[0]) - 1.0) < 1e-12
     # up to a global phase this is the basis state itself
-    assert np.allclose(np.abs(sub.embed(phi.coords)), np.abs(v))
+    assert np.allclose(np.abs(sub.embed(phi)), np.abs(v))
 
 
-def test_same_stream_is_bit_identical():
+def test_same_stream_is_bit_identical(draw_states):
     sub = three_spin_subspace()
-    a = sample_pure(sub, SampleStream(seed=123, index=9))
-    b = sample_pure(sub, SampleStream(seed=123, index=9))
-    assert np.array_equal(a.coords, b.coords)
-    c = sample_pure(sub, SampleStream(seed=123, index=10))
-    assert not np.array_equal(a.coords, c.coords)
+    a, _ = draw_states(sub, 123, 9, 1)
+    b, _ = draw_states(sub, 123, 9, 1)
+    assert np.array_equal(a, b)
+    c, _ = draw_states(sub, 123, 10, 1)
+    assert not np.array_equal(a, c)
 
 
-def test_first_moment_of_overlap():
+def test_first_moment_of_overlap(draw_states):
     # Haar moment: E |<b_1|phi>|^2 = 1 / d_R
     sub = three_spin_subspace()
     n = 10_000
-    overlaps = np.array(
-        [abs(sample_coords(3, SampleStream(7, i))[0]) ** 2 for i in range(n)]
-    )
+    overlaps = np.abs(draw_states(sub, 7, 0, n)[0][:, 0]) ** 2
     se = overlaps.std(ddof=1) / np.sqrt(n)
     assert abs(overlaps.mean() - 1 / 3) < 5 * se
 
@@ -280,42 +287,27 @@ def test_product_state_in_full_space_has_pure_marginal():
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_reduced_state_requires_matching_subspace():
-    sub = three_spin_subspace()
-    other = full_space(BipartiteShape(2, 4))
-    phi = sample_pure(sub, SampleStream(1, 0))
-    with pytest.raises(SubspaceMismatchError):
-        reduced_state(phi, other)
-
-
-def test_one_hot_fast_path_matches_dense_route():
+def test_one_hot_fast_path_matches_dense_route(draw_states):
     sub = three_spin_subspace()
     dense = from_basis_vectors(sub.shape, sub.basis)  # same space, no index form
     assert dense.one_hot is None
-    for i in range(25):
-        coords = sample_coords(3, SampleStream(5, i))
-        assert np.allclose(
-            reduced_state_from_coords(sub, coords),
-            reduced_state_from_coords(dense, coords),
-            atol=1e-12,
-        )
+    coords, rhos = draw_states(sub, 5, 0, 25)
+    dense_coords, dense_rhos = draw_states(dense, 5, 0, 25)
+    assert np.array_equal(coords, dense_coords)
+    for rho, dense_rho in zip(rhos, dense_rhos):
+        assert np.allclose(rho, dense_rho, atol=1e-12)
 
 
-def test_mean_reduced_state_converges_to_ensemble():
+def test_mean_reduced_state_converges_to_ensemble(draw_states):
     # <rho_S> = Omega_S: the running average approaches it, 5 seeds averaged
     sub = three_spin_subspace()
     omega = canonical_ensemble(sub).system_state
     sizes = (100, 1000, 10_000)
     distances = np.zeros(len(sizes))
     for seed in range(5):
-        acc = np.zeros((2, 2), dtype=complex)
-        drawn = 0
+        _, rhos = draw_states(sub, seed, 0, sizes[-1])
         for level, n in enumerate(sizes):
-            while drawn < n:
-                coords = sample_coords(3, SampleStream(seed, drawn))
-                acc += reduced_state_from_coords(sub, coords)
-                drawn += 1
-            distances[level] += trace_norm(acc / n - omega)
+            distances[level] += trace_norm(rhos[:n].sum(axis=0) / n - omega)
     distances /= 5
     assert distances[0] > distances[1] > distances[2]
     assert distances[2] <= 5 / np.sqrt(10_000) * np.sqrt(2)
@@ -329,7 +321,7 @@ def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def test_unitary_invariance_of_distance_distribution():
+def test_unitary_invariance_of_distance_distribution(draw_states):
     # rotating the basis inside the subspace leaves ||rho_S - Omega_S||
     # distributed identically (two-sample KS at alpha = 0.01)
     rng = np.random.default_rng(2718)
@@ -343,27 +335,15 @@ def test_unitary_invariance_of_distance_distribution():
     assert np.allclose(omega, omega_rot, atol=1e-10)
 
     n = 2000
-    arm_a = np.array(
-        [
-            trace_norm(reduced_state_from_coords(sub, sample_coords(5, SampleStream(10, i))) - omega)
-            for i in range(n)
-        ]
-    )
-    arm_b = np.array(
-        [
-            trace_norm(
-                reduced_state_from_coords(rotated, sample_coords(5, SampleStream(11, i))) - omega
-            )
-            for i in range(n)
-        ]
-    )
+    arm_a = np.abs(np.linalg.eigvalsh(draw_states(sub, 10, 0, n)[1] - omega)).sum(axis=1)
+    arm_b = np.abs(np.linalg.eigvalsh(draw_states(rotated, 11, 0, n)[1] - omega)).sum(axis=1)
     stat = _ks_two_sample(arm_a, arm_b)
     critical = np.sqrt(-np.log(0.01 / 2) / 2) * np.sqrt(2 * n / (n * n))
     assert stat < critical
 
 
-def test_pure_state_fields_consistent():
+def test_pure_state_fields_consistent(draw_states):
     sub = three_spin_subspace()
-    phi = sample_pure(sub, SampleStream(2, 4))
-    assert isinstance(phi, PureState)
-    assert np.linalg.norm(phi.coords) == pytest.approx(1.0, abs=1e-10)
+    (phi,), _ = draw_states(sub, 2, 4, 1)
+    assert phi.shape == (sub.dim_subspace,) and phi.dtype == complex
+    assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-10)
