@@ -9,12 +9,12 @@ bounds, both generically and for fixed-excitation spin chains.
 
 from .bounds import (
     LEVY_CONSTANT,
-    DistanceTailBound,
     LipschitzReport,
     average_distance_bound,
     distance_tail_bound,
     expectation_tail_bound,
     filtered_distance_tail_bound,
+    formula_rows,
     levy_tail,
     lipschitz_distance_report,
     lipschitz_expectation_report,

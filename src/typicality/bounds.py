@@ -1,17 +1,19 @@
 """Closed-form concentration bounds and Lipschitz-constant probes.
 
-The bounds are pure functions of scalar inputs.  Probability bounds are
-reported unclamped (they may exceed 1 at small dimension), with a ``vacuous``
-flag alongside.  The Lipschitz probes take pairs of states on one subspace
-as two stacks of coordinate rows; an observable is given on its coordinates
-(compress a composite one with ``ConstraintSubspace.compress_operator``).
+The bounds are pure functions of scalar inputs; ``formula_rows`` is the one
+table of the closed forms that apply, which ``bounds`` prints and
+``experiment`` confronts.  Probability bounds are reported unclamped (they
+may exceed 1 at small dimension).  The Lipschitz probes take pairs of states
+on one subspace as two stacks of coordinate rows; an observable is given on
+its coordinates (compress a composite one with
+``ConstraintSubspace.compress_operator``).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +38,16 @@ def suggested_epsilon(dim_subspace: int) -> float:
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Raise ValueError unless ``epsilon`` is a finite positive number.
+    """Raise ValueError unless ``epsilon`` is a finite positive number whose
+    square is a float.
 
-    A deviation of zero or less makes every tail row vacuous, and NaN or
-    infinity make it meaningless.
+    A deviation of zero or less makes every tail row vacuous, NaN or
+    infinity make it meaningless, and the tails take epsilon^2.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be a finite positive number, got {epsilon!r}")
+    if not (math.isfinite(epsilon * epsilon) and epsilon > 0):
+        raise ValueError(
+            f"epsilon must be a finite positive number whose square is a float, got {epsilon!r}"
+        )
 
 
 def levy_tail(sphere_dim: int, lipschitz: float, epsilon: float) -> float:
@@ -58,46 +63,22 @@ def levy_tail(sphere_dim: int, lipschitz: float, epsilon: float) -> float:
     return 2.0 * math.exp(exponent)
 
 
-@dataclass(frozen=True)
-class DistanceTailBound:
-    """Prob[ ||rho_S - Omega_S|| >= threshold ] <= tail_bound."""
-
-    dim_system: int
-    dim_subspace: int
-    effective_env_dim: float
-    epsilon: float
-    threshold: float
-    tail_bound: float
-
-    @property
-    def vacuous(self) -> bool:
-        return self.tail_bound >= 1.0 or self.threshold >= 2.0
-
-
 def distance_tail_bound(
     dim_system: int,
     dim_subspace: int,
     effective_env_dim: float,
     epsilon: float,
-) -> DistanceTailBound:
+) -> tuple[float, float]:
     """Concentration of the trace distance between a sampled reduced state
-    and the ensemble mean: threshold = epsilon + sqrt(d_S / d_E_eff), tail
-    2 exp(-C d_R epsilon^2).
+    and the ensemble mean: ``(threshold, tail_bound)`` with threshold
+    epsilon + sqrt(d_S / d_E_eff) and tail 2 exp(-C d_R epsilon^2).
     """
     if epsilon != 0.0:  # the epsilon -> 0 limit stays defined: the tail reads 2
         check_epsilon(epsilon)
     if min(dim_system, dim_subspace) < 1 or effective_env_dim <= 0:
         raise ValueError("dimensions must be positive")
     threshold = epsilon + math.sqrt(dim_system / effective_env_dim)
-    tail = 2.0 * math.exp(-LEVY_CONSTANT * dim_subspace * epsilon**2)
-    return DistanceTailBound(
-        dim_system=dim_system,
-        dim_subspace=dim_subspace,
-        effective_env_dim=effective_env_dim,
-        epsilon=epsilon,
-        threshold=threshold,
-        tail_bound=tail,
-    )
+    return threshold, 2.0 * math.exp(-LEVY_CONSTANT * dim_subspace * epsilon**2)
 
 
 def average_distance_bound(
@@ -122,16 +103,18 @@ def filtered_distance_tail_bound(
     dim_subspace: int,
     miss_weight: float,
     epsilon: float,
-) -> DistanceTailBound:
-    """Filtered variant: threshold gains the 4 sqrt(miss_weight) penalty for
-    the filter's failure probability; the tail exponent is unchanged.  The
-    result's ``dim_system`` and ``effective_env_dim`` are the filter's support
-    dimension and filtered effective environment dimension.
+) -> tuple[float, float]:
+    """Filtered variant of ``distance_tail_bound`` on the filter's support
+    dimension and filtered effective environment dimension: the threshold
+    gains the 4 sqrt(miss_weight) penalty for the filter's failure
+    probability; the tail is unchanged.
     """
     if not 0.0 <= miss_weight <= 1.0:
         raise ValueError("miss_weight must lie in [0, 1]")
-    plain = distance_tail_bound(support_dim, dim_subspace, filtered_effective_env_dim, epsilon)
-    return replace(plain, threshold=plain.threshold + 4.0 * math.sqrt(miss_weight))
+    threshold, tail = distance_tail_bound(
+        support_dim, dim_subspace, filtered_effective_env_dim, epsilon
+    )
+    return threshold + 4.0 * math.sqrt(miss_weight), tail
 
 
 def expectation_tail_bound(op_norm: float, dim_subspace: int, epsilon: float) -> float:
@@ -154,6 +137,70 @@ def operator_basis_tail_bound(dim_system: int, dim_subspace: int) -> tuple[float
         raise ValueError("dimensions must be positive")
     beta = (dim_subspace / dim_system**2) ** (1.0 / 3.0)
     return 1.0 / beta, 2.0 * dim_system**2 * math.exp(-LEVY_CONSTANT * beta)
+
+
+@dataclass(frozen=True)
+class FormulaRow:
+    """One closed form of ``formula_rows``.
+
+    ``bound`` caps the mean trace distance (``statistic`` "mean", no
+    ``threshold``) or the probability that ``statistic`` reaches
+    ``threshold``: "distance" is ||rho_S - Omega_S||, "deviation" that
+    distance minus its exact mean, and "coefficients"
+    max_x |C_x(rho_S - Omega_S)| over the Weyl family.  ``epsilon`` is None
+    for a row that does not depend on it.
+    """
+
+    name: str
+    statistic: str
+    epsilon: float | None
+    threshold: float | None
+    bound: float
+
+
+def formula_rows(
+    d_s: int,
+    d_r: int,
+    d_eff: float,
+    epsilon: float | None,
+    filtered: CanonicalEnsemble | None = None,
+) -> list[FormulaRow]:
+    """Every closed form that applies at (d_S, d_R, d_E_eff, epsilon), in
+    table order; epsilon defaults to d_R^(-1/3).  The filtered row needs a
+    non-degenerate ``filtered`` ensemble.
+
+    ``coefficient_family_tail`` is a union bound over the Weyl family.  With
+    rho the reduced state of phi and Omega_S = E[rho], C_x(rho - Omega_S) is
+    <phi|U_x^dagger (x) 1|phi> minus its mean.  Its real and imaginary parts
+    are the deviations of <phi|H|phi> for the Hermitian
+    H = (U_x^dagger + U_x) / 2 (x) 1 and H = (U_x^dagger - U_x) / 2i (x) 1,
+    of norm <= 1, so each is 2-Lipschitz on the sphere and
+    ``expectation_tail_bound(1, d_R, t)`` bounds its tail at t.
+    |C_x| >= epsilon forces one part to reach epsilon / sqrt(2), and
+    C_0(rho - Omega_S) = Tr(rho - Omega_S) = 0, so the union over the other
+    d_S^2 - 1 unitaries and both parts gives
+
+        Prob[max_x |C_x| >= epsilon]
+            <= 2 (d_S^2 - 1) expectation_tail_bound(1, d_R, epsilon / sqrt(2)).
+    """
+    eps = suggested_epsilon(d_r) if epsilon is None else epsilon
+    check_epsilon(eps)
+    sharp, loose = average_distance_bound(d_s, d_r, d_eff)
+    family = 2 * (d_s**2 - 1) * expectation_tail_bound(1.0, d_r, eps / math.sqrt(2.0))
+    rows = [
+        FormulaRow("average_distance_eff", "mean", None, None, sharp),
+        FormulaRow("average_distance_dr", "mean", None, None, loose),
+        FormulaRow("distance_tail", "distance", eps, *distance_tail_bound(d_s, d_r, d_eff, eps)),
+        FormulaRow("levy_tail", "deviation", eps, eps, levy_tail(state_sphere_dim(d_r), 2.0, eps)),
+        FormulaRow("operator_basis_tail", "distance", None, *operator_basis_tail_bound(d_s, d_r)),
+        FormulaRow("coefficient_family_tail", "coefficients", eps, eps, family),
+    ]
+    if filtered is not None and not filtered.degenerate:
+        tail = filtered_distance_tail_bound(
+            filtered.support_dim, filtered.effective_env_dim, d_r, filtered.miss_weight, eps
+        )
+        rows.append(FormulaRow("filtered_distance_tail", "distance", eps, *tail))
+    return rows
 
 
 def sphere_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:

@@ -20,15 +20,7 @@ import math
 import sys
 
 from . import experiments, spin_chain
-from .bounds import (
-    average_distance_bound,
-    distance_tail_bound,
-    levy_tail,
-    operator_basis_tail_bound,
-    state_sphere_dim,
-    suggested_epsilon,
-    write_bound_table,
-)
+from .bounds import formula_rows, write_bound_table
 from .errors import TypicalityError
 from .linalg import DEFAULT_DIMENSION_CAP
 from .subspace import canonical_ensemble
@@ -180,29 +172,26 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     except OverflowError:
         raise TypicalityError(f"d_R has {len(str(d_r))} digits; "
                               "2 d_R is too large for a float") from None
-    try:  # the operator-basis tail takes d_S^2 as a float
-        float(d_s * d_s)
+    try:  # the operator-basis and family tails take 2 d_S^2 as a float
+        float(2 * d_s * d_s)
     except OverflowError:
         raise TypicalityError(f"d_S has {len(str(d_s))} digits; "
-                              "d_S^2 is too large for a float") from None
+                              "2 d_S^2 is too large for a float") from None
     d_eff = args.d_eff if args.d_eff is not None else d_r / d_s
     if not (math.isfinite(d_eff) and d_eff > 0):
         raise TypicalityError(f"--d-eff must be a finite positive number, got {d_eff!r}")
-    epsilons = args.epsilon if args.epsilon is not None else [suggested_epsilon(d_r)]
-
-    def row(formula: str, epsilon: float | str, eta: float, eta_prime: float | str = "") -> dict:
-        return {"d_S": d_s, "d_R": d_r, "d_E_eff": d_eff, "epsilon": epsilon,
-                "eta": eta, "eta_prime": eta_prime, "source_formula": formula}
 
     rows = []
-    for eps in epsilons:
-        tail = distance_tail_bound(d_s, d_r, d_eff, eps)
-        rows.append(row("distance_tail", eps, tail.threshold, tail.tail_bound))
-        rows.append(row("levy_tail", eps, eps, levy_tail(state_sphere_dim(d_r), 2.0, eps)))
-    sharp, loose = average_distance_bound(d_s, d_r, d_eff)
-    rows.append(row("average_distance_eff", "", sharp))
-    rows.append(row("average_distance_dr", "", loose))
-    rows.append(row("operator_basis_tail", "", *operator_basis_tail_bound(d_s, d_r)))
+    for i, eps in enumerate(args.epsilon or [None]):
+        for row in formula_rows(d_s, d_r, d_eff, eps):
+            if i and row.epsilon is None:
+                continue  # printed with the first epsilon
+            eta, eta_prime = (row.bound, "") if row.threshold is None else (row.threshold, row.bound)
+            if not (math.isfinite(eta) and math.isfinite(row.bound)):
+                raise TypicalityError(f"{row.name} overflows a float for these inputs")
+            rows.append({"d_S": d_s, "d_R": d_r, "d_E_eff": d_eff,
+                         "epsilon": "" if row.epsilon is None else row.epsilon,
+                         "eta": eta, "eta_prime": eta_prime, "source_formula": row.name})
     if args.format == "json":
         _write_json(rows, args.output)
     else:

@@ -21,22 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    average_distance_bound,
-    check_epsilon,
-    distance_tail_bound,
-    expectation_tail_bound,
-    filtered_distance_tail_bound,
-    operator_basis_tail_bound,
-    suggested_epsilon,
-)
+from .bounds import check_epsilon, formula_rows
+from .bounds import distance_tail_bound  # noqa: F401  benchmarks/child.py traces it by name
 from .errors import ShapeMismatchError, TypicalityError
 from .filtering import MeasurementFilter, apply_filter
 from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, purity
@@ -230,64 +222,33 @@ def bound_confrontation_report(
     filtered: CanonicalEnsemble | None = None,
     max_coeff_devs: np.ndarray | None = None,
 ) -> list[BoundRow]:
-    """Confront the sampled distances with every applicable closed form.
+    """Confront the samples with every row of ``formula_rows`` whose
+    statistic they measure.
 
-    Given the per-trial ``max_coeff_devs``, max_x |C_x(rho - Omega_S)| over
-    the Weyl family, it adds the ``coefficient_family_tail`` row at threshold
-    epsilon (d_R^(-1/3) when None), a union bound over the family.  With rho
-    the reduced state of phi and Omega_S = E[rho], C_x(rho - Omega_S) is
-    <phi|U_x^dagger (x) 1|phi> minus its mean.  Its real and imaginary parts
-    are the deviations of <phi|H|phi> for the Hermitian
-    H = (U_x^dagger + U_x) / 2 (x) 1 and H = (U_x^dagger - U_x) / 2i (x) 1,
-    of norm <= 1, so each is 2-Lipschitz on the sphere and
-    ``expectation_tail_bound(1, d_R, t)`` bounds its tail at t.
-    |C_x| >= epsilon forces one part to reach epsilon / sqrt(2), and
-    C_0(rho - Omega_S) = Tr(rho - Omega_S) = 0, so the union over the other
-    d_S^2 - 1 unitaries and both parts gives
-
-        Prob[max_x |C_x| >= epsilon]
-            <= 2 (d_S^2 - 1) expectation_tail_bound(1, d_R, epsilon / sqrt(2)).
+    Mean rows are compared with the mean distance, tail rows with the
+    frequency of reaching their threshold: the distances, or the per-trial
+    ``max_coeff_devs`` (max_x |C_x(rho - Omega_S)| over the Weyl family),
+    when given.  A row whose statistic has no samples is skipped: the family
+    row without ``max_coeff_devs``, and the deviation row, which needs the
+    exact mean distance that no oracle gives yet.
     """
     sub = ensemble.subspace
-    d_s = sub.shape.dim_system
-    d_r = sub.dim_subspace
-    eps = suggested_epsilon(d_r) if epsilon is None else epsilon
     n = distances.size
     mean = float(distances.mean())
     # A single trial has no sample spread; a trace distance lies in [0, 2], so
     # its standard deviation is at most 1 (Popoviciu) and SE <= 1 / sqrt(n).
     se_mean = float(distances.std(ddof=1) / np.sqrt(n)) if n > 1 else 1.0 / np.sqrt(n)
+    samples = {"distance": distances, "coefficients": max_coeff_devs}
 
     rows: list[BoundRow] = []
-    sharp, loose = average_distance_bound(d_s, d_r, ensemble.effective_env_dim)
-    for name, value in (("average_distance_eff", sharp), ("average_distance_dr", loose)):
-        rows.append(
-            BoundRow(
-                name=name,
-                formula_value=float(value),
-                empirical_value=mean,
-                satisfied=bool(mean <= value + 3.0 * se_mean),
-                vacuous=bool(value >= 2.0),
-            )
-        )
-    tail = distance_tail_bound(d_s, d_r, ensemble.effective_env_dim, eps)
-    rows.append(_tail_row("distance_tail", distances, tail.threshold, tail.tail_bound))
-    threshold, bound = operator_basis_tail_bound(d_s, d_r)
-    rows.append(_tail_row("operator_basis_tail", distances, threshold, bound))
-    if max_coeff_devs is not None:
-        family = 2 * (d_s**2 - 1) * expectation_tail_bound(1.0, d_r, eps / math.sqrt(2.0))
-        rows.append(_tail_row("coefficient_family_tail", max_coeff_devs, eps, family))
-    if filtered is not None and not filtered.degenerate:
-        ftail = filtered_distance_tail_bound(
-            filtered.support_dim,
-            filtered.effective_env_dim,
-            d_r,
-            filtered.miss_weight,
-            eps,
-        )
-        rows.append(
-            _tail_row("filtered_distance_tail", distances, ftail.threshold, ftail.tail_bound)
-        )
+    for row in formula_rows(sub.shape.dim_system, sub.dim_subspace,
+                            ensemble.effective_env_dim, epsilon, filtered):
+        if row.statistic == "mean":
+            rows.append(BoundRow(row.name, float(row.bound), mean,
+                                 satisfied=bool(mean <= row.bound + 3.0 * se_mean),
+                                 vacuous=bool(row.bound >= 2.0)))
+        elif samples.get(row.statistic) is not None:
+            rows.append(_tail_row(row.name, samples[row.statistic], row.threshold, row.bound))
     return rows
 
 

@@ -18,15 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HermiticityError, OperatorRangeError, ShapeMismatchError, SubspaceMismatchError
-from .linalg import (
-    HERMITICITY_ATOL,
-    complex_matrix_from_json,
-    complex_matrix_to_json,
-    json_fields,
-    require_hermitian,
-    sqrt_psd,
-    trace_norm,
-)
+from .linalg import HERMITICITY_ATOL, require_hermitian, sqrt_psd, trace_norm
 from .sampling import StateReducer
 from .subspace import CanonicalEnsemble, ConstraintSubspace, build_ensemble
 
@@ -174,19 +166,3 @@ def _root_times(sub: ConstraintSubspace, f: MeasurementFilter, coords: np.ndarra
         return np.sqrt(np.clip(x_sub.real, 0.0, 1.0)) * coords
     return coords @ sqrt_psd(x_sub).T
 
-
-# -- serialization ----------------------------------------------------------
-
-
-def filter_to_json_dict(f: MeasurementFilter) -> dict:
-    return {"coordinates": "subspace", "matrix": complex_matrix_to_json(f.matrix)}
-
-
-def filter_from_json_dict(obj: dict) -> MeasurementFilter:
-    coords, matrix = json_fields(obj, "coordinates", "matrix")
-    if coords != "subspace":
-        raise ShapeMismatchError(
-            f"filter coordinates must be 'subspace', got {coords!r}; compress a "
-            "composite operator with ConstraintSubspace.compress_operator first"
-        )
-    return MeasurementFilter(complex_matrix_from_json(matrix))

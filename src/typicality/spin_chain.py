@@ -366,7 +366,7 @@ def spin_chain_report(
     support = window_dim(k, w)
     support_bound = _field("support_dim_bound", lambda: typical_dim_bound(k, p, half_width)[0])
     env_floor = m.dim_subspace / support
-    unfiltered = distance_tail_bound(support, m.dim_subspace, env_floor, epsilon)
+    threshold, tail = distance_tail_bound(support, m.dim_subspace, env_floor, epsilon)
     h = binary_entropy(p)
     g = binary_entropy_slope(p)
     threshold_asymptotic = _field("threshold_asymptotic", lambda: (
@@ -391,9 +391,9 @@ def spin_chain_report(
         support_dim=support,
         support_dim_bound=support_bound,
         env_dim_floor=env_floor,
-        threshold=unfiltered.threshold + 4.0 * math.sqrt(miss),
+        threshold=threshold + 4.0 * math.sqrt(miss),
         threshold_asymptotic=threshold_asymptotic,
-        tail_bound=unfiltered.tail_bound,
+        tail_bound=tail,
         temperature=temperature(m),
         exact_tail=exact_typical_tail(m, w),
         dim_subspace_bounds={"lower": lower, "upper": upper, "exact": exact},

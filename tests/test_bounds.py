@@ -34,7 +34,7 @@ def test_levy_reduces_to_distance_tail_at_lipschitz_two():
     # with lipschitz 2 and sphere dim 2 d_R - 1 the exponent is -C d_R eps^2
     for d_r, eps in ((70, 0.1), (924, 0.05)):
         lemma = levy_tail(state_sphere_dim(d_r), 2.0, eps)
-        tail_form = distance_tail_bound(2, d_r, 1.0, eps).tail_bound
+        _, tail_form = distance_tail_bound(2, d_r, 1.0, eps)
         assert lemma == pytest.approx(tail_form, rel=1e-12)
 
 
@@ -50,15 +50,15 @@ def test_levy_worked_values():
 
 def test_distance_tail_bound_worked_example():
     eps = suggested_epsilon(70)
-    bound = distance_tail_bound(4, 70, 70 / 4, eps)
-    assert bound.threshold == pytest.approx(eps + math.sqrt(16 / 70), rel=1e-12)
-    assert bound.threshold == pytest.approx(0.7207, abs=5e-4)
-    assert bound.vacuous  # desk scale
+    threshold, tail = distance_tail_bound(4, 70, 70 / 4, eps)
+    assert threshold == pytest.approx(eps + math.sqrt(16 / 70), rel=1e-12)
+    assert threshold == pytest.approx(0.7207, abs=5e-4)
+    assert tail >= 1.0  # vacuous at desk scale
 
 
 def test_distance_tail_limits():
-    assert distance_tail_bound(4, 70, 1e30, 0.25).threshold == pytest.approx(0.25, abs=1e-9)
-    assert distance_tail_bound(4, 70, 17.5, 0.0).tail_bound == pytest.approx(2.0)
+    assert distance_tail_bound(4, 70, 1e30, 0.25)[0] == pytest.approx(0.25, abs=1e-9)
+    assert distance_tail_bound(4, 70, 17.5, 0.0)[1] == pytest.approx(2.0)
 
 
 def test_average_distance_bound_values():
@@ -76,11 +76,11 @@ def test_filtered_bound_reduces_and_degenerates():
     plain = distance_tail_bound(4, 70, 17.5, eps)
     filtered = filtered_distance_tail_bound(4, 17.5, 70, 0.0, eps)
     assert filtered == plain
-    assert filtered.threshold == pytest.approx(plain.threshold, rel=1e-12)
-    assert filtered.tail_bound == pytest.approx(plain.tail_bound, rel=1e-12)
-    degenerate = filtered_distance_tail_bound(4, 17.5, 70, 1.0, eps)
-    assert degenerate.threshold >= 4.0
-    assert degenerate.vacuous
+    assert filtered[0] == pytest.approx(plain[0], rel=1e-12)
+    assert filtered[1] == pytest.approx(plain[1], rel=1e-12)
+    threshold, _ = filtered_distance_tail_bound(4, 17.5, 70, 1.0, eps)
+    assert threshold >= 4.0
+    assert threshold >= 2.0  # vacuous
 
 
 def test_filtered_bound_with_spin_chain_miss_weight():
@@ -91,8 +91,8 @@ def test_filtered_bound_with_spin_chain_miss_weight():
     assert miss == pytest.approx(2 * math.exp(-3), rel=1e-12)
     model_d_r = math.comb(24, 12)
     eps = suggested_epsilon(model_d_r)
-    bound = filtered_distance_tail_bound(4070, model_d_r / 4070, model_d_r, miss, eps)
-    assert bound.threshold == pytest.approx(
+    threshold, _ = filtered_distance_tail_bound(4070, model_d_r / 4070, model_d_r, miss, eps)
+    assert threshold == pytest.approx(
         eps + 4070 / math.sqrt(model_d_r) + 4 * math.sqrt(miss), rel=1e-12
     )
 
@@ -121,15 +121,15 @@ def test_operator_basis_tail_values():
 
 def test_bound_monotonicity_grid():
     for eps in (0.05, 0.1, 0.2):
-        tails = [distance_tail_bound(2, d_r, d_r / 2, eps).tail_bound for d_r in (10, 100, 1000)]
+        tails = [distance_tail_bound(2, d_r, d_r / 2, eps)[1] for d_r in (10, 100, 1000)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
     for d_r in (10, 100):
-        tails = [distance_tail_bound(2, d_r, d_r / 2, e).tail_bound for e in (0.05, 0.1, 0.2)]
+        tails = [distance_tail_bound(2, d_r, d_r / 2, e)[1] for e in (0.05, 0.1, 0.2)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
-        thresholds = [distance_tail_bound(2, d_r, d_r / 2, e).threshold for e in (0.05, 0.1, 0.2)]
+        thresholds = [distance_tail_bound(2, d_r, d_r / 2, e)[0] for e in (0.05, 0.1, 0.2)]
         assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
     widths = [
-        filtered_distance_tail_bound(2, 5.0, 70, miss, 0.1).threshold
+        filtered_distance_tail_bound(2, 5.0, 70, miss, 0.1)[0]
         for miss in (0.0, 0.01, 0.1, 0.5)
     ]
     assert all(a < b for a, b in zip(widths, widths[1:]))
@@ -211,9 +211,9 @@ def test_lipschitz_expectation_rejects_a_composite_observable(draw_states):
 
 
 def test_write_bound_table():
-    tail = distance_tail_bound(2, 70, 35.0, 0.1)
-    rows = [{"d_S": 2, "d_R": 70, "d_E_eff": 35.0, "epsilon": 0.1, "eta": tail.threshold,
-             "eta_prime": tail.tail_bound, "source_formula": "distance_tail"}]
+    threshold, tail = distance_tail_bound(2, 70, 35.0, 0.1)
+    rows = [{"d_S": 2, "d_R": 70, "d_E_eff": 35.0, "epsilon": 0.1, "eta": threshold,
+             "eta_prime": tail, "source_formula": "distance_tail"}]
     out = io.StringIO()
     write_bound_table(rows, out)
     lines = out.getvalue().splitlines()

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +226,8 @@ def test_spin_chain_just_inside_the_float_range_still_reports(capsys):
     (["spin-chain", "--n", "1032", "--k", "1031", "--np", "100"], "product_approximation_distance"),
     (["spin-chain", "--n", "8", "--k", "1", "--np", "4", "--xi", "1e300"], "threshold_asymptotic"),
     (["bounds", "--d-s", "1" + "0" * 160, "--d-r", "2", "--d-eff", "1"], "d_S"),
+    (["bounds", "--d-s", str(math.isqrt(int(1.7e308))), "--d-r", "2", "--d-eff", "1",
+      "--format", "json"], "d_S"),
 ])
 def test_fields_beyond_the_float_range_exit_2_naming_the_field(capsys, command, field):
     code, out, err = run_cli(capsys, *command)
@@ -260,7 +264,15 @@ def test_bounds_table(capsys):
     )
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
-    assert rows[0]["source_formula"] == "distance_tail"
+    # the table of the first epsilon, then its epsilon rows for each other one
+    per_epsilon = ["distance_tail", "levy_tail", "coefficient_family_tail"]
+    assert [r["source_formula"] for r in rows] == [
+        "average_distance_eff", "average_distance_dr", "distance_tail", "levy_tail",
+        "operator_basis_tail", "coefficient_family_tail", *per_epsilon, *per_epsilon,
+    ]
+    assert [r["epsilon"] for r in rows if r["source_formula"] in per_epsilon] == (
+        ["0.10000000000000001"] * 3 + ["0.20000000000000001"] * 3 + ["0.29999999999999999"] * 3
+    )
     tails = [float(r["eta_prime"]) for r in rows if r["source_formula"] == "distance_tail"]
     assert tails[0] > tails[1] > tails[2]  # monotone in epsilon
     # the spherical lemma row at lipschitz 2 reproduces the distance-tail value
@@ -268,6 +280,57 @@ def test_bounds_table(capsys):
     assert levy == pytest.approx(tails, rel=1e-12)
     formulas = {r["source_formula"] for r in rows}
     assert {"average_distance_eff", "average_distance_dr", "operator_basis_tail"} <= formulas
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+@pytest.mark.parametrize("d_s", [
+    "1", "4", "1" + "0" * 100, str(math.isqrt(int(0.85e308))), str(math.isqrt(int(1.7e308))),
+], ids=["1", "4", "1e100", "isqrt(0.85e308)", "isqrt(1.7e308)"])
+@pytest.mark.parametrize("d_r", ["1", "70", "1" + "0" * 300], ids=["1", "70", "1e300"])
+def test_bounds_writes_strict_json_or_exits_2(capsys, d_s, d_r):
+    # every table that bounds writes parses without Infinity or NaN
+    for d_eff in ([], ["--d-eff", "1e-320"], ["--d-eff", "1e-300"], ["--d-eff", "1e300"]):
+        for eps in ([], ["--epsilon", "1e-300"], ["--epsilon", "0.1", "--epsilon", "0.3"],
+                    ["--epsilon", "1e200"]):
+            argv = ["bounds", "--d-s", d_s, "--d-r", d_r, *d_eff, *eps, "--format", "json"]
+            code, out, err = run_cli(capsys, *argv)
+            if code == 0:
+                assert json.loads(out, parse_constant=_refuse_constant), argv
+            else:
+                assert (code, out) == (2, ""), argv
+                assert err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("flags", [
+    ["--spin-chain", "8", "2", "4"],
+    ["--full", "2", "8", "--epsilon", "0.3"],
+])
+def test_experiment_bound_rows_are_the_rows_of_bounds(tmp_path, capsys, flags):
+    # one formula table: run.json's rows equal the same-named rows of bounds
+    # at the run's (d_S, d_R, d_E_eff, epsilon), bound and threshold alike
+    assert main(["experiment", *flags, "--trials", "50", "--seed", "1",
+                 "--output", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "run.json").read_text())
+    info, epsilon = summary["subspace"], summary["config"]["epsilon"]
+    code, out, _ = run_cli(
+        capsys, "bounds", "--d-s", str(info["dim_system"]), "--d-r", str(info["dim_subspace"]),
+        "--d-eff", repr(info["effective_env_dim"]),
+        *([] if epsilon is None else ["--epsilon", repr(epsilon)]),
+    )
+    assert code == 0
+    table = {r["source_formula"]: r for r in csv.DictReader(out.splitlines())}
+    assert len(summary["bounds"]) >= 5
+    for row in summary["bounds"]:
+        printed = table[row["name"]]
+        if row["threshold"] is None:
+            assert (printed["eta"], printed["eta_prime"]) == (f"{row['formula_value']:.17g}", "")
+        else:
+            assert (printed["eta"], printed["eta_prime"]) == (
+                f"{row['threshold']:.17g}", f"{row['formula_value']:.17g}")
 
 
 def test_experiment_requires_seed(tmp_path, capsys):
@@ -496,12 +559,21 @@ def test_importing_the_package_loads_no_numpy_random(tmp_path):
     assert run_python(code, tmp_path).stdout.splitlines()[-1] == "False"
 
 
-def test_readme_quick_start_runs(tmp_path):
+def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
     # the README's one python block, run as written
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = readme.split("```python\n")[1:]
     assert len(blocks) == 1
     run_python(blocks[0].split("```")[0], tmp_path)  # raises unless it exits 0
+    # and every typicality line of its shell blocks, continuation lines joined
+    lines = [line for block in readme.split("```sh\n")[1:]
+             for line in block.split("```")[0].replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("typicality ")]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(capsys, *argv[1:])[0] == 0, argv
 
 
 def test_unwritable_output_exits_4(tmp_path, capsys):

@@ -284,15 +284,15 @@ def test_filter_row_reproduces_filtered_formula():
     ))
     row = next(r for r in result.bound_rows if r.name == "filtered_distance_tail")
     info = result.subspace_info
-    recomputed = filtered_distance_tail_bound(
+    threshold, tail = filtered_distance_tail_bound(
         info["filter_support_dim"],
         info["filtered_effective_env_dim"],
         info["dim_subspace"],
         info["filter_miss_weight"],
         suggested_epsilon(info["dim_subspace"]),
     )
-    assert row.threshold == pytest.approx(recomputed.threshold, rel=1e-12)
-    assert row.formula_value == pytest.approx(recomputed.tail_bound, rel=1e-12)
+    assert row.threshold == pytest.approx(threshold, rel=1e-12)
+    assert row.formula_value == pytest.approx(tail, rel=1e-12)
 
 
 def test_filter_file_spec_is_rejected_even_for_a_valid_filter_file(tmp_path):
@@ -678,7 +678,7 @@ def test_benchmark_imports_resolve():
     assert missing == []
 
 
-BAD_EPSILONS = (-1.0, 0.0, math.nan, math.inf)
+BAD_EPSILONS = (-1.0, 0.0, math.nan, math.inf, 1e200)
 
 
 @pytest.mark.parametrize("epsilon", BAD_EPSILONS)

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -9,8 +8,6 @@ from typicality.experiments import resolve_filter, resolve_subspace
 from typicality.filtering import (
     MeasurementFilter,
     apply_filter,
-    filter_from_json_dict,
-    filter_to_json_dict,
     filtered_state,
     miss_weight_by_enumeration,
     omega_shift_check,
@@ -192,18 +189,6 @@ def test_window_filter_index_form_matches_dense_form(n, k, num_excited, xi):
     assert a.support_dim == b.support_dim
 
 
-@pytest.mark.parametrize("obj", [
-    [1, 2],
-    {"coordinates": "subspace"},
-    {"matrix": [[[1.0, 0.0]]]},
-    {"coordinates": "composite", "matrix": [[[1.0, 0.0]]]},
-    {"coordinates": "subspace", "matrix": []},
-])
-def test_malformed_filter_json_raises_shape_mismatch(obj):
-    with pytest.raises(ShapeMismatchError):
-        filter_from_json_dict(obj)
-
-
 def test_filtered_state_routes(draw_states):
     sub = build_subspace(CHAIN)
     (phi,), _ = draw_states(sub, 3, 1, 1)
@@ -269,40 +254,3 @@ def test_support_dim_of_product_filter():
     window = typical_window(model, 0.5)  # only |s| = 1
     filt = typical_projector(model, window)
     assert filt.support_dim_system(build_subspace(model)) == 2
-
-
-def test_filter_json_roundtrip():
-    model = SpinChainModel(n=4, k=2, num_excited=2)
-    filt = typical_projector(model, typical_window(model, 1.0))
-    obj = filter_to_json_dict(filt)
-    assert list(obj) == ["coordinates", "matrix"]
-    assert obj["coordinates"] == "subspace"
-    back = filter_from_json_dict(obj)
-    assert np.allclose(back.matrix, filt.matrix, atol=1e-15)
-
-
-def test_filter_json_keeps_the_text_of_a_window_filter():
-    # the JSON text of the window filter of (4,2,2) at half-width 0.5: the
-    # diagonal 0, 1, 1, 1, 1, 0 as little-endian complex128 bytes
-    model = SpinChainModel(n=4, k=2, num_excited=2)
-    filt = typical_projector(model, typical_window(model, 0.5))
-    assert json.dumps(filter_to_json_dict(filt)) == (
-        '{"coordinates": "subspace", "matrix": {"shape": [6], "base64": "'
-        'AAAAAAAAAAAAAAAAAAAAAAAAAAAAAPA/AAAAAAAAAAAAAAAAAADwPwAAAAAAAAAAAAAAAAAA8D8A'
-        'AAAAAAAAAAAAAAAAAPA/AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}}'
-    )
-    # the nested [re, im] text that earlier versions wrote decodes as the same filter
-    old = filter_from_json_dict(json.loads(
-        '{"coordinates": "subspace", "matrix": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], '
-        '[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}'
-    ))
-    assert old.matrix.tobytes() == filt.matrix.tobytes()
-
-
-def test_filter_json_text_round_trips_bitwise():
-    model = SpinChainModel(n=4, k=2, num_excited=2)
-    filt = typical_projector(model, typical_window(model, 1.0))
-    text = json.dumps(filter_to_json_dict(filt))
-    back = filter_from_json_dict(json.loads(text))
-    assert json.dumps(filter_to_json_dict(back)) == text
-    assert back.matrix.tobytes() == filt.matrix.tobytes()
