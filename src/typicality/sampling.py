@@ -52,8 +52,10 @@ _WORD = 1 << 32
 _SEED_BATCH = 256
 
 #: Entries per dot product in ``normalize_draws``, and groups per slab product
-#: in ``StateReducer``: OpenBLAS threads longer ones.
+#: in ``StateReducer``: OpenBLAS threads longer ones.  Coordinates per piece
+#: of its dense lift: longer sums follow the thread count from d_R = 300.
 _DOT_PIECE = 10_000
+_GEMM_PIECE = 128
 
 #: States per stack of ``sample_states``, fewer when its buffers would pass
 #: ``_CHUNK_BYTES``.  A state's bits do not depend on the stack size.
@@ -198,13 +200,15 @@ class StateReducer:
     M_b, and rho is M_b^T conj(M_b) on the block; basis vectors in different
     groups do not interfere.  The block products lie end to end in
     ``products`` and one gather puts them into rho in computational order;
-    a single block writes its product into rho directly.  A dense state is
-    lifted to the composite space, viewed as one (system, environment)
-    matrix M, and rho = M M^H.  Either way a call makes one stacked product
-    per block, matrix by matrix, from reused work rows: a state's bits do not
-    depend on the stack.  A slab of more than ``_DOT_PIECE`` groups is summed
-    in order over pieces of at most ``_DOT_PIECE`` groups, so they do not
-    depend on the BLAS thread count either.
+    a single block writes its product into rho directly.  A dense stack is
+    lifted to the composite space by one product with the basis, each state
+    viewed as one (system, environment) matrix M, and rho = M M^H.  Either
+    way a call makes one stacked product per block, matrix by matrix, from
+    reused work rows: a state's bits do not depend on the stack.  Slabs of
+    more than ``_DOT_PIECE`` groups and lifts of more than ``_GEMM_PIECE``
+    coordinates are summed in order over pieces of those sizes, and a stack
+    of one is lifted as two rows (numpy sends one row to gemv, which rounds
+    differently), so they do not depend on the BLAS thread count either.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
@@ -213,7 +217,8 @@ class StateReducer:
             self._source = None
             self._basis = sub.basis
             self._matrix = (sub.shape.dim_system, sub.shape.dim_environment)
-            self.work = np.empty((2, chunk, StateReducer.width(sub)), dtype=complex)
+            self._pad = np.zeros((2, sub.dim_subspace), dtype=complex)
+            self.work = np.empty((2, max(chunk, 2), StateReducer.width(sub)), dtype=complex)
             return
         self._source, self._holes, self._slabs, self._gather = sub.block_slabs
         # M, then conj(M), per state
@@ -245,7 +250,13 @@ class StateReducer:
         c = coords.shape[0]
         m, m_conj = self.work[0, :c], self.work[1, :c]
         if self._source is None:
-            np.matmul(coords[:, None, :], self._basis, out=m[:, None, :])
+            if c == 1:
+                self._pad[0], coords = coords[0], self._pad
+            lift, part = self.work[:, : coords.shape[0]]
+            np.matmul(coords[:, :_GEMM_PIECE], self._basis[:_GEMM_PIECE], out=lift)
+            for lo in range(_GEMM_PIECE, coords.shape[1], _GEMM_PIECE):
+                piece = slice(lo, lo + _GEMM_PIECE)
+                lift += np.matmul(coords[:, piece], self._basis[piece], out=part)
             np.conjugate(m, out=m_conj)
             m, m_conj = m.reshape(c, *self._matrix), m_conj.reshape(c, *self._matrix)
             return np.matmul(m, m_conj.transpose(0, 2, 1), out=out)

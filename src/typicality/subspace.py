@@ -33,6 +33,9 @@ from .linalg import (
 #: Residual norm below which a vector is declared linearly dependent.
 DEPENDENCE_TOL = 1e-8
 
+#: Largest |V V^H - 1| entry at which ``from_basis_vectors`` keeps rows V.
+ORTHONORMAL_TOL = 1e-12
+
 
 def gram_schmidt(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Orthonormalize ``vectors`` (rows of the result) in their given order.
@@ -339,7 +342,7 @@ class ConstraintSubspace:
     @classmethod
     def load(cls, path, *, cap: int = DEFAULT_DIMENSION_CAP) -> "ConstraintSubspace":
         # The parsed object is freed before the subspace is built, so it and
-        # the QR's work arrays are never resident together.
+        # the Gram matrix (or the QR's work arrays) are never resident together.
         with open(path, "r", encoding="utf-8") as fh:
             build = cls._decode(json.load(fh), cap)
         return build()
@@ -357,7 +360,8 @@ def from_basis_vectors(
     *,
     cap: int = DEFAULT_DIMENSION_CAP,
 ) -> ConstraintSubspace:
-    """Build a subspace from spanning vectors, Gram-Schmidt orthonormalized."""
+    """Build a subspace from spanning vectors, Gram-Schmidt orthonormalized
+    unless they are orthonormal to ``ORTHONORMAL_TOL``, as a saved basis is."""
     check_cap(shape.dim, cap)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.size == 0:
@@ -366,8 +370,11 @@ def from_basis_vectors(
         raise ShapeMismatchError(
             f"vectors of length {vectors.shape[1]} do not live in dimension {shape.dim}"
         )
-    basis = gram_schmidt(vectors)
-    return ConstraintSubspace(shape, dense_basis=basis)
+    gram = vectors @ vectors.conj().T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if not np.abs(gram).max() <= ORTHONORMAL_TOL:
+        vectors = gram_schmidt(vectors)
+    return ConstraintSubspace(shape, dense_basis=vectors)
 
 
 def random_subspace(

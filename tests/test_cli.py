@@ -536,6 +536,31 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     assert artifacts["1"] == artifacts["2"]
 
 
+def test_dense_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # the files are written once, here: the QR of random_subspace follows the
+    # thread count; the load, the lift over d_R = 160 and 300 coordinates and
+    # the ensemble must not
+    from typicality.linalg import BipartiteShape
+    from typicality.subspace import random_subspace
+
+    code = "from typicality.cli import main\n"
+    names = []
+    for d_s, d_e, d_r in ((8, 64, 160), (4, 100, 300)):
+        sub = random_subspace(BipartiteShape(d_s, d_e), d_r, np.random.default_rng(d_r))
+        sub.save(tmp_path / f"subspace{d_r}.json")
+        spec = f"'--subspace-file', '../subspace{d_r}.json', '--trials', '50', '--seed', '1'"
+        code += (f"main(['experiment', {spec}, '--output', 'run{d_r}'])\n"
+                 f"main(['purity-oracle', {spec}, '--output', 'oracle{d_r}.json'])\n")
+        names += [f"run{d_r}.csv", f"run{d_r}.json", f"oracle{d_r}.json"]
+    artifacts = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        run_python(code, cwd, OPENBLAS_NUM_THREADS=threads)
+        artifacts[threads] = [(cwd / name).read_bytes() for name in names]
+    assert artifacts["1"] == artifacts["2"]
+
+
 def test_chain_experiment_does_not_import_numpy_ma(tmp_path):
     code = (
         "import sys\n"

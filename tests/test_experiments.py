@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typicality import experiments, sampling
@@ -422,10 +422,11 @@ def test_csv_and_json_artifacts():
 
 # -- the chunked trial kernel ------------------------------------------------
 
-#: Chains with d_S = 2, 4, 8, 16, then a dense 5-dimensional subspace of 3 x 4,
-#: then 12 random computational basis states of 8 x 16, whose system blocks
-#: have sizes 1, 1, 2, 1, 1, 2.
-KERNEL_CASES = ((6, 1, 3), (6, 2, 3), (7, 3, 3), (8, 4, 4), "dense", "index")
+#: Chains with d_S = 2, 4, 8, 16, then a dense 5-dimensional subspace of 3 x 4
+#: and a dense 200-dimensional one of 4 x 64 (two pieces of the lift), then 12
+#: random computational basis states of 8 x 16, whose system blocks have
+#: sizes 1, 1, 2, 1, 1, 2.
+KERNEL_CASES = ((6, 1, 3), (6, 2, 3), (7, 3, 3), (8, 4, 4), "dense", "wide dense", "index")
 
 
 @functools.cache
@@ -434,6 +435,8 @@ def _kernel_case(name):
     rng = np.random.default_rng(12)
     if name == "dense":
         sub = random_subspace(BipartiteShape(3, 4), 5, rng)
+    elif name == "wide dense":
+        sub = random_subspace(BipartiteShape(4, 64), 200, rng)
     elif name == "index":
         flat = np.random.default_rng(1).choice(8 * 16, size=12, replace=False)
         sub = ConstraintSubspace(BipartiteShape(8, 16), flat_indices=flat)
@@ -450,6 +453,7 @@ def _kernel_case(name):
     count=st.integers(1, 150),
     with_mean=st.booleans(),
 )
+@example(case="wide dense", seed=5, start=0, count=70, with_mean=True)
 def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with_mean):
     sub, omega, ops = _kernel_case(case)
     mean_state = omega if with_mean else None
@@ -485,7 +489,7 @@ def test_trial_block_is_independent_of_the_split(case, seed, count, data):
 
 @pytest.mark.parametrize("chunk, chunk_bytes", [(1, 1 << 20), (7, 1 << 20), (64, 4096 * 5)])
 def test_trial_block_records_do_not_depend_on_chunk_size(monkeypatch, chunk, chunk_bytes):
-    for case in ((8, 4, 4), "index"):
+    for case in ((8, 4, 4), "wide dense", "index"):
         sub, omega, ops = _kernel_case(case)
         args = (sub, omega, 9, 3, 150)
         default = _trial_block(*args)

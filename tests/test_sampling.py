@@ -105,7 +105,9 @@ def _per_trial_draw(rng, dim_subspace):
 def _per_trial_reduction(sub, coords):
     """The reduction one state at a time: in index form, per system block a
     2-d scatter into its (group, block index) matrix and one product; in
-    dense form the embedding, then one product."""
+    dense form the embedding as a product of two rows (the state, then
+    zeros) with the basis, summed in order over pieces of 128 coordinates,
+    then one product."""
     d_s = sub.shape.dim_system
     groups = sub.env_groups
     if groups is not None:
@@ -120,7 +122,11 @@ def _per_trial_reduction(sub, coords):
             )
             rho[np.ix_(idx, idx)] = m.T @ m.conj()
         return rho
-    m = sub.embed(coords).reshape(d_s, sub.shape.dim_environment)
+    rows = np.stack([coords, np.zeros_like(coords)])
+    lift = rows[:, :128] @ sub.basis[:128]
+    for lo in range(128, coords.size, 128):
+        lift += rows[:, lo : lo + 128] @ sub.basis[lo : lo + 128]
+    m = lift[0].reshape(d_s, sub.shape.dim_environment)
     return m @ m.conj().T
 
 
@@ -131,11 +137,13 @@ def index_subspace(d_s, d_e, count, seed):
 
 
 #: Chains (n, k, excitations) with d_S = 2, 4, 8, 16, then dense subspaces
-#: (d_S, d_E, d_R), then index subspaces (d_S, d_E, d_R) on random basis
-#: states: system blocks of sizes 3, 2, 1, 1, 1, and one block with holes.
+#: (d_S, d_E, d_R), the last in two pieces of the lift, then index subspaces
+#: (d_S, d_E, d_R) on random basis states: system blocks of sizes 3, 2, 1, 1,
+#: 1, and one block with holes.
 STACK_CASES = (
     ("chain", 6, 1, 3), ("chain", 8, 2, 4), ("chain", 7, 3, 3), ("chain", 10, 4, 5),
-    ("dense", 3, 4, 5), ("dense", 8, 16, 40), ("index", 8, 16, 12), ("index", 8, 16, 40),
+    ("dense", 3, 4, 5), ("dense", 8, 16, 40), ("dense", 4, 64, 200),
+    ("index", 8, 16, 12), ("index", 8, 16, 40),
 )
 
 
@@ -211,6 +219,7 @@ def test_block_work_rows_of_a_half_filled_chain_hold_d_r_entries():
     start=st.integers(0, 2**33),
     count=st.integers(1, 9),
 )
+@example(case=("dense", 4, 64, 200), seed=3, start=0, count=9)
 def test_stacks_and_stacks_of_one_match_the_per_trial_code(case, seed, start, count):
     sub = _stack_case(case)
     d_r, d_s = sub.dim_subspace, sub.shape.dim_system

@@ -272,15 +272,29 @@ def test_json_roundtrip(tmp_path):
 
 
 def test_saved_basis_loads_with_its_bits(tmp_path):
+    for d_s, d_e, d_r in ((4, 8, 6), (8, 64, 160)):
+        sub = random_subspace(BipartiteShape(d_s, d_e), d_r, np.random.default_rng(79))
+        sub.save(tmp_path / "subspace.json")
+        saved = json.loads((tmp_path / "subspace.json").read_text(encoding="utf-8"))
+        assert saved["basis"]["shape"] == [d_r, d_s * d_e]
+        rows = base64.b64decode(saved["basis"]["base64"])
+        assert rows == sub.basis.astype("<c16").tobytes()
+        # orthonormal rows load as they are: save -> load -> save keeps the file
+        loaded = ConstraintSubspace.load(tmp_path / "subspace.json")
+        assert loaded.equals(sub)
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "subspace.json").read_bytes()
+
+
+def test_saved_rows_off_orthonormal_load_through_gram_schmidt(tmp_path):
     sub = random_subspace(BipartiteShape(4, 8), 6, np.random.default_rng(79))
-    sub.save(tmp_path / "subspace.json")
-    saved = json.loads((tmp_path / "subspace.json").read_text(encoding="utf-8"))
-    assert saved["basis"]["shape"] == [6, 32]
-    rows = base64.b64decode(saved["basis"]["base64"])
-    assert rows == sub.basis.astype("<c16").tobytes()
-    # loading orthonormalizes the rows again, as for any spanning vectors
+    scaled = sub.basis * (1 + 1e-9)
+    ConstraintSubspace(sub.shape, dense_basis=scaled).save(tmp_path / "subspace.json")
     loaded = ConstraintSubspace.load(tmp_path / "subspace.json")
-    assert loaded.basis.tobytes() == gram_schmidt(sub.basis).tobytes()
+    assert loaded.basis.tobytes() == gram_schmidt(scaled).tobytes()
+    assert not np.array_equal(loaded.basis, scaled)
+    gram = loaded.basis @ loaded.basis.conj().T
+    assert np.abs(gram - np.eye(6)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("sub", [
