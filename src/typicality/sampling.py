@@ -313,7 +313,9 @@ def sample_states(
 def reduced_state_from_coords(sub: ConstraintSubspace, coords: np.ndarray) -> np.ndarray:
     """Environment trace of |phi><phi| for phi given by subspace coordinates.
 
-    This is ``StateReducer`` on a stack of one.
+    This is ``StateReducer`` on a stack of one.  On a dense basis it costs a
+    two-row product, which packs the whole basis; lift many states as one
+    stack through ``sample_states`` or ``StateReducer`` instead.
     """
     coords = np.asarray(coords, dtype=complex)
     if coords.shape != (sub.dim_subspace,):

@@ -33,9 +33,6 @@ from .linalg import (
 #: Residual norm below which a vector is declared linearly dependent.
 DEPENDENCE_TOL = 1e-8
 
-#: Largest |V V^H - 1| entry at which ``from_basis_vectors`` keeps rows V.
-ORTHONORMAL_TOL = 1e-12
-
 
 def gram_schmidt(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Orthonormalize ``vectors`` (rows of the result) in their given order.
@@ -361,7 +358,7 @@ def from_basis_vectors(
     cap: int = DEFAULT_DIMENSION_CAP,
 ) -> ConstraintSubspace:
     """Build a subspace from spanning vectors, Gram-Schmidt orthonormalized
-    unless they are orthonormal to ``ORTHONORMAL_TOL``, as a saved basis is."""
+    unless they are orthonormal to ``INVARIANT_ATOL``, as a saved basis is."""
     check_cap(shape.dim, cap)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.size == 0:
@@ -370,11 +367,12 @@ def from_basis_vectors(
         raise ShapeMismatchError(
             f"vectors of length {vectors.shape[1]} do not live in dimension {shape.dim}"
         )
-    gram = vectors @ vectors.conj().T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    if not np.abs(gram).max() <= ORTHONORMAL_TOL:
-        vectors = gram_schmidt(vectors)
-    return ConstraintSubspace(shape, dense_basis=vectors)
+    if vectors.shape[0] <= shape.dim:  # more rows are refused before a Gram matrix
+        gram = vectors @ vectors.conj().T
+        gram[np.diag_indices_from(gram)] -= 1.0
+        if np.abs(gram).max() <= INVARIANT_ATOL:
+            return ConstraintSubspace(shape, dense_basis=vectors)
+    return ConstraintSubspace(shape, dense_basis=gram_schmidt(vectors))
 
 
 def random_subspace(
@@ -383,6 +381,7 @@ def random_subspace(
     rng: np.random.Generator,
 ) -> ConstraintSubspace:
     """Haar-distributed subspace: orthonormalized i.i.d. complex Gaussian vectors."""
+    check_cap(shape.dim, DEFAULT_DIMENSION_CAP)
     if not 1 <= dim_subspace <= shape.dim:
         raise ShapeMismatchError(
             f"subspace dimension {dim_subspace} outside [1, {shape.dim}]"
@@ -390,7 +389,7 @@ def random_subspace(
     g = rng.standard_normal((dim_subspace, shape.dim)) + 1j * rng.standard_normal(
         (dim_subspace, shape.dim)
     )
-    return from_basis_vectors(shape, g)
+    return ConstraintSubspace(shape, dense_basis=gram_schmidt(g))
 
 
 @dataclass(frozen=True)

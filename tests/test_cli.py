@@ -516,7 +516,13 @@ def test_spin_chain_mode_flag_is_gone(capsys):
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # d_R = 12 870: longer than the dot products OpenBLAS keeps on one thread;
     # (18,2,9) has shells of 11 440 and 12 870 environment strings, longer
-    # than the slab products it keeps on one thread
+    # than the slab products it keeps on one thread.  The dense files are
+    # written once, here, since the QR of random_subspace follows the thread
+    # count; the load, the lift over d_R = 160 and 300 coordinates and the
+    # ensemble must not.
+    from typicality.linalg import BipartiteShape
+    from typicality.subspace import random_subspace
+
     code = (
         "from typicality.cli import main\n"
         "main(['experiment', '--spin-chain', '16', '2', '8', '--trials', '50',"
@@ -526,25 +532,7 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
         "main(['experiment', '--spin-chain', '18', '2', '9', '--trials', '30',"
         " '--seed', '3', '--output', 'run18'])\n"
     )
-    artifacts = {}
-    for threads in ("1", "2"):
-        cwd = tmp_path / threads
-        cwd.mkdir()
-        run_python(code, cwd, OPENBLAS_NUM_THREADS=threads)
-        names = ("run.csv", "run.json", "oracle.json", "run18.csv", "run18.json")
-        artifacts[threads] = [(cwd / name).read_bytes() for name in names]
-    assert artifacts["1"] == artifacts["2"]
-
-
-def test_dense_artifacts_do_not_depend_on_blas_threads(tmp_path):
-    # the files are written once, here: the QR of random_subspace follows the
-    # thread count; the load, the lift over d_R = 160 and 300 coordinates and
-    # the ensemble must not
-    from typicality.linalg import BipartiteShape
-    from typicality.subspace import random_subspace
-
-    code = "from typicality.cli import main\n"
-    names = []
+    names = ["run.csv", "run.json", "oracle.json", "run18.csv", "run18.json"]
     for d_s, d_e, d_r in ((8, 64, 160), (4, 100, 300)):
         sub = random_subspace(BipartiteShape(d_s, d_e), d_r, np.random.default_rng(d_r))
         sub.save(tmp_path / f"subspace{d_r}.json")

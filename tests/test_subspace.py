@@ -297,6 +297,17 @@ def test_saved_rows_off_orthonormal_load_through_gram_schmidt(tmp_path):
     assert np.abs(gram - np.eye(6)).max() <= 1e-12
 
 
+def test_more_rows_than_the_dimension_are_refused_before_a_gram_matrix(tmp_path):
+    # 100 000 rows in dimension 4: a Gram matrix would take 160 GB
+    rows = base64.b64encode(np.ones((100_000, 4), dtype="<c16").tobytes()).decode("ascii")
+    path = tmp_path / "subspace.json"
+    path.write_text(json.dumps(
+        {"dimS": 2, "dimE": 2, "basis": {"shape": [100_000, 4], "base64": rows}}
+    ), encoding="utf-8")
+    with pytest.raises(RankDeficiencyError, match="100000 vectors in dimension 4"):
+        ConstraintSubspace.load(path)
+
+
 @pytest.mark.parametrize("sub", [
     build_subspace(SpinChainModel(8, 2, 4)),
     build_subspace(SpinChainModel(7, 3, 3)),
