@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatchError, SubspaceMismatchError
+from .errors import ShapeMismatchError, SubspaceMismatchError, TypicalityError
 from .linalg import operator_norm, require_hermitian
 from .sampling import StateReducer
 from .subspace import CanonicalEnsemble
@@ -30,6 +30,18 @@ LEVY_CONSTANT = 1.0 / (18.0 * math.pi**3)
 def state_sphere_dim(dim_subspace: int) -> int:
     """Real sphere dimension of normalized states on a complex space."""
     return 2 * dim_subspace - 1
+
+
+def finite(name: str, compute: Callable[[], float]) -> float:
+    """``compute()``, the closed form ``name``; a TypicalityError naming it when
+    that raises OverflowError or is not a finite float."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise TypicalityError(f"{name} is too large for a float")
+    return value
 
 
 def suggested_epsilon(dim_subspace: int) -> float:
@@ -148,7 +160,8 @@ class FormulaRow:
     ``threshold``: "distance" is ||rho_S - Omega_S||, "deviation" that
     distance minus its exact mean, and "coefficients"
     max_x |C_x(rho_S - Omega_S)| over the Weyl family.  ``epsilon`` is None
-    for a row that does not depend on it.
+    for a row that does not depend on it.  A row beyond the float range is
+    refused through ``finite``, naming it.
     """
 
     name: str
@@ -156,6 +169,11 @@ class FormulaRow:
     epsilon: float | None
     threshold: float | None
     bound: float
+
+    def __post_init__(self) -> None:
+        finite(self.name, lambda: self.bound)
+        if self.threshold is not None:
+            finite(self.name, lambda: self.threshold)
 
 
 def formula_rows(

@@ -20,7 +20,7 @@ import math
 import sys
 
 from . import experiments, spin_chain
-from .bounds import formula_rows, write_bound_table
+from .bounds import finite, formula_rows, write_bound_table
 from .errors import TypicalityError
 from .linalg import DEFAULT_DIMENSION_CAP
 from .subspace import canonical_ensemble
@@ -167,16 +167,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     d_s, d_r = args.d_s, args.d_r
     if d_s < 1 or d_r < 1:
         raise TypicalityError("--d-s and --d-r must be positive")
-    try:  # the sphere tails take 2 d_R, the sphere dimension plus one, as a float
-        float(2 * d_r)
-    except OverflowError:
-        raise TypicalityError(f"d_R has {len(str(d_r))} digits; "
-                              "2 d_R is too large for a float") from None
-    try:  # the operator-basis and family tails take 2 d_S^2 as a float
-        float(2 * d_s * d_s)
-    except OverflowError:
-        raise TypicalityError(f"d_S has {len(str(d_s))} digits; "
-                              "2 d_S^2 is too large for a float") from None
+    # the sphere tails take 2 d_R as a float, the operator-basis and family tails 2 d_S^2
+    finite("d_R (in 2 d_R)", lambda: float(2 * d_r))
+    finite("d_S (in 2 d_S^2)", lambda: float(2 * d_s * d_s))
     d_eff = args.d_eff if args.d_eff is not None else d_r / d_s
     if not (math.isfinite(d_eff) and d_eff > 0):
         raise TypicalityError(f"--d-eff must be a finite positive number, got {d_eff!r}")
@@ -187,8 +180,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             if i and row.epsilon is None:
                 continue  # printed with the first epsilon
             eta, eta_prime = (row.bound, "") if row.threshold is None else (row.threshold, row.bound)
-            if not (math.isfinite(eta) and math.isfinite(row.bound)):
-                raise TypicalityError(f"{row.name} overflows a float for these inputs")
             rows.append({"d_S": d_s, "d_R": d_r, "d_E_eff": d_eff,
                          "epsilon": "" if row.epsilon is None else row.epsilon,
                          "eta": eta, "eta_prime": eta_prime, "source_formula": row.name})

@@ -284,7 +284,7 @@ def _trial_block(
         ops = weyl_basis(d_s)
         shift = ops[:d_s].real.argmax(axis=1)
         phases = np.diagonal(ops[::d_s], axis1=1, axis2=2).conj().T
-    keys = [(slice(None), *np.ix_(idx, idx)) for idx in sub.system_blocks or (np.arange(d_s),)]
+    keys = [(slice(None), *np.ix_(idx, idx)) for idx in sub.system_blocks]
     for lo, _, rho in sample_states(sub, seed, start, count):
         part = rows[lo : lo + rho.shape[0]]
         part[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))

@@ -24,6 +24,7 @@ state's bits do not depend on how many are drawn together.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
@@ -134,8 +135,8 @@ def stream_generators(seed: int, start: int, count: int) -> Iterator[np.random.G
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
             return self.words
 
-    # a numpy integer seed would change the dtype of the hash arrays
-    in_range = isinstance(seed, int) and 0 <= seed < _WORD and 0 <= start
+    seed = operator.index(seed)
+    in_range = 0 <= seed < _WORD and 0 <= start
     fast_end = max(start, min(start + count, _WORD)) if in_range else start
     for lo in range(start, fast_end, _SEED_BATCH):
         for words in seed_words(seed, lo, min(_SEED_BATCH, fast_end - lo)):

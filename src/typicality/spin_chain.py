@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
 import numpy as np
 
-from .bounds import check_epsilon, distance_tail_bound, suggested_epsilon
-from .errors import DimensionCapError, EmptyWindowError, TypicalityError
+from .bounds import check_epsilon, distance_tail_bound, finite, suggested_epsilon
+from .errors import DimensionCapError, EmptyWindowError
 from .filtering import MeasurementFilter
 from .linalg import DEFAULT_DIMENSION_CAP, MAX_ENUMERATION_BITS, BipartiteShape, check_cap
 from .subspace import ConstraintSubspace
@@ -275,16 +274,12 @@ def binomial_entropy_bounds(n: int, num_excited: int) -> tuple[float, float, int
 
     Returns (2^(n H(p)) / (n+1), 2^(n H(p)), C(n, num_excited)) with
     p = num_excited / n; lower <= exact <= upper always.  Raises
-    TypicalityError when 2^(n H(p)) overflows a float.
+    TypicalityError when 2^(n H(p)) is beyond the float range.
     """
     if not 0 <= num_excited <= n:
         raise ValueError("num_excited outside [0, n]")
     h = binary_entropy(num_excited / n)
-    try:
-        upper = 2.0 ** (n * h)
-    except OverflowError:
-        raise TypicalityError(f"d_R = C({n}, {num_excited}) is too large: "
-                              "2^(n H(p)) overflows a float") from None
+    upper = finite(f"d_R = C({n}, {num_excited})", lambda: 2.0 ** (n * h))
     return upper / (n + 1), upper, comb(n, num_excited)
 
 
@@ -326,7 +321,7 @@ class SpinChainReport:
     threshold: float
     threshold_asymptotic: float
     tail_bound: float
-    temperature: float
+    temperature: float | None  # None where infinite, at p = 1/2
     exact_tail: float
     dim_subspace_bounds: dict
     system_purity: float
@@ -364,18 +359,19 @@ def spin_chain_report(
     full_window = w.lo == 0 and w.hi == m.k
     miss = 0.0 if full_window else typical_miss_bound(k, p, half_width)
     support = window_dim(k, w)
-    support_bound = _field("support_dim_bound", lambda: typical_dim_bound(k, p, half_width)[0])
+    support_bound = finite("support_dim_bound", lambda: typical_dim_bound(k, p, half_width)[0])
     env_floor = m.dim_subspace / support
     threshold, tail = distance_tail_bound(support, m.dim_subspace, env_floor, epsilon)
     h = binary_entropy(p)
     g = binary_entropy_slope(p)
-    threshold_asymptotic = _field("threshold_asymptotic", lambda: (
+    threshold_asymptotic = finite("threshold_asymptotic", lambda: (
         epsilon
         + math.sqrt(n + 1.0) * (2.0 * half_width + 1.0) * 2.0 ** ((k - n / 2.0) * h + half_width * g)
         + math.sqrt(32.0) * math.exp(-(half_width**2) / (8.0 * k * p * (1.0 - p)))
     ))
     sys_purity, env_purity = canonical_purities(m)
     gaps = np.abs(canonical_weights(m) - product_weights(m))  # both diagonal by count
+    temp = temperature(m)
     return SpinChainReport(
         n=n,
         k=k,
@@ -391,25 +387,17 @@ def spin_chain_report(
         support_dim=support,
         support_dim_bound=support_bound,
         env_dim_floor=env_floor,
-        threshold=threshold + 4.0 * math.sqrt(miss),
+        threshold=finite("threshold", lambda: threshold + 4.0 * math.sqrt(miss)),
         threshold_asymptotic=threshold_asymptotic,
         tail_bound=tail,
-        temperature=temperature(m),
+        temperature=temp if math.isfinite(temp) else None,
         exact_tail=exact_typical_tail(m, w),
         dim_subspace_bounds={"lower": lower, "upper": upper, "exact": exact},
         system_purity=sys_purity,
         effective_env_dim=1.0 / env_purity,
-        product_approximation_distance=_field(
+        product_approximation_distance=finite(
             "product_approximation_distance",
             lambda: float(sum(comb(k, j) * gap for j, gap in enumerate(gaps))),
         ),
     )
 
-
-def _field(name: str, compute: Callable[[], float]) -> float:
-    """``compute()`` for the report field ``name``; a TypicalityError naming
-    the field when its closed form overflows a float."""
-    try:
-        return compute()
-    except OverflowError:
-        raise TypicalityError(f"{name} overflows a float for this chain") from None

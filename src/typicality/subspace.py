@@ -141,8 +141,8 @@ class ConstraintSubspace:
         return group, sys_idx, int(group.max()) + 1
 
     @functools.cached_property
-    def system_blocks(self) -> tuple[np.ndarray, ...] | None:
-        """System indices partitioned into blocks; None unless in index form.
+    def system_blocks(self) -> tuple[np.ndarray, ...]:
+        """System indices partitioned into blocks; a dense subspace is one block.
 
         Two system indices share a block when some environment group holds
         both, so the environment trace of every operator on the subspace (a
@@ -154,7 +154,7 @@ class ConstraintSubspace:
         uses is a block of its own.
         """
         if self._flat is None:
-            return None
+            return (np.arange(self.shape.dim_system),)
         group, sys_idx, n_groups = self.env_groups
         # every index takes the smallest label among the groups it is in,
         # each label then its own label's, until nothing moves

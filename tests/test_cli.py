@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import typicality
 from typicality.cli import main
+from typicality.spin_chain import SpinChainReport
 
 SRC = str(Path(typicality.__file__).resolve().parents[1])
 
@@ -302,6 +304,27 @@ def test_bounds_writes_strict_json_or_exits_2(capsys, d_s, d_r):
             else:
                 assert (code, out) == (2, ""), argv
                 assert err.startswith("error: "), argv
+
+
+#: The names a spin-chain refusal may start with: d_R, or a field of the report.
+CHAIN_FIELDS = {"d_R", *(f.name for f in dataclasses.fields(SpinChainReport))}
+
+
+@pytest.mark.parametrize("n", [8, 12, 200, 1000, 1020])
+def test_spin_chain_writes_strict_json_or_exits_2(capsys, n):
+    # the grid holds every half-filled chain's infinite temperature,
+    # support_dim_bound at (200, 1, 66) --xi 1000, threshold at (1000, 999, 333)
+    # and threshold_asymptotic at (1020, 1019, 1)
+    for k in sorted({1, 2, n // 2, n - 1}):
+        for np_ in sorted({1, n // 3, n // 2, n - 1}):
+            for xi in ([], ["--xi", "0.5"], ["--xi", "1000"], ["--xi", "1e300"]):
+                argv = ["spin-chain", "--n", str(n), "--k", str(k), "--np", str(np_), *xi]
+                code, out, err = run_cli(capsys, *argv)
+                if code == 0:
+                    assert json.loads(out, parse_constant=_refuse_constant), argv
+                else:
+                    assert (code, out) == (2, ""), argv
+                    assert err.startswith("error: ") and err.split()[1] in CHAIN_FIELDS, argv
 
 
 @pytest.mark.parametrize("flags", [

@@ -57,7 +57,7 @@ def _blockwise_distance(sub, rho, mean):
     """
     diff = rho - mean
     total = 0.0
-    for idx in sub.system_blocks or (np.arange(sub.shape.dim_system),):
+    for idx in sub.system_blocks:
         total += np.sum(np.abs(np.linalg.eigvalsh(diff[np.ix_(idx, idx)])))
     return float(total)
 

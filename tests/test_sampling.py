@@ -76,6 +76,25 @@ def test_stream_generators_draw_like_sample_streams(seed, start, count):
         assert np.array_equal(draw, SampleStream(seed, i).rng().standard_normal(9))
 
 
+def test_numpy_integer_seeds_take_the_batched_path(monkeypatch):
+    sub = three_spin_subspace()
+
+    def stacks(seed):  # copies, since the next stack overwrites the buffers
+        return [(lo, c.copy(), r.copy()) for lo, c, r in sample_states(sub, seed, 0, 100)]
+
+    want = stacks(7)
+
+    def per_index_stream(self):
+        raise AssertionError("a per-index stream was built")
+
+    monkeypatch.setattr(SampleStream, "rng", per_index_stream)
+    got = stacks(np.int64(7))
+    assert len(got) == len(want) == 2
+    for (lo, coords, rho), (want_lo, want_coords, want_rho) in zip(got, want):
+        assert lo == want_lo
+        assert np.array_equal(coords, want_coords) and np.array_equal(rho, want_rho)
+
+
 def test_stream_generators_are_independent_objects():
     # drawing from the generators in any order gives each stream's own draws
     rngs = list(stream_generators(5, 0, 300))
@@ -158,12 +177,13 @@ def _stack_case(case):
 
 
 #: Index-form subspaces: chains, full spaces, then random basis states from
-#: sparse (many small blocks, unused system indices) to dense (one block).
+#: sparse (many small blocks, unused system indices) to dense (one block);
+#: last a dense subspace (d_S, d_E, d_R), one block.
 BLOCK_CASES = (
     ("chain", 6, 1, 3), ("chain", 8, 2, 4), ("chain", 12, 4, 6), ("chain", 9, 3, 1),
     ("full", 3, 4), ("full", 4, 1), ("full", 1, 5),
     ("index", 8, 16, 12, 1), ("index", 8, 6, 12, 1), ("index", 8, 16, 40, 0),
-    ("index", 8, 16, 100, 2),
+    ("index", 8, 16, 100, 2), ("dense", 4, 8, 12),
 )
 
 
@@ -173,6 +193,8 @@ def _block_case(case):
         return build_subspace(SpinChainModel(*dims))
     if kind == "full":
         return full_space(BipartiteShape(*dims))
+    if kind == "dense":
+        return _stack_case(case)
     return index_subspace(*dims)
 
 
@@ -191,7 +213,7 @@ def test_system_blocks_partition_the_system_and_hold_every_reduced_state(case):
         want = [np.flatnonzero(shells == m) for m in used]
         want += [np.array([s]) for s in range(d_s) if shells[s] not in used]
         assert sorted(map(tuple, blocks)) == sorted(map(tuple, want))
-    if case[0] == "full":
+    if case[0] in ("full", "dense"):
         assert len(blocks) == 1
     on_blocks = np.zeros((d_s, d_s), dtype=bool)
     for b in blocks:

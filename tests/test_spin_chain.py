@@ -328,7 +328,9 @@ def test_report_chain_quantities():
     sys_purity, env_purity = canonical_purities(m)
     assert rep.system_purity == sys_purity
     assert rep.effective_env_dim == 1.0 / env_purity
-    assert rep.temperature == temperature(m)
+    # infinite at p = 1/2, which JSON cannot hold; finite elsewhere
+    assert temperature(m) == math.inf and rep.temperature is None
+    assert spin_chain_report(12, 3, 4).temperature == temperature(SpinChainModel(12, 3, 4))
     assert rep.exact_tail == exact_typical_tail(m, typical_window(m, 0.5))
     lower, upper, exact = binomial_entropy_bounds(12, 6)
     assert rep.dim_subspace_bounds == {"lower": lower, "upper": upper, "exact": exact}
