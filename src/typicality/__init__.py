@@ -54,7 +54,6 @@ from .linalg import (
     DEFAULT_DIMENSION_CAP,
     BipartiteShape,
     hs_norm,
-    kron,
     operator_norm,
     partial_trace,
     trace_norm,

@@ -44,6 +44,17 @@ def finite(name: str, compute: Callable[[], float]) -> float:
     return value
 
 
+def sqrt_ratio(dim: int, divisor: float) -> float:
+    """sqrt(dim / divisor) for an integer ``dim`` >= 1 and a float ``divisor`` > 0.
+
+    Where the quotient would pass the float range, it is formed scaled by
+    4^-s and the root rescaled by 2^s; powers of two scale exactly, so the
+    value keeps the bits of the plain form wherever that is finite.
+    """
+    s = max(0, (int(dim).bit_length() - min(math.frexp(divisor)[1], 0)) // 2 - 500)
+    return math.ldexp(math.sqrt(dim / (1 << 2 * s) / divisor), s)
+
+
 def suggested_epsilon(dim_subspace: int) -> float:
     """Deviation scale that balances the two error terms, d_R^(-1/3)."""
     return float(dim_subspace) ** (-1.0 / 3.0)
@@ -89,7 +100,7 @@ def distance_tail_bound(
         check_epsilon(epsilon)
     if min(dim_system, dim_subspace) < 1 or effective_env_dim <= 0:
         raise ValueError("dimensions must be positive")
-    threshold = epsilon + math.sqrt(dim_system / effective_env_dim)
+    threshold = epsilon + sqrt_ratio(dim_system, effective_env_dim)
     return threshold, 2.0 * math.exp(-LEVY_CONSTANT * dim_subspace * epsilon**2)
 
 
@@ -103,10 +114,7 @@ def average_distance_bound(
     """
     if min(dim_system, dim_subspace) < 1 or effective_env_dim <= 0:
         raise ValueError("dimensions must be positive")
-    return (
-        math.sqrt(dim_system / effective_env_dim),
-        math.sqrt(dim_system**2 / dim_subspace),
-    )
+    return sqrt_ratio(dim_system, effective_env_dim), math.sqrt(dim_system**2 / dim_subspace)
 
 
 def filtered_distance_tail_bound(

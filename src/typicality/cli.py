@@ -12,7 +12,6 @@ three standard errors, 4 I/O errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -51,7 +50,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="unconstrained composite space")
         p.add_argument("--subspace-file", help="JSON subspace produced by this package")
         p.add_argument("--cap", type=int, default=DEFAULT_DIMENSION_CAP,
-                       help="dense dimension cap: d_S of a chain or index file, else d_S*d_E")
+                       help="size cap: d_S*d_E of a dense basis file; d_S of a chain, a full "
+                            "space or an index file, whose d_S*d_E stays within 2^26")
 
     p_info = add_command("subspace-info", help="dimensions and marginal purities")
     add_subspace_args(p_info)
@@ -135,29 +135,13 @@ def _subspace_spec(args: argparse.Namespace) -> dict:
     return {"kind": "file", "path": args.subspace_file}
 
 
-@contextlib.contextmanager
-def _output(path: str):
-    """The text file at ``path`` opened for writing, or stdout for "-"."""
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-def _write_json(obj, path: str) -> None:
-    with _output(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _cmd_subspace_info(args: argparse.Namespace) -> int:
     sub_ = experiments.resolve_subspace(_subspace_spec(args), cap=args.cap)
     info = experiments.subspace_info(canonical_ensemble(sub_))
     if args.format == "json":
-        _write_json(info, args.output)
+        experiments.write_json(info, args.output)
     else:
-        with _output(args.output) as fh:
+        with experiments.output(args.output) as fh:
             for key, value in info.items():
                 fh.write(f"{key}: {value}\n")
     return EXIT_OK
@@ -184,9 +168,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                          "epsilon": "" if row.epsilon is None else row.epsilon,
                          "eta": eta, "eta_prime": eta_prime, "source_formula": row.name})
     if args.format == "json":
-        _write_json(rows, args.output)
+        experiments.write_json(rows, args.output)
     else:
-        with _output(args.output) as fh:
+        with experiments.output(args.output) as fh:
             write_bound_table(rows, fh)
     return EXIT_OK
 
@@ -212,8 +196,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         with open(f"{args.output}.csv", "w", encoding="utf-8", newline="") as fh:
             experiments.write_trials_csv(fh, result)
     if args.format in ("json", "both"):
-        with open(f"{args.output}.json", "w", encoding="utf-8") as fh:
-            experiments.write_summary_json(fh, result)
+        experiments.write_summary_json(f"{args.output}.json", result)
     for row in result.bound_rows:
         status = "ok" if row.satisfied else "VIOLATED"
         extra = " (vacuous)" if row.vacuous else ""
@@ -224,7 +207,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_spin_chain(args: argparse.Namespace) -> int:
     report = spin_chain.spin_chain_report(args.n, args.k, args.num_excited, args.xi, args.epsilon)
-    _write_json(dataclasses.asdict(report), args.output)
+    experiments.write_json(dataclasses.asdict(report), args.output)
     return EXIT_OK
 
 
@@ -242,7 +225,7 @@ def _cmd_purity_oracle(args: argparse.Namespace) -> int:
                     "trials": args.trials, "seed": args.seed})
         if abs(z) > 3.0:
             status = EXIT_BOUND_VIOLATION
-    _write_json(out, args.output)
+    experiments.write_json(out, args.output)
     return status
 
 

@@ -19,9 +19,11 @@ with the number of rows.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -471,6 +473,24 @@ def summary_dict(result: DistanceExperimentResult) -> dict:
     }
 
 
-def write_summary_json(fh, result: DistanceExperimentResult) -> None:
-    json.dump(summary_dict(result), fh, sort_keys=True, indent=2)
-    fh.write("\n")
+@contextlib.contextmanager
+def output(path: str):
+    """The text file at ``path`` opened for writing, or stdout for "-"."""
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+
+
+def write_json(obj, path: str) -> None:
+    """Write ``obj`` to ``output(path)`` as strict JSON: sorted keys, two-space
+    indent, a final newline.  The text is rendered before the target is
+    opened, so a NaN or an infinity (ValueError) leaves no file."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with output(path) as fh:
+        fh.write(text)
+
+
+def write_summary_json(path: str, result: DistanceExperimentResult) -> None:
+    write_json(summary_dict(result), path)

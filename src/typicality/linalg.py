@@ -1,4 +1,4 @@
-"""Dense complex linear algebra primitives: tensor products, partial traces, norms.
+"""Dense complex linear algebra primitives: partial traces, norms, the JSON codec.
 
 All operators are plain ``numpy`` arrays of complex128.  The single spectral
 primitive is the Hermitian eigendecomposition (``numpy.linalg.eigh``); every
@@ -59,16 +59,6 @@ def check_cap(dim: int, cap: int = DEFAULT_DIMENSION_CAP) -> None:
     """Raise :class:`DimensionCapError` if ``dim`` exceeds the dense cap."""
     if dim > cap:
         raise DimensionCapError(f"dimension {dim} exceeds dense cap {cap}")
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with an explicit guard on the composite dimension."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    check_cap(a.shape[0] * b.shape[0])
-    if a.ndim == 2 and b.ndim == 2:
-        check_cap(a.shape[1] * b.shape[1])
-    return np.kron(a, b)
 
 
 def hermiticity_skew(m: np.ndarray) -> float:

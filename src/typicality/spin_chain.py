@@ -28,7 +28,7 @@ from .bounds import check_epsilon, distance_tail_bound, finite, suggested_epsilo
 from .errors import DimensionCapError, EmptyWindowError
 from .filtering import MeasurementFilter
 from .linalg import DEFAULT_DIMENSION_CAP, MAX_ENUMERATION_BITS, BipartiteShape, check_cap
-from .subspace import ConstraintSubspace
+from .subspace import ConstraintSubspace, check_size
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,8 @@ def excitation_states(n: int, num_excited: int) -> np.ndarray:
 
 
 def build_subspace(m: SpinChainModel, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:
-    """The fixed-excitation shell in index form; ``cap`` bounds d_S, since the
-    d_S x d_S system states are the only dense matrices a chain builds."""
-    check_cap(m.dim_system, cap)
+    """The fixed-excitation shell in index form, its size checked by ``check_size``."""
+    check_size(m.shape, dense=False, cap=cap)
     return ConstraintSubspace(m.shape, flat_indices=excitation_states(m.n, m.num_excited))
 
 
@@ -248,6 +247,20 @@ def exact_typical_tail(m: SpinChainModel, w: TypicalWindow) -> float:
     return (total - inside) / total
 
 
+def product_distance(m: SpinChainModel) -> float:
+    """Trace distance of :func:`exact_canonical_state` from :func:`product_approximation`,
+    sum_j C(k, j) |canonical_weights[j] - product_weights[j]|, summed exactly in
+    integers over the common denominator d_R n^k and rounded once."""
+    n, k, np_ = m.n, m.k, m.num_excited
+    d_r, scale = m.dim_subspace, n**k
+    c_env = {j: c for j, _, c in _shell_terms(m)}
+    numerator = sum(
+        comb(k, j) * abs(c_env.get(j, 0) * scale - np_**j * (n - np_) ** (k - j) * d_r)
+        for j in range(k + 1)
+    )
+    return numerator / (d_r * scale)
+
+
 def canonical_purities(m: SpinChainModel) -> tuple[float, float]:
     """(system purity, environment purity) of the shell's reduced states,
     from binomials alone.  An environment string of count num_excited - j pairs
@@ -370,7 +383,6 @@ def spin_chain_report(
         + math.sqrt(32.0) * math.exp(-(half_width**2) / (8.0 * k * p * (1.0 - p)))
     ))
     sys_purity, env_purity = canonical_purities(m)
-    gaps = np.abs(canonical_weights(m) - product_weights(m))  # both diagonal by count
     temp = temperature(m)
     return SpinChainReport(
         n=n,
@@ -395,9 +407,6 @@ def spin_chain_report(
         dim_subspace_bounds={"lower": lower, "upper": upper, "exact": exact},
         system_purity=sys_purity,
         effective_env_dim=1.0 / env_purity,
-        product_approximation_distance=finite(
-            "product_approximation_distance",
-            lambda: float(sum(comb(k, j) * gap for j, gap in enumerate(gaps))),
-        ),
+        product_approximation_distance=product_distance(m),
     )
 

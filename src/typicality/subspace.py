@@ -300,22 +300,14 @@ class ConstraintSubspace:
 
     @classmethod
     def _decode(cls, obj, cap: int) -> functools.partial:
-        """The builder of the subspace a JSON object describes, its fields checked.
-
-        Before the entries are read, ``cap`` is checked on dimS * dimE for a
-        dense basis; in index form it bounds dimS, as for a spin chain, and
-        dimS * dimE may not pass 2**``MAX_ENUMERATION_BITS``.
-        """
+        """The builder of the subspace a JSON object describes, its fields
+        checked, its size (``check_size``) before its entries are read."""
         dim_s, dim_e = json_fields(obj, "dimS", "dimE")
         shape = BipartiteShape(json_dimension(dim_s, "dimS"), json_dimension(dim_e, "dimE"))
         if ("basis" in obj) == ("flat_indices" in obj):
             raise ShapeMismatchError("JSON object must hold exactly one of basis, flat_indices")
         dense = "basis" in obj
-        check_cap(shape.dim if dense else shape.dim_system, cap)
-        if not dense and shape.dim > 1 << MAX_ENUMERATION_BITS:
-            raise DimensionCapError(
-                f"dimension {shape.dim} exceeds index-form cap 2^{MAX_ENUMERATION_BITS}"
-            )
+        check_size(shape, dense, cap)
         if dense:
             rows = complex_matrix_from_json(obj["basis"])
             if not np.isfinite(rows).all():
@@ -345,9 +337,24 @@ class ConstraintSubspace:
         return build()
 
 
+def check_size(shape: BipartiteShape, dense: bool, cap: int = DEFAULT_DIMENSION_CAP) -> None:
+    """The one size rule for a subspace of ``shape``, checked before anything is built.
+
+    A dense basis holds d_S * d_E entries per vector, so ``cap`` bounds
+    d_S * d_E.  An index-form subspace builds no matrix bigger than
+    d_S x d_S, so ``cap`` bounds d_S, and d_S * d_E may not pass
+    2**``MAX_ENUMERATION_BITS``.  Raises :class:`DimensionCapError`.
+    """
+    check_cap(shape.dim if dense else shape.dim_system, cap)
+    if not dense and shape.dim > 1 << MAX_ENUMERATION_BITS:
+        raise DimensionCapError(
+            f"dimension {shape.dim} exceeds index-form cap 2^{MAX_ENUMERATION_BITS}"
+        )
+
+
 def full_space(shape: BipartiteShape, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:
     """The unconstrained subspace: the whole composite space, computational basis."""
-    check_cap(shape.dim, cap)
+    check_size(shape, dense=False, cap=cap)
     return ConstraintSubspace(shape, flat_indices=np.arange(shape.dim))
 
 
@@ -359,7 +366,7 @@ def from_basis_vectors(
 ) -> ConstraintSubspace:
     """Build a subspace from spanning vectors, Gram-Schmidt orthonormalized
     unless they are orthonormal to ``INVARIANT_ATOL``, as a saved basis is."""
-    check_cap(shape.dim, cap)
+    check_size(shape, dense=True, cap=cap)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.size == 0:
         raise ShapeMismatchError("at least one vector is required")
@@ -381,7 +388,7 @@ def random_subspace(
     rng: np.random.Generator,
 ) -> ConstraintSubspace:
     """Haar-distributed subspace: orthonormalized i.i.d. complex Gaussian vectors."""
-    check_cap(shape.dim, DEFAULT_DIMENSION_CAP)
+    check_size(shape, dense=True)
     if not 1 <= dim_subspace <= shape.dim:
         raise ShapeMismatchError(
             f"subspace dimension {dim_subspace} outside [1, {shape.dim}]"

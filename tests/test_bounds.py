@@ -15,6 +15,7 @@ from typicality.bounds import (
     lipschitz_expectation_report,
     operator_basis_tail_bound,
     sphere_distance,
+    sqrt_ratio,
     state_sphere_dim,
     suggested_epsilon,
     write_bound_table,
@@ -23,6 +24,27 @@ from typicality.errors import SubspaceMismatchError
 from typicality.linalg import BipartiteShape, random_hermitian
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import canonical_ensemble, full_space
+
+
+def test_sqrt_ratio_keeps_the_plain_bits_and_passes_no_intermediate_overflow():
+    rng = np.random.default_rng(24)
+    for _ in range(20000):
+        dim = int(rng.integers(1, 2**62)) << int(rng.integers(0, 960))
+        divisor = math.ldexp(rng.random() + 0.5, int(rng.integers(-1074, 1024)))
+        if divisor == 0.0 or math.isinf(divisor):
+            continue
+        try:
+            plain = math.sqrt(dim / divisor)
+        except OverflowError:
+            plain = math.inf
+        if math.isfinite(plain):
+            assert sqrt_ratio(dim, divisor) == plain, (dim, divisor)
+    # the quotients pass the float range, the roots do not
+    assert sqrt_ratio(2, 2.0**-1070) == math.ldexp(math.sqrt(2.0), 535)
+    assert sqrt_ratio(4**700, 2.0**-300) == 2.0**850
+    assert sqrt_ratio(3 * 4**600, 0.75) == 2.0**601
+    with pytest.raises(OverflowError):
+        sqrt_ratio(4**800, 2.0**-600)
 
 
 def test_levy_constant_value():

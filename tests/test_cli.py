@@ -92,6 +92,28 @@ def test_saved_chain_loads_without_cap_flag(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_full_space_runs_like_its_saved_file(tmp_path, capsys, fmt):
+    # d_S * d_E = 6000 passes the default cap; an index-form space is capped on d_S
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps({"dimS": 2, "dimE": 3000, "flat_indices": list(range(6000))}))
+    outputs = []
+    for spec in (["--full", "2", "3000"], ["--subspace-file", str(path)]):
+        code, out, err = run_cli(capsys, "subspace-info", *spec, "--format", fmt)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_full_space_is_capped_on_d_s(capsys):
+    # both hold 8192 composite states; only d_S decides
+    code, out, err = run_cli(capsys, "subspace-info", "--full", "64", "128")
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "subspace-info", "--full", "8192", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 8192 exceeds dense cap 4096\n"
+
+
 @pytest.mark.parametrize("dim_s, dim_e, cap, message", [
     (8, 2, ["--cap", "4"], "error: dimension 8 exceeds dense cap 4"),
     (2, 2**40, [], f"error: dimension {2**41} exceeds index-form cap 2^26"),
@@ -225,7 +247,7 @@ def test_spin_chain_just_inside_the_float_range_still_reports(capsys):
     (["spin-chain", "--n", "8", "--k", "4", "--np", "3", "--xi", "1e6"], "support_dim_bound"),
     (["spin-chain", "--n", "1010", "--k", "1009", "--np", "336"], "support_dim_bound"),
     (["spin-chain", "--n", "1100", "--k", "1099", "--np", "366"], "support_dim_bound"),
-    (["spin-chain", "--n", "1032", "--k", "1031", "--np", "100"], "product_approximation_distance"),
+    (["bounds", "--d-s", str(math.isqrt(int(0.85e308))), "--d-r", "1"], "coefficient_family_tail"),
     (["spin-chain", "--n", "8", "--k", "1", "--np", "4", "--xi", "1e300"], "threshold_asymptotic"),
     (["bounds", "--d-s", "1" + "0" * 160, "--d-r", "2", "--d-eff", "1"], "d_S"),
     (["bounds", "--d-s", str(math.isqrt(int(1.7e308))), "--d-r", "2", "--d-eff", "1",
@@ -237,6 +259,20 @@ def test_fields_beyond_the_float_range_exit_2_naming_the_field(capsys, command, 
     assert out == ""
     assert err.startswith(f"error: {field} ")
     assert "too large for a float" in err or "overflows a float" in err
+
+
+@pytest.mark.parametrize("command, field, value", [
+    # C(1031, j) passes the float range; the exact sum does not
+    (["--n", "1032", "--k", "1031", "--np", "100"],
+     "product_approximation_distance", 1.8322215121079846),
+    # support^2 / d_R passes the float range; its root does not
+    (["--n", "1100", "--k", "1099", "--np", "110"], "threshold", 1.5214471067523634e+158),
+], ids=["product_approximation_distance", "threshold"])
+def test_chain_fields_past_a_float_range_intermediate_still_report(capsys, command, field, value):
+    code, out, err = run_cli(capsys, "spin-chain", *command)
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert payload[field] == value
 
 
 def test_subspace_info_requires_one_spec(capsys):

@@ -699,6 +699,18 @@ def test_tail_bounds_and_config_reject_epsilon(epsilon):
             call()
 
 
+def test_json_writer_is_strict_and_refuses_before_opening(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    experiments.write_json({"b": [1.5, None], "a": 1}, str(path))
+    assert path.read_text() == '{\n  "a": 1,\n  "b": [\n    1.5,\n    null\n  ]\n}\n'
+    experiments.write_json({"a": 1}, "-")
+    assert capsys.readouterr().out == '{\n  "a": 1\n}\n'
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            experiments.write_json({"a": bad}, str(tmp_path / "bad.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
 @pytest.mark.parametrize("epsilon", [repr(e) for e in BAD_EPSILONS])
 @pytest.mark.parametrize("command", [
     ["experiment", "--spin-chain", "6", "2", "3", "--trials", "5", "--seed", "1"],

@@ -6,14 +6,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from typicality.errors import DimensionCapError, HermiticityError, ShapeMismatchError
+from typicality.errors import HermiticityError, ShapeMismatchError
 from typicality.linalg import (
     BipartiteShape,
     check_density_matrix,
     complex_matrix_from_json,
     complex_matrix_to_json,
     hs_norm,
-    kron,
     operator_norm,
     partial_trace,
     random_density,
@@ -32,29 +31,6 @@ def test_shape_validation():
     assert shape.dim == 6
     with pytest.raises(ShapeMismatchError):
         BipartiteShape(0, 3)
-
-
-def test_kron_identities():
-    assert np.allclose(kron(I2, I2), np.eye(4))
-    assert np.allclose(kron(np.diag([1.0, 0]), np.diag([0, 1.0])), np.diag([0, 1.0, 0, 0]))
-
-
-def test_kron_square_against_multiplication_oracle():
-    xz = kron(X, Z)
-    assert np.allclose(xz @ xz, kron(X @ X, Z @ Z))
-    assert np.allclose(xz @ xz, np.eye(4))
-
-
-def test_kron_associativity():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-12
-
-
-def test_kron_dimension_cap():
-    with pytest.raises(DimensionCapError):
-        kron(np.eye(80), np.eye(80))
 
 
 def test_partial_trace_maximally_entangled():

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -71,6 +73,23 @@ def test_build_subspace_caps_the_system_dimension():
         build_subspace(SpinChainModel(n=14, k=13, num_excited=7))  # d_S = 8192
     # 2^14 composite strings, but d_S = 4: within the default cap
     assert build_subspace(SpinChainModel(n=14, k=2, num_excited=7)).dim_subspace == 3432
+
+
+def test_build_subspace_refuses_beyond_the_index_form_cap_before_enumerating():
+    # d_S = 4 is within the cap, 2^27 strings are not within 2^26, whatever the cap
+    with pytest.raises(DimensionCapError, match="dimension 134217728 exceeds index-form cap 2\\^26"):
+        build_subspace(SpinChainModel(n=27, k=2, num_excited=13), cap=2**40)
+
+
+def test_product_distance_is_the_exact_sum_rounded_once():
+    for n, k, np_ in ((24, 12, 12), (12, 3, 5), (30, 13, 15), (40, 39, 1)):
+        d_r = SpinChainModel(n, k, np_).dim_subspace
+        exact = sum(
+            comb(k, j) * abs(Fraction(comb(n - k, np_ - j) if j <= np_ else 0, d_r)
+                             - Fraction(np_**j * (n - np_) ** (k - j), n**k))
+            for j in range(k + 1)
+        )
+        assert spin_chain_report(n, k, np_).product_approximation_distance == float(exact)
 
 
 def test_canonical_weights_three_spins():

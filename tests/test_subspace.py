@@ -18,6 +18,7 @@ from typicality.subspace import (
     ConstraintSubspace,
     build_ensemble,
     canonical_ensemble,
+    check_size,
     from_basis_vectors,
     full_space,
     gram_schmidt,
@@ -245,6 +246,47 @@ def test_subspace_json_cap_is_checked_before_the_basis_is_decoded():
         ConstraintSubspace.from_json_dict({"dimS": 2, "dimE": 2**25 + 1, "flat_indices": "bad"})
     sub = ConstraintSubspace.from_json_dict({"dimS": 2, "dimE": 2**25, "flat_indices": [0]})
     assert sub.shape.dim == 2**26
+
+
+CAP = 4096
+DENSE_CAP = f"exceeds dense cap {CAP}"
+INDEX_CAP = "exceeds index-form cap 2\\^26"
+
+
+@pytest.mark.parametrize("dense, dims, cap, refusal", [
+    # a dense basis: d_S * d_E against the cap, at any size
+    (True, (1, CAP), CAP, None),
+    (True, (1, CAP + 1), CAP, DENSE_CAP),
+    (True, (2, 2**25), 2**26, None),
+    (True, (1, 2**26 + 1), 2**26 + 1, None),
+    (True, (1, 2**26 + 1), 2**26, "exceeds dense cap 67108864"),
+    # index form: d_S against the cap, d_S * d_E against 2^26 whatever the cap
+    (False, (CAP, 1), CAP, None),
+    (False, (CAP + 1, 1), CAP, DENSE_CAP),
+    (False, (CAP, 2**14), CAP, None),
+    (False, (2, 2**25), CAP, None),
+    (False, (1, 2**26 + 1), CAP, INDEX_CAP),
+    (False, (1, 2**26 + 1), 2**30, INDEX_CAP),
+])
+def test_one_size_rule_per_form(dense, dims, cap, refusal):
+    shape = BipartiteShape(*dims)
+    if refusal is None:
+        check_size(shape, dense, cap)
+    else:
+        with pytest.raises(DimensionCapError, match=refusal):
+            check_size(shape, dense, cap)
+
+
+def test_full_space_follows_the_index_rule_of_its_file():
+    # a full space is built in index form, so it passes or fails as its saved file does
+    for dims in ((2, 3000), (64, 128)):
+        sub = full_space(BipartiteShape(*dims))
+        assert sub.one_hot is not None
+        assert ConstraintSubspace.from_json_dict(sub.to_json_dict()).equals(sub)
+    with pytest.raises(DimensionCapError, match="dimension 8192 exceeds dense cap 4096"):
+        full_space(BipartiteShape(8192, 1))
+    with pytest.raises(DimensionCapError, match=INDEX_CAP):
+        full_space(BipartiteShape(2, 2**25 + 1), cap=2**30)
 
 
 def test_ensemble_builder_checks_trace_and_floor():
