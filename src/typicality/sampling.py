@@ -17,7 +17,7 @@ States are drawn one way: ``sample_states`` yields a range of indices as
 stacks of coordinates and reduced states.  ``normalize_draws`` normalizes a
 stack and ``StateReducer`` reduces it, each with one call per quantity for
 the whole stack and the same arithmetic for a row wherever it sits in it.
-``draw_coords`` (the redraw of a short row), ``sample_coords`` and
+``sample_coords`` (also the redraw of a short row) and
 ``reduced_state_from_coords`` are the same code on a stack of one, so a
 state's bits do not depend on how many are drawn together.
 """
@@ -172,24 +172,20 @@ def normalize_draws(normals: np.ndarray, out: np.ndarray) -> np.ndarray:
     return redraw
 
 
-def draw_coords(rng: np.random.Generator, dim_subspace: int) -> np.ndarray:
-    """Haar-uniform unit vector of subspace coordinates drawn from ``rng``.
+def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
+    """Haar-uniform unit vector of subspace coordinates drawn from ``stream``.
 
     Real parts are the first ``dim_subspace`` normals, imaginary parts the
     next ones; a draw of (near) zero norm is redrawn from the same stream.
     This is ``normalize_draws`` on a stack of one.
     """
+    rng = stream.rng()
     normals = np.empty((1, 2, dim_subspace))
     coords = np.empty((1, dim_subspace), dtype=complex)
     while True:
         rng.standard_normal(out=normals[0])
         if not normalize_draws(normals, coords).size:
             return coords[0]
-
-
-def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
-    """Haar-uniform unit vector of subspace coordinates."""
-    return draw_coords(stream.rng(), dim_subspace)
 
 
 class StateReducer:
@@ -200,51 +196,42 @@ class StateReducer:
     amplitudes of its states into an (environment group, block index) matrix
     M_b, and rho is M_b^T conj(M_b) on the block; basis vectors in different
     groups do not interfere.  The block products lie end to end in
-    ``products`` and one gather puts them into rho in computational order;
-    a single block writes its product into rho directly.  A dense stack is
-    lifted to the composite space by one product with the basis, each state
-    viewed as one (system, environment) matrix M, and rho = M M^H.  Either
-    way a call makes one stacked product per block, matrix by matrix, from
-    reused work rows: a state's bits do not depend on the stack.  Slabs of
-    more than ``_DOT_PIECE`` groups and lifts of more than ``_GEMM_PIECE``
-    coordinates are summed in order over pieces of those sizes, and a stack
-    of one is lifted as two rows (numpy sends one row to gemv, which rounds
-    differently), so they do not depend on the BLAS thread count either.
+    ``products`` and one gather puts them into rho in computational order.
+    A dense stack is lifted to the composite space by one product with the
+    basis, each state viewed as one (system, environment) matrix M, and
+    rho = M M^H.  Either way a call makes one stacked product per block,
+    matrix by matrix, from reused work rows: a state's bits do not depend on
+    the stack.  Slabs of more than ``_DOT_PIECE`` groups and lifts of more
+    than ``_GEMM_PIECE`` coordinates are summed in order over pieces of
+    those sizes, and a stack of one is lifted as two rows (numpy sends one
+    row to gemv, which rounds differently), so they do not depend on the
+    BLAS thread count either.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
-        self.products = None
+        width, products = StateReducer.sizes(sub)
+        # the last column stays zero: rho off the blocks
+        self.products = np.zeros((chunk, products), dtype=complex)
         if sub.env_groups is None:
             self._source = None
             self._basis = sub.basis
             self._matrix = (sub.shape.dim_system, sub.shape.dim_environment)
             self._pad = np.zeros((2, sub.dim_subspace), dtype=complex)
-            self.work = np.empty((2, max(chunk, 2), StateReducer.width(sub)), dtype=complex)
+            self.work = np.empty((2, max(chunk, 2), width), dtype=complex)
             return
         self._source, self._holes, self._slabs, self._gather = sub.block_slabs
         # M, then conj(M), per state
-        self.work = np.empty((2, chunk, self._source.size), dtype=complex)
-        if self._gather is not None:
-            # the last column stays zero: rho off the blocks
-            self.products = np.zeros((chunk, self._gather.max() + 1), dtype=complex)
+        self.work = np.empty((2, chunk, width), dtype=complex)
 
     @staticmethod
-    def width(sub: ConstraintSubspace) -> int:
-        """Complex entries of the matrices M for one state of ``sub``: the
-        sum of groups times size over the blocks in index form (d_R for a
-        spin chain), d_E d_S in dense form."""
-        if sub.env_groups is not None:
-            return sub.block_slabs[0].size
-        return sub.shape.dim_environment * sub.shape.dim_system
-
-    @staticmethod
-    def entries(sub: ConstraintSubspace) -> int:
-        """Complex entries the buffers hold per state: M and conj(M), then,
-        in index form with several blocks, the packed block products and
-        their zero."""
-        gather = None if sub.block_slabs is None else sub.block_slabs[3]
-        products = 0 if gather is None else int(gather.max()) + 1
-        return 2 * StateReducer.width(sub) + products
+    def sizes(sub: ConstraintSubspace) -> tuple[int, int]:
+        """Complex entries per state of ``sub`` of the matrix M (the sum of
+        groups times size over the blocks in index form, d_R for a spin
+        chain; d_E d_S in dense form) and of the packed block products with
+        their zero (none in dense form)."""
+        if sub.env_groups is None:
+            return sub.shape.dim_environment * sub.shape.dim_system, 0
+        return sub.block_slabs[0].size, int(sub.block_slabs[3].max()) + 1
 
     def __call__(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rho of each row of ``coords``, written to ``out`` (c, d_S, d_S)."""
@@ -265,8 +252,7 @@ class StateReducer:
         np.take(coords, self._source, axis=1, out=m, mode="clip")
         m[:, self._holes] = 0
         np.conjugate(m, out=m_conj)
-        flat = out.reshape(c, out.shape[1] * out.shape[2])  # also for c = 0
-        products = flat if self.products is None else self.products[:c]
+        products = self.products[:c]
         for lo, hi, (groups, size), pos in self._slabs:
             slab = m[:, lo:hi].reshape(c, groups, size).transpose(0, 2, 1)
             slab_conj = m_conj[:, lo:hi].reshape(c, groups, size)
@@ -274,8 +260,8 @@ class StateReducer:
             np.matmul(slab[..., :_DOT_PIECE], slab_conj[:, :_DOT_PIECE], out=block)
             for g in range(_DOT_PIECE, groups, _DOT_PIECE):
                 block += np.matmul(slab[..., g : g + _DOT_PIECE], slab_conj[:, g : g + _DOT_PIECE])
-        if self.products is not None:
-            np.take(products, self._gather, axis=1, out=flat, mode="clip")
+        flat = out.reshape(c, out.shape[1] * out.shape[2])  # also for c = 0
+        np.take(products, self._gather, axis=1, out=flat, mode="clip")
         return out
 
 
@@ -288,14 +274,15 @@ def sample_states(
     system states (c, d_S, d_S) of states ``start + offset`` to ``start +
     offset + c - 1``.  State i draws from ``SampleStream(seed, i)``'s stream,
     as ``stream_generators`` builds it; a row of (near) zero norm continues
-    its own stream, as in ``draw_coords``.  A stack holds ``_CHUNK`` states,
-    fewer when the buffers would pass ``_CHUNK_BYTES``: per state, 2 d_R
-    normals, d_R coordinates, the reducer's entries and rho.  ``coords`` and
-    ``rho`` are views of buffers that the next stack overwrites, so copy what
-    must outlive it; the caller may write to them.
+    its own stream, as in ``sample_coords``.  A stack holds ``_CHUNK``
+    states, fewer when the buffers would pass ``_CHUNK_BYTES``: per state,
+    2 d_R normals, d_R coordinates, M and conj(M), the packed products and
+    rho.  ``coords`` and ``rho`` are views of buffers that the next stack
+    overwrites, so copy what must outlive it; the caller may write to them.
     """
     d_s, d_r = sub.shape.dim_system, sub.dim_subspace
-    per_state = 16 * (2 * d_r + StateReducer.entries(sub) + d_s * d_s)
+    width, products = StateReducer.sizes(sub)
+    per_state = 16 * (2 * d_r + 2 * width + products + d_s * d_s)
     chunk = max(1, min(_CHUNK, _CHUNK_BYTES // per_state, count))
     normals = np.empty((chunk, 2, d_r))
     coords = np.empty((chunk, d_r), dtype=complex)
@@ -307,7 +294,7 @@ def sample_states(
         for j, rng in enumerate(islice(rngs, c)):
             rng.standard_normal(out=normals[j])
         for j in normalize_draws(normals[:c], coords[:c]):
-            coords[j] = draw_coords(SampleStream(seed, start + lo + j).rng(), d_r)
+            coords[j] = sample_coords(d_r, SampleStream(seed, start + lo + j))
         yield lo, coords[:c], reduce(coords[:c], states[:c])
 
 

@@ -172,7 +172,7 @@ class ConstraintSubspace:
         return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
     @functools.cached_property
-    def block_slabs(self) -> tuple[np.ndarray, np.ndarray, list[tuple], np.ndarray | None] | None:
+    def block_slabs(self) -> tuple[np.ndarray, np.ndarray, list[tuple], np.ndarray] | None:
         """The basis vectors laid out block by block; None unless in index form.
 
         Block b of ``system_blocks`` gets a (groups, size) slab: the
@@ -183,49 +183,38 @@ class ConstraintSubspace:
         vector fills, one (slab start, slab end, (groups, size), product
         start) per block that has groups, the product entry of each flat
         (d_S x d_S) index).  Entries off the blocks point one past the last
-        product, at a zero; the last item is None when one block holds every
-        system index, whose product is rho itself.  A spin chain's slabs have
-        no unfilled entries, since a group holds every string of the
-        complementary system shell, so they hold d_R entries in all.
+        product, at a zero.  A spin chain's slabs have no unfilled entries,
+        since a group holds every string of the complementary system shell,
+        so they hold d_R entries in all.
         """
         if self._flat is None:
             return None
         group, sys_idx, n_groups = self.env_groups
-        blocks = self.system_blocks
-        sizes = np.array([b.size for b in blocks])
-        order = np.concatenate(blocks)
-        block_of = np.empty_like(order)
-        block_of[order] = np.repeat(np.arange(len(blocks)), sizes)
-        local = np.empty_like(order)
-        local[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        # each group's rank among the groups of its block, in group order
-        group_block = np.empty(n_groups, dtype=np.int64)
-        group_block[group] = block_of[sys_idx]
-        counts = np.bincount(group_block, minlength=len(blocks))
-        rank = np.empty(n_groups, dtype=np.int64)
-        rank[np.argsort(group_block, kind="stable")] = (
-            np.arange(n_groups) - np.repeat(np.cumsum(counts) - counts, counts)
-        )
+        blocks, d_s = self.system_blocks, self.shape.dim_system
+        sizes = np.array([idx.size for idx in blocks])
+        firsts = np.cumsum(np.concatenate([[0], sizes**2]))
+        gather = np.full(d_s * d_s, firsts[-1])
+        block_of, local = np.empty((2, d_s), dtype=np.int64)
+        for b, idx in enumerate(blocks):
+            block_of[idx], local[idx] = b, np.arange(idx.size)
+            gather[(idx[:, None] * d_s + idx).ravel()] = firsts[b] + np.arange(idx.size**2)
+        # the slab rows: (block, group) pairs in order
+        block = block_of[sys_idx]
+        pairs, row = np.unique(block * n_groups + group, return_inverse=True)
+        counts = np.bincount(pairs // n_groups, minlength=len(blocks))
         ends = np.cumsum(counts * sizes)
         starts = ends - counts * sizes
-        block = block_of[sys_idx]
-        offsets = starts[block] + rank[group] * sizes[block] + local[sys_idx]
+        row_base = starts - (np.cumsum(counts) - counts) * sizes
+        offsets = row_base[block] + row * sizes[block] + local[sys_idx]
         source = np.zeros(ends[-1], dtype=np.int64)
         source[offsets] = np.arange(offsets.size)
         filled = np.zeros(ends[-1], dtype=bool)
         filled[offsets] = True
-        firsts = np.cumsum([0] + [idx.size**2 for idx in blocks])
         slabs = [
-            (int(lo), int(hi), (int(n), idx.size), int(first))
-            for lo, hi, n, idx, first in zip(starts, ends, counts, blocks, firsts)
+            (int(lo), int(hi), (int(n), int(size)), int(first))
+            for lo, hi, n, size, first in zip(starts, ends, counts, sizes, firsts)
             if n
         ]
-        gather = None
-        if len(blocks) > 1:
-            d_s = self.shape.dim_system
-            gather = np.full(d_s * d_s, firsts[-1])
-            for idx, first in zip(blocks, firsts):
-                gather[(idx[:, None] * d_s + idx).ravel()] = first + np.arange(idx.size**2)
         return source, np.flatnonzero(~filled), slabs, gather
 
     def embed(self, coords: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import random_hermitian
 from typicality.bounds import lipschitz_distance_report, lipschitz_expectation_report
 from typicality.cli import main as cli_main
 from typicality.experiments import (
@@ -24,7 +25,6 @@ from typicality.linalg import (
     BipartiteShape,
     hs_norm,
     operator_norm,
-    random_hermitian,
     trace_norm,
 )
 from typicality.spin_chain import (

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_hermitian
 from typicality.bounds import (
     LEVY_CONSTANT,
     average_distance_bound,
@@ -21,7 +22,7 @@ from typicality.bounds import (
     write_bound_table,
 )
 from typicality.errors import SubspaceMismatchError
-from typicality.linalg import BipartiteShape, random_hermitian
+from typicality.linalg import BipartiteShape
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import canonical_ensemble, full_space
 

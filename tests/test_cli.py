@@ -663,3 +663,29 @@ def test_purity_oracle_with_mc(capsys):
     payload = json.loads(out)
     assert payload["exact_average_purity"] == pytest.approx(0.8, abs=1e-12)
     assert abs(payload["z_score"]) <= 3.0
+
+
+def test_purity_oracle_trials_without_seed_exits_2_writing_nothing(tmp_path, capsys):
+    path = tmp_path / "oracle.json"
+    code, out, err = run_cli(capsys, "purity-oracle", "--full", "2", "2",
+                             "--trials", "10", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed is required for sampling commands\n"
+    assert not path.exists()
+
+
+def test_purity_oracle_far_mean_exits_3_and_still_writes(tmp_path, capsys, monkeypatch):
+    def far_mean(sub, trials, seed, workers):
+        return 0.9, 0.01  # exact 0.8: z = 10
+
+    monkeypatch.setattr("typicality.experiments.mc_average_purity", far_mean)
+    path = tmp_path / "oracle.json"
+    code, out, _ = run_cli(capsys, "purity-oracle", "--full", "2", "2",
+                           "--trials", "10", "--seed", "1", "--output", str(path))
+    assert code == 3
+    assert out == ""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["exact_average_purity"] == pytest.approx(0.8, abs=1e-12)
+    assert payload["mc_mean"] == 0.9 and payload["z_score"] == pytest.approx(10.0)
+    assert payload["trials"] == 10 and payload["seed"] == 1

@@ -33,7 +33,6 @@ from typicality.experiments import (
 from typicality.linalg import BipartiteShape, partial_trace, purity
 from typicality.sampling import (
     SampleStream,
-    draw_coords,
     reduced_state_from_coords,
     sample_coords,
 )
@@ -526,7 +525,7 @@ def test_trial_block_redraws_short_rows_like_draw_coords(monkeypatch, case):
     for i, row in enumerate(rows):
         first = SampleStream(seed, start + i).rng().standard_normal((2, d_r))
         redrawn += np.linalg.norm(first[0] + 1j * first[1]) <= sampling._RESAMPLE_NORM
-        coords = draw_coords(SampleStream(seed, start + i).rng(), d_r)
+        coords = sample_coords(d_r, SampleStream(seed, start + i))
         rho = reduced_state_from_coords(sub, coords)
         assert row[1] == purity(rho)
         assert row[0] == _blockwise_distance(sub, rho, omega)

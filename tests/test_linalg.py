@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from helpers import random_density, random_hermitian
 from typicality.errors import HermiticityError, ShapeMismatchError
 from typicality.linalg import (
     BipartiteShape,
@@ -15,8 +16,6 @@ from typicality.linalg import (
     hs_norm,
     operator_norm,
     partial_trace,
-    random_density,
-    random_hermitian,
     sqrt_psd,
     trace_norm,
 )

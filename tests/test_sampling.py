@@ -11,7 +11,6 @@ from typicality.linalg import BipartiteShape, partial_trace, trace_norm
 from typicality.sampling import (
     SampleStream,
     StateReducer,
-    draw_coords,
     normalize_draws,
     reduced_state_from_coords,
     sample_coords,
@@ -158,11 +157,11 @@ def index_subspace(d_s, d_e, count, seed):
 #: Chains (n, k, excitations) with d_S = 2, 4, 8, 16, then dense subspaces
 #: (d_S, d_E, d_R), the last in two pieces of the lift, then index subspaces
 #: (d_S, d_E, d_R) on random basis states: system blocks of sizes 3, 2, 1, 1,
-#: 1, and one block with holes.
+#: 1, one block with holes, and the whole 4 x 8 space in random order.
 STACK_CASES = (
     ("chain", 6, 1, 3), ("chain", 8, 2, 4), ("chain", 7, 3, 3), ("chain", 10, 4, 5),
     ("dense", 3, 4, 5), ("dense", 8, 16, 40), ("dense", 4, 64, 200),
-    ("index", 8, 16, 12), ("index", 8, 16, 40),
+    ("index", 8, 16, 12), ("index", 8, 16, 40), ("index", 4, 8, 32),
 )
 
 
@@ -231,7 +230,7 @@ def test_system_blocks_partition_the_system_and_hold_every_reduced_state(case):
 def test_block_work_rows_of_a_half_filled_chain_hold_d_r_entries():
     # one row per environment group and system string would be 2**20 entries
     sub = build_subspace(SpinChainModel(20, 10, 10))
-    assert StateReducer.width(sub) == math.comb(20, 10) == sub.dim_subspace
+    assert StateReducer.sizes(sub)[0] == math.comb(20, 10) == sub.dim_subspace
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,6 +241,7 @@ def test_block_work_rows_of_a_half_filled_chain_hold_d_r_entries():
     count=st.integers(1, 9),
 )
 @example(case=("dense", 4, 64, 200), seed=3, start=0, count=9)
+@example(case=("index", 4, 8, 32), seed=3, start=0, count=9)
 def test_stacks_and_stacks_of_one_match_the_per_trial_code(case, seed, start, count):
     sub = _stack_case(case)
     d_r, d_s = sub.dim_subspace, sub.shape.dim_system
@@ -262,7 +262,7 @@ def test_stacks_and_stacks_of_one_match_the_per_trial_code(case, seed, start, co
     for j in range(count):
         stream = SampleStream(seed, start + j)
         want = _per_trial_draw(stream.rng(), d_r)
-        assert draw_coords(stream.rng(), d_r).tobytes() == want.tobytes()
+        assert sample_coords(d_r, stream).tobytes() == want.tobytes()
         assert coords[j].tobytes() == want.tobytes()
         want_rho = _per_trial_reduction(sub, want)
         assert reduced_state_from_coords(sub, want).tobytes() == want_rho.tobytes()

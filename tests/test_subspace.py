@@ -58,6 +58,11 @@ def test_from_basis_vectors_single_vector():
 def test_from_basis_vectors_recovers_full_space():
     sub = from_basis_vectors(SHAPE22, np.eye(4, dtype=complex))
     assert sub.equals(full_space(SHAPE22))
+    assert sub.equals(sub)
+    # another shape or another d_R is unequal before any basis is compared
+    assert not full_space(SHAPE22).equals(full_space(BipartiteShape(2, 3)))
+    rng = np.random.default_rng(0)
+    assert not random_subspace(SHAPE22, 2, rng).equals(random_subspace(SHAPE22, 3, rng))
 
 
 def test_from_basis_vectors_errors():

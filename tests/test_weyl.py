@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import random_density
 from typicality.errors import ShapeMismatchError
-from typicality.linalg import hs_norm, random_density, trace_norm
+from typicality.linalg import hs_norm, trace_norm
 from typicality.weyl import (
     coefficient_identity_gap,
     coefficients,
