@@ -21,7 +21,7 @@ import sys
 from . import experiments, spin_chain
 from .bounds import finite, formula_rows, write_bound_table
 from .errors import TypicalityError
-from .linalg import DEFAULT_DIMENSION_CAP
+from .linalg import DEFAULT_DIMENSION_CAP, INVARIANT_ATOL
 from .subspace import canonical_ensemble
 
 EXIT_OK = 0
@@ -220,7 +220,7 @@ def _cmd_purity_oracle(args: argparse.Namespace) -> int:
         if args.seed is None:
             raise TypicalityError("--seed is required for sampling commands")
         mean, se = experiments.mc_average_purity(sub_, args.trials, args.seed, workers=args.workers)
-        z = 0.0 if se == 0 else (mean - exact) / se
+        z = 0.0 if se == 0 or abs(mean - exact) <= INVARIANT_ATOL else (mean - exact) / se
         out.update({"mc_mean": mean, "mc_standard_error": se, "z_score": z,
                     "trials": args.trials, "seed": args.seed})
         if abs(z) > 3.0:

@@ -400,9 +400,9 @@ def exact_average_purity(sub: ConstraintSubspace) -> float:
 
         <Tr rho_S^2> = d_R (Tr Omega_S^2 + Tr Omega_E^2) / (d_R + 1),
 
-    with Omega_S = Tr_E(P_R / d_R) and Omega_E = Tr_S(P_R / d_R).  No
-    composite-squared operator is ever materialized, and in index form no
-    environment matrix either: only a d_S^2 matrix and O(d_R + d_E) vectors.
+    with Omega_S = Tr_E(P_R / d_R) and Omega_E = Tr_S(P_R / d_R).  In index form
+    only a d_S^2 matrix and O(d_R + d_E) vectors are built; a dense basis adds
+    Omega_E, one d_E^2 product and a few pieces of its rows (see ``marginals``).
     """
     d_r = sub.dim_subspace
     omega_s, env_purity = sub.marginals(np.ones(d_r), d_r)

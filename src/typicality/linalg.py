@@ -35,6 +35,9 @@ INVARIANT_ATOL = 1e-10
 #: treated as round-off and clipped to zero.
 EIGENVALUE_FLOOR = -1e-10
 
+#: Longer sums in a product follow OpenBLAS's thread count, unless whole multiples of it.
+GEMM_PIECE = 128
+
 
 @dataclass(frozen=True)
 class BipartiteShape:
@@ -75,6 +78,15 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     if skew > atol:
         raise HermiticityError(f"matrix skew {skew:.3e} exceeds tolerance {atol:.1e}")
     return m
+
+
+def add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray, part: np.ndarray,
+                step: int = GEMM_PIECE) -> np.ndarray:
+    """``acc += a @ b`` (stacks too) in order over pieces of ``step`` terms, then the
+    rest (see ``GEMM_PIECE``), each product held in ``part``, shaped as ``acc``."""
+    for lo in range(0, a.shape[-1], step):
+        acc += np.matmul(a[..., lo : lo + step], b[..., lo : lo + step, :], out=part)
+    return acc
 
 
 def partial_trace(rho: np.ndarray, shape: BipartiteShape, keep: str = "system") -> np.ndarray:

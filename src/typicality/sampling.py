@@ -32,6 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ShapeMismatchError
+from .linalg import add_product
 from .subspace import ConstraintSubspace
 
 #: Gaussian draws with norm below this are redrawn (probability ~ 0).
@@ -53,10 +54,8 @@ _WORD = 1 << 32
 _SEED_BATCH = 256
 
 #: Entries per dot product in ``normalize_draws``, and groups per slab product
-#: in ``StateReducer``: OpenBLAS threads longer ones.  Coordinates per piece
-#: of its dense lift: longer sums follow the thread count from d_R = 300.
+#: in ``StateReducer``: OpenBLAS threads longer ones.
 _DOT_PIECE = 10_000
-_GEMM_PIECE = 128
 
 #: States per stack of ``sample_states``, fewer when its buffers would pass
 #: ``_CHUNK_BYTES``.  A state's bits do not depend on the stack size.
@@ -202,10 +201,10 @@ class StateReducer:
     rho = M M^H.  Either way a call makes one stacked product per block,
     matrix by matrix, from reused work rows: a state's bits do not depend on
     the stack.  Slabs of more than ``_DOT_PIECE`` groups and lifts of more
-    than ``_GEMM_PIECE`` coordinates are summed in order over pieces of
-    those sizes, and a stack of one is lifted as two rows (numpy sends one
-    row to gemv, which rounds differently), so they do not depend on the
-    BLAS thread count either.
+    than ``GEMM_PIECE`` coordinates (``add_product``) are summed in order
+    over pieces of those sizes, and a stack of one is lifted as two rows
+    (numpy sends one row to gemv, which rounds differently), so they do not
+    depend on the BLAS thread count either.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
@@ -241,10 +240,8 @@ class StateReducer:
             if c == 1:
                 self._pad[0], coords = coords[0], self._pad
             lift, part = self.work[:, : coords.shape[0]]
-            np.matmul(coords[:, :_GEMM_PIECE], self._basis[:_GEMM_PIECE], out=lift)
-            for lo in range(_GEMM_PIECE, coords.shape[1], _GEMM_PIECE):
-                piece = slice(lo, lo + _GEMM_PIECE)
-                lift += np.matmul(coords[:, piece], self._basis[piece], out=part)
+            lift.fill(0)
+            add_product(lift, coords, self._basis, part)
             np.conjugate(m, out=m_conj)
             m, m_conj = m.reshape(c, *self._matrix), m_conj.reshape(c, *self._matrix)
             return np.matmul(m, m_conj.transpose(0, 2, 1), out=out)

@@ -144,7 +144,7 @@ def test_criterion_06_hypergeometric_canonical_state():
             for np_ in range(n + 1):
                 m = SpinChainModel(n=n, k=k, num_excited=np_)
                 sub = build_subspace(m)
-                t = sub.basis_tensor()
+                t = sub.basis.reshape(sub.dim_subspace, m.dim_system, -1)
                 oracle = np.einsum("ise,ite->st", t, t.conj()) / sub.dim_subspace
                 gap = float(np.max(np.abs(oracle - exact_canonical_state(m))))
                 assert gap < 1e-12

@@ -599,6 +599,23 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
         code += (f"main(['experiment', {spec}, '--output', 'run{d_r}'])\n"
                  f"main(['purity-oracle', {spec}, '--output', 'oracle{d_r}.json'])\n")
         names += [f"run{d_r}.csv", f"run{d_r}.json", f"oracle{d_r}.json"]
+    # marginals: 2-d weights, which no command passes, lifted over d_R = 300,
+    # and a system marginal of 132-term sums at d_S = 31
+    sub = random_subspace(BipartiteShape(31, 132), 8, np.random.default_rng(8))
+    np.save(tmp_path / "basis8.npy", sub.basis)
+    code += (
+        "import numpy as np\n"
+        "from typicality.linalg import BipartiteShape\n"
+        "from typicality.subspace import ConstraintSubspace\n"
+        "w = np.random.default_rng(0).standard_normal((300, 300))\n"
+        "sub = ConstraintSubspace(BipartiteShape(31, 132), dense_basis=np.load('../basis8.npy'))\n"
+        "subs = [(ConstraintSubspace.load('../subspace300.json'), w + w.T, 2.0), (sub, np.ones(8), 8)]\n"
+        "with open('marginals.bin', 'wb') as fh:\n"
+        "    for sub, weights, divisor in subs:\n"
+        "        omega_s, env_purity = sub.marginals(weights, divisor)\n"
+        "        fh.write(omega_s.tobytes() + np.float64(env_purity).tobytes())\n"
+    )
+    names.append("marginals.bin")
     artifacts = {}
     for threads in ("1", "2"):
         cwd = tmp_path / threads
@@ -689,3 +706,23 @@ def test_purity_oracle_far_mean_exits_3_and_still_writes(tmp_path, capsys, monke
     assert payload["exact_average_purity"] == pytest.approx(0.8, abs=1e-12)
     assert payload["mc_mean"] == 0.9 and payload["z_score"] == pytest.approx(10.0)
     assert payload["trials"] == 10 and payload["seed"] == 1
+
+
+@pytest.mark.parametrize("source", ["full", "dense"])
+def test_purity_oracle_zero_variance_purity_is_agreement(tmp_path, capsys, source):
+    # every state is pure, so mean and exact differ by round-off only, and
+    # so does the standard error: z is 0, not a ratio of two round-offs
+    from typicality.linalg import BipartiteShape
+    from typicality.subspace import random_subspace
+
+    if source == "full":  # the ratio would read z = -5.0
+        spec = ["--full", "1", "5", "--seed", "27"]
+    else:  # d_E = 1; the ratio would read z = 3.76
+        path = tmp_path / "subspace.json"
+        random_subspace(BipartiteShape(4, 1), 3, np.random.default_rng(3)).save(path)
+        spec = ["--subspace-file", str(path), "--seed", "8"]
+    code, out, _ = run_cli(capsys, "purity-oracle", *spec, "--trials", "50")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["mc_mean"] - payload["exact_average_purity"]) <= 1e-10
+    assert payload["z_score"] == 0.0

@@ -135,6 +135,21 @@ def test_chain_ensemble_and_oracle_allocate_no_environment_matrix():
     assert peak < 1 << 20
 
 
+def test_dense_ensemble_and_oracle_hold_no_basis_sized_temporary():
+    # the basis is 16 MiB; Omega_E and its product are 1 MiB each
+    sub = random_subspace(BipartiteShape(8, 256), 512, np.random.default_rng(0))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for run in (canonical_ensemble, exact_average_purity):
+            tracemalloc.reset_peak()
+            run(sub)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 4 << 20
+
+
 def _doubled_space_purity_oracle(sub) -> float:
     """Literal doubled-space evaluation on tiny dimensions.
 

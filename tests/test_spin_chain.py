@@ -119,7 +119,7 @@ def test_hypergeometric_matches_partial_trace_oracle(n, k):
         sub = build_subspace(m)
         # dense contraction through the basis tensor, independent of the
         # closed-form weights
-        t = sub.basis_tensor()
+        t = sub.basis.reshape(sub.dim_subspace, m.dim_system, -1)
         omega = np.einsum("ise,ite->st", t, t.conj()) / sub.dim_subspace
         assert np.max(np.abs(omega - exact_canonical_state(m))) < 1e-12
 

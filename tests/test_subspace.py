@@ -392,14 +392,10 @@ def small_chains(draw):
     return SpinChainModel(n=n, k=k, num_excited=draw(st.integers(0, n)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_chains(), st.sampled_from(["uniform", "diagonal", "psd"]), st.integers(0, 2**32 - 1))
-# an environment purity near 2438 that misses an absolute 1e-12 by 1.4e-12 (6e-16 relative)
-@example(SpinChainModel(n=7, k=6, num_excited=3), "psd", 171)
-def test_marginals_index_form_match_dense_form_and_partial_trace(model, kind, seed):
-    sub = build_subspace(model)
-    dense = from_basis_vectors(sub.shape, sub.basis)
-    assert sub.one_hot is not None and dense.one_hot is None
+def check_marginals_against_partial_trace(subs, kind, seed):
+    """Each of ``subs`` (one subspace in either form) against ``partial_trace``
+    of B^T W conj(B) for uniform, random diagonal or random PSD weights."""
+    sub = subs[0]
     d_r = sub.dim_subspace
     rng = np.random.default_rng(seed)
     if kind == "uniform":
@@ -414,10 +410,31 @@ def test_marginals_index_form_match_dense_form_and_partial_trace(model, kind, se
     want_s = partial_trace(composite, sub.shape, keep="system")
     want_e = partial_trace(composite, sub.shape, keep="environment")
     want_purity = float(np.trace(want_e @ want_e).real)
-    for s in (sub, dense):
+    for s in subs:
         omega_s, env_purity = s.marginals(weights, divisor)
         assert np.allclose(omega_s, want_s, rtol=0, atol=1e-12)
         assert env_purity == pytest.approx(want_purity, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_chains(), st.sampled_from(["uniform", "diagonal", "psd"]), st.integers(0, 2**32 - 1))
+# an environment purity near 2438 that misses an absolute 1e-12 by 1.4e-12 (6e-16 relative)
+@example(SpinChainModel(n=7, k=6, num_excited=3), "psd", 171)
+def test_marginals_index_form_match_dense_form_and_partial_trace(model, kind, seed):
+    sub = build_subspace(model)
+    dense = from_basis_vectors(sub.shape, sub.basis)
+    assert sub.one_hot is not None and dense.one_hot is None
+    check_marginals_against_partial_trace((sub, dense), kind, seed)
+
+
+# d_E > 128 splits the system marginal's sums, d_R > 128 the lift of 2-d
+# weights, d_R d_S > 128 the environment marginal's; d_E = 1024 takes pieces
+# of 256 (row, system) pairs and then a rest of 196, summed as 128 + 68
+@pytest.mark.parametrize("d_s,d_e,d_r", [(2, 160, 200), (16, 12, 150), (1, 1024, 452)])
+@pytest.mark.parametrize("kind", ["uniform", "diagonal", "psd"])
+def test_dense_marginals_match_partial_trace_across_pieces(d_s, d_e, d_r, kind):
+    sub = random_subspace(BipartiteShape(d_s, d_e), d_r, np.random.default_rng(d_r))
+    check_marginals_against_partial_trace((sub,), kind, d_r)
 
 
 @pytest.mark.parametrize(
