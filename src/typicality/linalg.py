@@ -80,12 +80,15 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarr
     return m
 
 
-def add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray, part: np.ndarray,
-                step: int = GEMM_PIECE) -> np.ndarray:
-    """``acc += a @ b`` (stacks too) in order over pieces of ``step`` terms, then the
-    rest (see ``GEMM_PIECE``), each product held in ``part``, shaped as ``acc``."""
-    for lo in range(0, a.shape[-1], step):
-        acc += np.matmul(a[..., lo : lo + step], b[..., lo : lo + step, :], out=part)
+def add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """``acc += a @ b`` (stacks too), summed in order over pieces of whole multiples of
+    ``GEMM_PIECE`` terms, at most 78 (9 984 terms: OpenBLAS threads dot products from
+    10 000 on), then one rest of fewer, each product held in ``part``, shaped as ``acc``."""
+    k = a.shape[-1]
+    whole = k - k % GEMM_PIECE
+    cuts = sorted({*range(0, whole, 78 * GEMM_PIECE), whole, k})
+    for lo, hi in zip(cuts, cuts[1:]):
+        acc += np.matmul(a[..., lo:hi], b[..., lo:hi, :], out=part)
     return acc
 
 

@@ -17,6 +17,8 @@ States are drawn one way: ``sample_states`` yields a range of indices as
 stacks of coordinates and reduced states.  ``normalize_draws`` normalizes a
 stack and ``StateReducer`` reduces it, each with one call per quantity for
 the whole stack and the same arithmetic for a row wherever it sits in it.
+Both forms of subspace are reduced on one path, one product per block slab
+(``ConstraintSubspace.block_slabs``), which only fills the slabs by form.
 ``sample_coords`` (also the redraw of a short row) and
 ``reduced_state_from_coords`` are the same code on a stack of one, so a
 state's bits do not depend on how many are drawn together.
@@ -53,8 +55,7 @@ _WORD = 1 << 32
 #: array passes cost about the same for 1 index as for a few hundred.
 _SEED_BATCH = 256
 
-#: Entries per dot product in ``normalize_draws``, and groups per slab product
-#: in ``StateReducer``: OpenBLAS threads longer ones.
+#: Entries per dot product in ``normalize_draws``: OpenBLAS threads longer ones.
 _DOT_PIECE = 10_000
 
 #: States per stack of ``sample_states``, fewer when its buffers would pass
@@ -190,47 +191,36 @@ def sample_coords(dim_subspace: int, stream: SampleStream) -> np.ndarray:
 class StateReducer:
     """Reduced system states of stacks of up to ``chunk`` coordinate vectors.
 
-    The one place that tells index form from dense form.  In index form rho
-    is zero off the blocks of ``sub.system_blocks``: block b gathers the
-    amplitudes of its states into an (environment group, block index) matrix
-    M_b, and rho is M_b^T conj(M_b) on the block; basis vectors in different
-    groups do not interfere.  The block products lie end to end in
-    ``products`` and one gather puts them into rho in computational order.
-    A dense stack is lifted to the composite space by one product with the
-    basis, each state viewed as one (system, environment) matrix M, and
-    rho = M M^H.  Either way a call makes one stacked product per block,
-    matrix by matrix, from reused work rows: a state's bits do not depend on
-    the stack.  Slabs of more than ``_DOT_PIECE`` groups and lifts of more
-    than ``GEMM_PIECE`` coordinates (``add_product``) are summed in order
-    over pieces of those sizes, and a stack of one is lifted as two rows
-    (numpy sends one row to gemv, which rounds differently), so they do not
-    depend on the BLAS thread count either.
+    The one place that tells index form from dense form, and only to fill
+    each state's matrix M, laid out as ``sub.block_slabs``: in index form by
+    one gather of its coordinates, in dense form by one product lifting the
+    stack by the basis (a stack of one is lifted as two rows: numpy sends one
+    row to gemv, which rounds differently).  Then, block by block, rho is the
+    block's (size, groups) slab of M times its conjugate transpose, one
+    stacked ``add_product`` per block, matrix by matrix, from reused work
+    rows; the block products lie end to end in ``products`` and one gather
+    puts them into rho in computational order, zero off the blocks.  So a
+    state's bits depend neither on the stack nor on the BLAS thread count.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
         width, products = StateReducer.sizes(sub)
-        # the last column stays zero: rho off the blocks
-        self.products = np.zeros((chunk, products), dtype=complex)
-        if sub.env_groups is None:
-            self._source = None
-            self._basis = sub.basis
-            self._matrix = (sub.shape.dim_system, sub.shape.dim_environment)
-            self._pad = np.zeros((2, sub.dim_subspace), dtype=complex)
-            self.work = np.empty((2, max(chunk, 2), width), dtype=complex)
-            return
+        self.products = np.empty((chunk, products), dtype=complex)
         self._source, self._holes, self._slabs, self._gather = sub.block_slabs
+        if self._source is None:
+            self._basis = sub.basis
+            self._pad = np.zeros((2, sub.dim_subspace), dtype=complex)
+            chunk = max(chunk, 2)
         # M, then conj(M), per state
         self.work = np.empty((2, chunk, width), dtype=complex)
 
     @staticmethod
     def sizes(sub: ConstraintSubspace) -> tuple[int, int]:
-        """Complex entries per state of ``sub`` of the matrix M (the sum of
-        groups times size over the blocks in index form, d_R for a spin
-        chain; d_E d_S in dense form) and of the packed block products with
-        their zero (none in dense form)."""
-        if sub.env_groups is None:
-            return sub.shape.dim_environment * sub.shape.dim_system, 0
-        return sub.block_slabs[0].size, int(sub.block_slabs[3].max()) + 1
+        """Complex entries per state of ``sub`` of the matrix M, its slabs end
+        to end (d_R for a spin chain, d_S d_E in dense form), and of the
+        packed block products, with their zero in index form."""
+        _, _, slabs, gather = sub.block_slabs
+        return slabs[-1][1], int(gather.max()) + 1
 
     def __call__(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rho of each row of ``coords``, written to ``out`` (c, d_S, d_S)."""
@@ -242,22 +232,20 @@ class StateReducer:
             lift, part = self.work[:, : coords.shape[0]]
             lift.fill(0)
             add_product(lift, coords, self._basis, part)
-            np.conjugate(m, out=m_conj)
-            m, m_conj = m.reshape(c, *self._matrix), m_conj.reshape(c, *self._matrix)
-            return np.matmul(m, m_conj.transpose(0, 2, 1), out=out)
-        # every index is in range; "clip" spares the buffered copy of "raise"
-        np.take(coords, self._source, axis=1, out=m, mode="clip")
-        m[:, self._holes] = 0
+        else:
+            # every index is in range; "clip" spares the buffered copy of "raise"
+            np.take(coords, self._source, axis=1, out=m, mode="clip")
+            m[:, self._holes] = 0
         np.conjugate(m, out=m_conj)
         products = self.products[:c]
-        for lo, hi, (groups, size), pos in self._slabs:
-            slab = m[:, lo:hi].reshape(c, groups, size).transpose(0, 2, 1)
-            slab_conj = m_conj[:, lo:hi].reshape(c, groups, size)
-            block = products[:, pos : pos + size * size].reshape(c, size, size)
-            np.matmul(slab[..., :_DOT_PIECE], slab_conj[:, :_DOT_PIECE], out=block)
-            for g in range(_DOT_PIECE, groups, _DOT_PIECE):
-                block += np.matmul(slab[..., g : g + _DOT_PIECE], slab_conj[:, g : g + _DOT_PIECE])
+        products.fill(0)  # add_product adds to it; its last column is rho off the blocks
         flat = out.reshape(c, out.shape[1] * out.shape[2])  # also for c = 0
+        for lo, hi, (size, groups), pos in self._slabs:
+            slab = m[:, lo:hi].reshape(c, size, groups)
+            slab_conj = m_conj[:, lo:hi].reshape(c, size, groups).transpose(0, 2, 1)
+            block = products[:, pos : pos + size * size].reshape(c, size, size)
+            # out holds each piece's product until the gather
+            add_product(block, slab, slab_conj, flat[:, : size * size].reshape(c, size, size))
         np.take(products, self._gather, axis=1, out=flat, mode="clip")
         return out
 

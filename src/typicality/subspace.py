@@ -174,25 +174,28 @@ class ConstraintSubspace:
         return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
     @functools.cached_property
-    def block_slabs(self) -> tuple[np.ndarray, np.ndarray, list[tuple], np.ndarray] | None:
-        """The basis vectors laid out block by block; None unless in index form.
+    def block_slabs(self) -> tuple[np.ndarray | None, np.ndarray | None, list[tuple], np.ndarray]:
+        """A state's amplitudes laid out block by block.
 
-        Block b of ``system_blocks`` gets a (groups, size) slab: the
-        environment groups that hold its indices, in increasing order, as
-        rows and its system indices as columns.  The slabs lie end to end in
-        block order, and so do the blocks' size x size products.  Returns
-        (the basis vector at each slab entry, the slab entries no basis
-        vector fills, one (slab start, slab end, (groups, size), product
-        start) per block that has groups, the product entry of each flat
-        (d_S x d_S) index).  Entries off the blocks point one past the last
-        product, at a zero.  A spin chain's slabs have no unfilled entries,
-        since a group holds every string of the complementary system shell,
-        so they hold d_R entries in all.
+        Block b of ``system_blocks`` gets a (size, groups) slab: its system
+        indices as rows and the environment groups that hold them, in
+        increasing order, as columns.  The slabs lie end to end in block
+        order, and so do the blocks' size x size products.  Returns (the basis
+        vector at each slab entry, the slab entries no basis vector fills, one
+        (slab start, slab end, (size, groups), product start) per block that
+        has groups, the product entry of each flat (d_S x d_S) index).  Entries
+        off the blocks point one past the last product, at a zero.  A spin
+        chain's slabs have no unfilled entries, since a group holds every
+        string of the complementary system shell, so they hold d_R entries in
+        all.  A dense basis is one block: a lifted state is its (d_S, d_E)
+        slab, so there is no source to gather, and the gather is the identity.
         """
+        d_s = self.shape.dim_system
         if self._flat is None:
-            return None
+            slab = (0, self.shape.dim, (d_s, self.shape.dim_environment), 0)
+            return None, None, [slab], np.arange(d_s * d_s)
         group, sys_idx, n_groups = self.env_groups
-        blocks, d_s = self.system_blocks, self.shape.dim_system
+        blocks = self.system_blocks
         sizes = np.array([idx.size for idx in blocks])
         firsts = np.cumsum(np.concatenate([[0], sizes**2]))
         gather = np.full(d_s * d_s, firsts[-1])
@@ -200,20 +203,20 @@ class ConstraintSubspace:
         for b, idx in enumerate(blocks):
             block_of[idx], local[idx] = b, np.arange(idx.size)
             gather[(idx[:, None] * d_s + idx).ravel()] = firsts[b] + np.arange(idx.size**2)
-        # the slab rows: (block, group) pairs in order
+        # the slab columns: (block, group) pairs in order
         block = block_of[sys_idx]
-        pairs, row = np.unique(block * n_groups + group, return_inverse=True)
+        pairs, column = np.unique(block * n_groups + group, return_inverse=True)
         counts = np.bincount(pairs // n_groups, minlength=len(blocks))
         ends = np.cumsum(counts * sizes)
         starts = ends - counts * sizes
-        row_base = starts - (np.cumsum(counts) - counts) * sizes
-        offsets = row_base[block] + row * sizes[block] + local[sys_idx]
+        column -= (np.cumsum(counts) - counts)[block]  # within its block
+        offsets = starts[block] + local[sys_idx] * counts[block] + column
         source = np.zeros(ends[-1], dtype=np.int64)
         source[offsets] = np.arange(offsets.size)
         filled = np.zeros(ends[-1], dtype=bool)
         filled[offsets] = True
         slabs = [
-            (int(lo), int(hi), (int(n), int(size)), int(first))
+            (int(lo), int(hi), (int(size), int(n)), int(first))
             for lo, hi, n, size, first in zip(starts, ends, counts, sizes, firsts)
             if n
         ]
@@ -246,8 +249,8 @@ class ConstraintSubspace:
         has diagonal marginals, summed by index counts.  Otherwise, with T_i the
         row b_i as a (d_S, d_E) matrix and U_i = sum_j w_ij conj(T_j), Tr_E W =
         sum_i T_i U_i^T and Tr_S W = Y^T V, Y and V being T and U as (d_R d_S, d_E)
-        matrices, summed by ``add_product`` a piece of rows at a time: GEMM_PIECE
-        (row, system) pairs, d_E / 4 from d_E = 1024 on.  ``divisor`` is applied
+        matrices, each product summed by ``add_product``, a piece of rows at a time:
+        GEMM_PIECE (row, system) pairs, d_E / 4 from d_E = 1024 on.  ``divisor`` is applied
         after the sums, so P_R with divisor d_R gives its marginals as counts / d_R.
         """
         weights = np.asarray(weights)
@@ -273,8 +276,7 @@ class ConstraintSubspace:
                 np.conjugate(add_product(u, w.conj(), self.basis, work[1, :n]), out=u)
             y, v = t.reshape(n, d_s, d_e), u.reshape(n, d_s, d_e).transpose(0, 2, 1)
             add_product(sys_m[:n], y, v, sys_part[:n])
-            add_product(env_m, t.reshape(k, d_e).T, u.reshape(k, d_e), env_part,
-                        max(GEMM_PIECE, k - k % GEMM_PIECE))
+            add_product(env_m, t.reshape(k, d_e).T, u.reshape(k, d_e), env_part)
         del env_part, work  # before the purity's temporaries
         return sys_m.sum(0) / divisor, purity(np.divide(env_m, divisor, out=env_m))
 

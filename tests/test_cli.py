@@ -573,12 +573,14 @@ def test_spin_chain_mode_flag_is_gone(capsys):
 
 
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
-    # d_R = 12 870: longer than the dot products OpenBLAS keeps on one thread;
-    # (18,2,9) has shells of 11 440 and 12 870 environment strings, longer
-    # than the slab products it keeps on one thread.  The dense files are
-    # written once, here, since the QR of random_subspace follows the thread
-    # count; the load, the lift over d_R = 160 and 300 coordinates and the
-    # ensemble must not.
+    # d_R = 12 870: longer than the dot products OpenBLAS keeps on one thread.
+    # Every slab product sums over environment groups, which add_product cuts:
+    # (18,2,9) has shells of 11 440 and 12 870 groups, more than a piece
+    # holds, and (16,6,8) (blocks of up to 20 indices) and --full 40 300 sum
+    # over up to 252 and over 300 groups, past 128 and no whole multiple of it.
+    # The dense files are written once, here, since the QR of random_subspace
+    # follows the thread count; the load, the lift over d_R = 40, 160 and 300
+    # coordinates, the (31, 132) slab products and the ensemble must not.
     from typicality.linalg import BipartiteShape
     from typicality.subspace import random_subspace
 
@@ -590,9 +592,14 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
         " '--seed', '1', '--output', 'oracle.json'])\n"
         "main(['experiment', '--spin-chain', '18', '2', '9', '--trials', '30',"
         " '--seed', '3', '--output', 'run18'])\n"
+        "main(['experiment', '--spin-chain', '16', '6', '8', '--trials', '60',"
+        " '--seed', '1', '--output', 'run16_6'])\n"
+        "main(['experiment', '--full', '40', '300', '--trials', '4',"
+        " '--seed', '1', '--output', 'full'])\n"
     )
-    names = ["run.csv", "run.json", "oracle.json", "run18.csv", "run18.json"]
-    for d_s, d_e, d_r in ((8, 64, 160), (4, 100, 300)):
+    names = ["run.csv", "run.json", "oracle.json", "run18.csv", "run18.json",
+             "run16_6.csv", "run16_6.json", "full.csv", "full.json"]
+    for d_s, d_e, d_r in ((8, 64, 160), (4, 100, 300), (31, 132, 40)):
         sub = random_subspace(BipartiteShape(d_s, d_e), d_r, np.random.default_rng(d_r))
         sub.save(tmp_path / f"subspace{d_r}.json")
         spec = f"'--subspace-file', '../subspace{d_r}.json', '--trials', '50', '--seed', '1'"

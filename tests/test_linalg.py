@@ -10,6 +10,7 @@ from helpers import random_density, random_hermitian
 from typicality.errors import HermiticityError, ShapeMismatchError
 from typicality.linalg import (
     BipartiteShape,
+    add_product,
     check_density_matrix,
     complex_matrix_from_json,
     complex_matrix_to_json,
@@ -136,6 +137,30 @@ def test_check_density_matrix():
         check_density_matrix(2 * rho)
     with pytest.raises(HermiticityError):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("n, pieces", [
+    (1, [(0, 1)]),
+    (127, [(0, 127)]),
+    (128, [(0, 128)]),
+    (129, [(0, 128), (128, 129)]),
+    (210, [(0, 128), (128, 210)]),
+    (300, [(0, 256), (256, 300)]),
+    (9984, [(0, 9984)]),
+    (9985, [(0, 9984), (9984, 9985)]),
+    (12870, [(0, 9984), (9984, 12800), (12800, 12870)]),
+])
+def test_add_product_sums_in_order_over_its_pieces(n, pieces):
+    # whole multiples of 128, at most 9 984 terms each, then a rest below 128
+    rng = np.random.default_rng(n)
+    a, b, acc = (rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+                 for shape in ((2, 3, n), (2, n, 4), (2, 3, 4)))
+    want = acc.copy()
+    for lo, hi in pieces:
+        want = want + a[..., lo:hi] @ b[..., lo:hi, :]
+    got = add_product(acc.copy(), a, b, np.empty_like(acc))
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(got - (acc + a @ b)).max() <= 1e-12
 
 
 def test_sqrt_psd_squares_back():
