@@ -257,6 +257,19 @@ def bound_confrontation_report(
 # -- trial evaluation --------------------------------------------------------
 
 
+def _weyl_table(d_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shift index and phase table of the Weyl family on d_s levels.
+
+    U^x with x = b d + a holds only U^x[(s + a) mod d, s] = U^(b d)[s, s], so
+    C_x = Tr(U^x' diff) = sum_s diff[(s + a) mod d, s] conj(U^(b d)[s, s]):
+    with ``v = diff[shift, arange(d)]``, a trial's coefficients are the one
+    (d, d) @ (d, d) product v @ phases.  Only these O(d^2) tables outlive the
+    call; the d^4 ``weyl_basis`` stack they are read from does not.
+    """
+    ops = weyl_basis(d_s)
+    return ops[:d_s].real.argmax(axis=1), np.diagonal(ops[::d_s], axis1=1, axis2=2).conj().T
+
+
 def _trial_block(
     sub: ConstraintSubspace,
     mean_state: np.ndarray | None,
@@ -264,12 +277,12 @@ def _trial_block(
     start: int,
     count: int,
 ) -> np.ndarray:
-    """Records of trials ``start .. start + count - 1``, one row per trial.
+    """Records of trials ``start .. start + count - 1``, one column per trial.
 
-    Columns: trace distance to ``mean_state``, purity, max Weyl-coefficient
+    Rows: trace distance to ``mean_state``, purity, max Weyl-coefficient
     deviation from ``mean_state``.  The distance is NaN when ``mean_state`` is
     None; the deviation is NaN then and when d_S > ``_COEFF_TRACK_MAX_DIM``,
-    else the block builds the Weyl family.
+    else the block builds the Weyl family's tables (``_weyl_table``).
 
     The distance sums |eigenvalue| over one stacked eigensolve per system
     block (``sub.system_blocks``; a dense subspace is one block), in block
@@ -277,29 +290,23 @@ def _trial_block(
     ``run_distance_experiment`` passes Omega_S, which is.
     """
     d_s = sub.shape.dim_system
-    rows = np.full((count, 3), np.nan)
-    # U^x with x = b d + a holds only U^x[(s + a) mod d, s] = U^(b d)[s, s], so
-    # C_x = Tr(U^x' diff) = sum_s diff[(s + a) mod d, s] conj(U^(b d)[s, s]):
-    # a trial's coefficients are one (d, d) @ (d, d) product V @ F.
+    records = np.full((3, count), np.nan)
     tracked = mean_state is not None and d_s <= _COEFF_TRACK_MAX_DIM
     if tracked:
-        ops = weyl_basis(d_s)
-        shift = ops[:d_s].real.argmax(axis=1)
-        phases = np.diagonal(ops[::d_s], axis1=1, axis2=2).conj().T
+        shift, phases = _weyl_table(d_s)
     keys = [(slice(None), *np.ix_(idx, idx)) for idx in sub.system_blocks]
     for lo, _, rho in sample_states(sub, seed, start, count):
-        part = rows[lo : lo + rho.shape[0]]
-        part[:, 1] = (np.abs(rho) ** 2).sum(axis=(1, 2))
+        distance, purities, devs = records[:, lo : lo + rho.shape[0]]
+        purities[:] = (np.abs(rho) ** 2).sum(axis=(1, 2))
         if mean_state is not None:
             diff = np.subtract(rho, mean_state, out=rho)
-            distance = np.zeros(rho.shape[0])
+            distance[:] = 0.0
             for key in keys:
                 distance += np.abs(np.linalg.eigvalsh(diff[key])).sum(axis=1)
-            part[:, 0] = distance
             if tracked:
                 v = diff[:, shift, np.arange(d_s)]
-                part[:, 2] = np.abs(np.matmul(v, phases)).max(axis=(1, 2))
-    return rows
+                devs[:] = np.abs(np.matmul(v, phases)).max(axis=(1, 2))
+    return records
 
 
 def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -316,15 +323,21 @@ def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_trials(common_args: tuple, trials: int, workers: int) -> np.ndarray:
-    """``_trial_block`` rows of trials ``0 .. trials - 1``, in trial order."""
+    """``_trial_block`` records of trials ``0 .. trials - 1``, in trial order:
+    one (3, trials) array, each worker's block copied into its columns as
+    the block completes."""
     blocks = _split_blocks(trials, workers)
     if len(blocks) == 1:
         return _trial_block(*common_args, 0, trials)
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
+    records = np.empty((3, trials))
     with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(_trial_block, *common_args, start, count) for start, count in blocks]
-        return np.concatenate([f.result() for f in futures])
+        columns = {pool.submit(_trial_block, *common_args, start, count):
+                   slice(start, start + count) for start, count in blocks}
+        for done in as_completed(columns):
+            records[:, columns.pop(done)] = done.result()
+    return records
 
 
 def subspace_info(ensemble: CanonicalEnsemble) -> dict:
@@ -363,8 +376,9 @@ def run_distance_experiment(config: ExperimentConfig) -> DistanceExperimentResul
     ensemble = canonical_ensemble(sub)
     filt = resolve_filter(config.filter, config.subspace)
     filtered = apply_filter(sub, filt) if filt is not None else None
-    rows = _run_trials((sub, ensemble.system_state, config.seed), config.trials, config.workers)
-    distances, purities, devs = rows.T.copy()
+    distances, purities, devs = _run_trials(
+        (sub, ensemble.system_state, config.seed), config.trials, config.workers
+    )
     devs = None if np.isnan(devs).all() else devs
 
     rows = bound_confrontation_report(distances, ensemble, config.epsilon, filtered, devs)
@@ -431,7 +445,7 @@ def mc_average_purity(
         raise ValueError("a standard error needs trials >= 2")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    purities = _run_trials((sub, None, seed), trials, workers)[:, 1].copy()
+    purities = _run_trials((sub, None, seed), trials, workers)[1]
     return float(purities.mean()), float(purities.std(ddof=1) / np.sqrt(trials))
 
 

@@ -262,8 +262,11 @@ def sample_states(
     its own stream, as in ``sample_coords``.  A stack holds ``_CHUNK``
     states, fewer when the buffers would pass ``_CHUNK_BYTES``: per state,
     2 d_R normals, d_R coordinates, M and conj(M), the packed products and
-    rho.  ``coords`` and ``rho`` are views of buffers that the next stack
-    overwrites, so copy what must outlive it; the caller may write to them.
+    rho.  The budget covers these buffers only; what a caller computes from
+    a stack (the trial kernel's |rho|^2, Weyl gather and product, and block
+    copies for ``eigvalsh``) comes on top.  ``coords`` and ``rho`` are views
+    of buffers that the next stack overwrites, so copy what must outlive it;
+    the caller may write to them.
     """
     d_s, d_r = sub.shape.dim_system, sub.dim_subspace
     width, products = StateReducer.sizes(sub)

@@ -6,6 +6,7 @@ import json
 import math
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -329,7 +330,9 @@ def test_filter_file_spec_is_rejected_even_for_a_valid_filter_file(tmp_path):
         ))
 
 
-def test_experiment_deterministic_across_workers():
+def test_experiment_deterministic_across_workers(monkeypatch):
+    # three blocks on any host, so the pool's blocks can complete out of order
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     base = dict(subspace={"kind": "spin-chain", "n": 4, "k": 2, "num_excited": 2},
                 trials=300, seed=17)
     serial = run_distance_experiment(ExperimentConfig(**base, workers=1))
@@ -342,6 +345,9 @@ def test_experiment_deterministic_across_workers():
     write_trials_csv(buf_a, serial)
     write_trials_csv(buf_b, parallel)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+    sub = resolve_subspace(base["subspace"])
+    assert mc_average_purity(sub, 300, 17, workers=1) == mc_average_purity(sub, 300, 17, workers=3)
 
 
 def test_split_blocks_caps_blocks_at_cpu_count(monkeypatch):
@@ -471,9 +477,9 @@ def _kernel_case(name):
 def test_trial_block_matches_per_trial_evaluation(case, seed, start, count, with_mean):
     sub, omega, ops = _kernel_case(case)
     mean_state = omega if with_mean else None
-    rows = _trial_block(sub, mean_state, seed, start, count)
-    assert rows.shape == (count, 3)
-    for i, row in enumerate(rows):
+    records = _trial_block(sub, mean_state, seed, start, count)
+    assert records.shape == (3, count)
+    for i, row in enumerate(records.T):
         coords = sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
         rho = reduced_state_from_coords(sub, coords)
         assert row[1] == purity(rho)
@@ -498,7 +504,7 @@ def test_trial_block_is_independent_of_the_split(case, seed, count, data):
     args = (sub, omega, seed)
     edges = sorted({0, count, *data.draw(st.lists(st.integers(0, count), max_size=4))})
     pieces = [_trial_block(*args, lo, hi - lo) for lo, hi in zip(edges, edges[1:])]
-    assert np.array_equal(np.concatenate(pieces), _trial_block(*args, 0, count))
+    assert np.array_equal(np.concatenate(pieces, axis=1), _trial_block(*args, 0, count))
 
 
 @pytest.mark.parametrize("chunk, chunk_bytes", [(1, 1 << 20), (7, 1 << 20), (64, 4096 * 5)])
@@ -535,9 +541,9 @@ def test_trial_block_redraws_short_rows_like_draw_coords(monkeypatch, case):
     monkeypatch.setattr(sampling, "_RESAMPLE_NORM", np.sqrt(2.0 * d_r))
     monkeypatch.setattr(sampling, "_CHUNK", 7)
     seed, start, count = 11, 5, 40
-    rows = _trial_block(sub, omega, seed, start, count)
+    records = _trial_block(sub, omega, seed, start, count)
     redrawn = 0
-    for i, row in enumerate(rows):
+    for i, row in enumerate(records.T):
         first = SampleStream(seed, start + i).rng().standard_normal((2, d_r))
         redrawn += np.linalg.norm(first[0] + 1j * first[1]) <= sampling._RESAMPLE_NORM
         coords = sample_coords(d_r, SampleStream(seed, start + i))
@@ -579,8 +585,8 @@ def test_chunk_buffers_fit_the_byte_budget(name):
 ])
 def test_trial_block_matches_sample_streams_across_the_word_boundary(seed, start, count):
     sub, omega, ops = _kernel_case((6, 2, 3))
-    rows = _trial_block(sub, omega, seed, start, count)
-    for i, row in enumerate(rows):
+    records = _trial_block(sub, omega, seed, start, count)
+    for i, row in enumerate(records.T):
         rho = reduced_state_from_coords(
             sub, sample_coords(sub.dim_subspace, SampleStream(seed, start + i))
         )
@@ -656,6 +662,41 @@ def test_kernel_builds_the_weyl_family_only_against_a_mean_state(monkeypatch):
     assert calls == [4]
     mc_average_purity(resolve_subspace(spec), trials=10, seed=1)
     assert calls == [4]
+
+
+def test_kernel_frees_the_weyl_stack_before_it_draws(monkeypatch):
+    # the kernel keeps the shift index and phase table, not the d_S^4 stack
+    stacks = []
+
+    def kept(dim):
+        ops = weyl_basis(dim)
+        stacks.append(weakref.ref(ops))
+        return ops
+
+    def draw(*args):
+        assert len(stacks) == 1 and stacks[0]() is None
+        yield from sampling.sample_states(*args)
+
+    monkeypatch.setattr(experiments, "weyl_basis", kept)
+    monkeypatch.setattr(experiments, "sample_states", draw)
+    spec = {"kind": "spin-chain", "n": 12, "k": 4, "num_excited": 6}
+    result = run_distance_experiment(ExperimentConfig(subspace=spec, trials=20, seed=1))
+    assert result.max_coeff_devs is not None and len(stacks) == 1
+
+
+def test_a_run_holds_its_records_once():
+    # distance, purity and Weyl deviation: 24 B per trial, in one (3, trials) array
+    trials = 200_000
+    spec = {"kind": "spin-chain", "n": 8, "k": 2, "num_excited": 4}
+    # modules the first run imports (numpy.random) are not part of this check
+    run_distance_experiment(ExperimentConfig(subspace=spec, trials=2, seed=1))
+    tracemalloc.start()
+    try:
+        run_distance_experiment(ExperimentConfig(subspace=spec, trials=trials, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * trials + (2 << 20)
 
 
 def test_benchmark_trace_targets_exist(monkeypatch):
