@@ -1,12 +1,9 @@
-"""Closed-form concentration bounds and Lipschitz-constant probes.
+"""Closed-form concentration bounds and their CSV table.
 
 The bounds are pure functions of scalar inputs; ``formula_rows`` is the one
 table of the closed forms that apply, which ``bounds`` prints and
 ``experiment`` confronts.  Probability bounds are reported unclamped (they
-may exceed 1 at small dimension).  The Lipschitz probes take pairs of states
-on one subspace as two stacks of coordinate rows; an observable is given on
-its coordinates (compress a composite one with
-``ConstraintSubspace.compress_operator``).
+may exceed 1 at small dimension).
 """
 
 from __future__ import annotations
@@ -16,11 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .errors import ShapeMismatchError, SubspaceMismatchError, TypicalityError
-from .linalg import operator_norm, require_hermitian
-from .sampling import StateReducer
+from .errors import TypicalityError
 from .subspace import CanonicalEnsemble
 
 #: Constant in the spherical concentration exponent, 1/(18 pi^3).
@@ -227,94 +220,6 @@ def formula_rows(
         )
         rows.append(FormulaRow("filtered_distance_tail", "distance", eps, *tail))
     return rows
-
-
-def sphere_distance(coords_a: np.ndarray, coords_b: np.ndarray) -> float:
-    """Euclidean distance between unit vectors, minimized over a global phase."""
-    overlap = abs(np.vdot(coords_a, coords_b))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Worst observed ratio |f(a) - f(b)| / dist(a, b) over sampled pairs."""
-
-    max_ratio: float
-    bound: float
-    pairs_checked: int
-    pairs_skipped: int
-    max_state_ratio: float | None = None
-
-    @property
-    def satisfied(self) -> bool:
-        ok = self.max_ratio <= self.bound + 1e-9
-        if self.max_state_ratio is not None:
-            ok = ok and self.max_state_ratio <= self.bound + 1e-9
-        return ok
-
-
-def _pairs(width: int, coords_a: np.ndarray, coords_b: np.ndarray) -> tuple:
-    """The two coordinate stacks, pair i in row i of both, and each pair's
-    ``sphere_distance``."""
-    a, b = np.asarray(coords_a, dtype=complex), np.asarray(coords_b, dtype=complex)
-    if a.shape[-1:] != (width,) or b.shape[-1:] != (width,):
-        raise SubspaceMismatchError(f"coordinate rows must have the subspace's {width} entries")
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ShapeMismatchError("pairs must be two stacks of equally many coordinate rows")
-    return a, b, np.array([sphere_distance(x, y) for x, y in zip(a, b)])
-
-
-def _report(
-    dist: np.ndarray, bound: float, change: np.ndarray, state: np.ndarray | None = None
-) -> LipschitzReport:
-    """The largest change / dist (and state / dist) over the pairs at a
-    nonzero distance, 0 if none; pairs at distance 0 are skipped."""
-    kept = dist != 0.0
-    checked = int(np.count_nonzero(kept))
-
-    def worst(values: np.ndarray) -> float:
-        return float(np.max(values[kept] / dist[kept], initial=0.0))
-
-    return LipschitzReport(worst(change), bound, checked, dist.size - checked,
-                           None if state is None else worst(state))
-
-
-def lipschitz_distance_report(
-    ensemble: CanonicalEnsemble, coords_a: np.ndarray, coords_b: np.ndarray
-) -> LipschitzReport:
-    """Probe the Lipschitz constant of phi -> ||rho_S(phi) - Omega_S|| on the
-    pairs of states whose coordinates are the rows of ``coords_a`` and
-    ``coords_b``.
-
-    ``max_ratio`` tracks differences of that function; ``max_state_ratio``
-    tracks the intermediate marginal distance ||rho_1 - rho_2|| against the
-    same phase-aligned sphere distance.  Both are bounded by 2.  Pairs at
-    distance 0 are skipped.
-    """
-    sub = ensemble.subspace
-    a, b, dist = _pairs(sub.dim_subspace, coords_a, coords_b)
-    n, d_s = a.shape[0], sub.shape.dim_system
-    rho = np.empty((2 * n, d_s, d_s), dtype=complex)
-    StateReducer(sub, 2 * n)(np.concatenate([a, b]), rho)
-    diffs = np.concatenate([rho - ensemble.system_state, rho[:n] - rho[n:]])
-    f_a, f_b, state = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1).reshape(3, n)
-    return _report(dist, 2.0, np.abs(f_a - f_b), state)
-
-
-def lipschitz_expectation_report(
-    observable: np.ndarray, coords_a: np.ndarray, coords_b: np.ndarray
-) -> LipschitzReport:
-    """Probe the Lipschitz constant of phi -> <phi|X|phi> on the pairs of
-    states whose coordinates are the rows of ``coords_a`` and ``coords_b``.
-
-    ``observable`` is Hermitian on the subspace coordinates (d_R x d_R) of
-    the rows; the bound is twice its operator norm.  Pairs at distance 0 are
-    skipped.
-    """
-    x = require_hermitian(observable)
-    a, b, dist = _pairs(x.shape[0], coords_a, coords_b)
-    f_a, f_b = (np.einsum("ij,ij->i", c.conj(), c @ x.T).real for c in (a, b))
-    return _report(dist, 2.0 * operator_norm(x), np.abs(f_a - f_b))
 
 
 BOUND_TABLE_COLUMNS = ("d_S", "d_R", "d_E_eff", "epsilon", "eta", "eta_prime", "source_formula")

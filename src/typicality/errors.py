@@ -25,9 +25,5 @@ class OperatorRangeError(TypicalityError):
     """A measurement operator violates 0 <= X <= 1 beyond tolerance."""
 
 
-class SubspaceMismatchError(TypicalityError):
-    """A state was used with a subspace it does not belong to."""
-
-
 class EmptyWindowError(TypicalityError):
     """A typical window clamps to an empty excitation range."""

@@ -33,7 +33,7 @@ from .bounds import check_epsilon, formula_rows
 from .bounds import distance_tail_bound  # noqa: F401  benchmarks/child.py traces it by name
 from .errors import ShapeMismatchError, TypicalityError
 from .filtering import MeasurementFilter, apply_filter
-from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, purity
+from .linalg import DEFAULT_DIMENSION_CAP, BipartiteShape, json_dimension, purity
 from .sampling import sample_states
 from .spin_chain import SpinChainModel, build_subspace, typical_projector, typical_window
 from .subspace import CanonicalEnsemble, ConstraintSubspace, canonical_ensemble, full_space
@@ -98,17 +98,24 @@ class ExperimentConfig:
 
 
 def _chain_model(spec: dict) -> SpinChainModel:
-    return SpinChainModel(int(spec["n"]), int(spec["k"]), int(spec["num_excited"]))
+    """The chain of a spin-chain spec, whose fields are integers (not floats or
+    bools), else :class:`ShapeMismatchError`."""
+    n, k = (json_dimension(spec[key], key) for key in ("n", "k"))
+    num_excited = spec["num_excited"]  # may be 0
+    if isinstance(num_excited, bool) or not isinstance(num_excited, int):
+        raise ShapeMismatchError(f"num_excited must be an integer, got {num_excited!r}")
+    return SpinChainModel(n, k, num_excited)
 
 
 def resolve_subspace(spec: dict, *, cap: int = DEFAULT_DIMENSION_CAP) -> ConstraintSubspace:
-    """Materialize a subspace from an inline config spec."""
+    """Materialize a subspace from an inline config spec; a dimension field
+    must be an integer, not a float or a bool (:class:`ShapeMismatchError`)."""
     kind = spec.get("kind")
     if kind == "spin-chain":
         return build_subspace(_chain_model(spec), cap=cap)
     if kind == "full":
-        shape = BipartiteShape(int(spec["dim_system"]), int(spec["dim_environment"]))
-        return full_space(shape, cap=cap)
+        d_s, d_e = (json_dimension(spec[key], key) for key in ("dim_system", "dim_environment"))
+        return full_space(BipartiteShape(d_s, d_e), cap=cap)
     if kind == "file":
         return ConstraintSubspace.load(spec["path"], cap=cap)
     raise ValueError(f"unknown subspace kind {kind!r}")
@@ -421,20 +428,6 @@ def exact_average_purity(sub: ConstraintSubspace) -> float:
     d_r = sub.dim_subspace
     omega_s, env_purity = sub.marginals(np.ones(d_r), d_r)
     return d_r * (purity(omega_s) + env_purity) / (d_r + 1)
-
-
-def purity_inequality_check(sub: ConstraintSubspace) -> tuple[float, float]:
-    """Exact mean purity against the sum of the marginal purities.
-
-    Returns (lhs, rhs) = (<Tr rho_S^2>, Tr Omega_S^2 + Tr Omega_E^2) and
-    raises if lhs exceeds rhs beyond 1e-10.
-    """
-    lhs = exact_average_purity(sub)
-    ens = canonical_ensemble(sub)
-    rhs = ens.system_purity + ens.environment_purity
-    if lhs > rhs + 1e-10:
-        raise TypicalityError(f"mean purity {lhs!r} exceeded marginal-purity sum {rhs!r}")
-    return lhs, rhs
 
 
 def mc_average_purity(

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra primitives: partial traces, norms, the JSON codec.
+"""Dense complex linear algebra primitives: the pieced product, the trace norm, the JSON codec.
 
 All operators are plain ``numpy`` arrays of complex128.  The single spectral
 primitive is the Hermitian eigendecomposition (``numpy.linalg.eigh``); every
@@ -30,10 +30,6 @@ HERMITICITY_ATOL = 1e-8
 
 #: Tolerance for invariant assertions (trace one, orthonormality, ...).
 INVARIANT_ATOL = 1e-10
-
-#: Eigenvalues of numerically computed density matrices above this floor are
-#: treated as round-off and clipped to zero.
-EIGENVALUE_FLOOR = -1e-10
 
 #: Longer sums in a product follow OpenBLAS's thread count, unless whole multiples of it.
 GEMM_PIECE = 128
@@ -92,72 +88,16 @@ def add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray, part: np.ndarray)
     return acc
 
 
-def partial_trace(rho: np.ndarray, shape: BipartiteShape, keep: str = "system") -> np.ndarray:
-    """Trace out one tensor factor of a composite operator.
-
-    ``keep="system"`` returns Tr_E(rho) of dimension ``dim_system``;
-    ``keep="environment"`` returns Tr_S(rho) of dimension ``dim_environment``.
-    Trace and Hermiticity are preserved exactly up to round-off.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (shape.dim, shape.dim):
-        raise ShapeMismatchError(
-            f"operator shape {rho.shape} does not match composite dimension {shape.dim}"
-        )
-    four = rho.reshape(shape.dim_system, shape.dim_environment,
-                       shape.dim_system, shape.dim_environment)
-    if keep == "system":
-        return np.trace(four, axis1=1, axis2=3)
-    if keep == "environment":
-        return np.trace(four, axis1=0, axis2=2)
-    raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix (Schatten 1-norm)."""
     m = require_hermitian(m)
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(m)))
-
-
-def operator_norm(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix."""
-    m = require_hermitian(m)
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-
-
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2) for Hermitian rho, computed entrywise."""
     rho = np.asarray(rho)
     return float(np.sum(np.abs(rho) ** 2).real)
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = INVARIANT_ATOL) -> np.ndarray:
-    """Validate Hermiticity, positivity (to round-off) and unit trace."""
-    rho = require_hermitian(rho, atol=max(atol, HERMITICITY_ATOL))
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < EIGENVALUE_FLOOR:
-        raise HermiticityError(f"negative eigenvalue {eigs.min():.3e} below floor")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > atol:
-        raise ShapeMismatchError(f"trace {tr} deviates from 1 beyond {atol:.1e}")
-    return rho
-
-
-def sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root with eigenvalues clipped into [0, 1] first.
-
-    Clipping keeps boundary round-off from producing complex roots; operators
-    passed here are measurement effects, whose spectrum belongs to [0, 1].
-    """
-    m = require_hermitian(m)
-    eigs, vecs = np.linalg.eigh(m)
-    eigs = np.clip(eigs, 0.0, 1.0)
-    return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
 def complex_matrix_to_json(m: np.ndarray) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import check_epsilon, distance_tail_bound, finite, suggested_epsilon
 from .errors import DimensionCapError, EmptyWindowError
 from .filtering import MeasurementFilter
-from .linalg import DEFAULT_DIMENSION_CAP, MAX_ENUMERATION_BITS, BipartiteShape, check_cap
+from .linalg import DEFAULT_DIMENSION_CAP, MAX_ENUMERATION_BITS, BipartiteShape
 from .subspace import ConstraintSubspace, check_size
 
 
@@ -121,48 +121,6 @@ def _shell_terms(m: SpinChainModel) -> list[tuple[int, int, int]]:
     ]
 
 
-def canonical_weights(m: SpinChainModel) -> np.ndarray:
-    """Per-string weight of the system's reduced equiprobable state, by excitation count.
-
-    A system string with j excitations carries weight
-    C(n-k, num_excited - j) / C(n, num_excited): the hypergeometric law of
-    drawing the k system spins from the shell without replacement.
-    """
-    weights = np.zeros(m.k + 1)
-    for j, _, c_env in _shell_terms(m):
-        weights[j] = c_env / m.dim_subspace
-    return weights
-
-
-def _count_diagonal(m: SpinChainModel, weights: np.ndarray) -> np.ndarray:
-    """Dense diagonal system operator giving each string the weight of its count."""
-    check_cap(m.dim_system)
-    sys_strings = np.arange(m.dim_system, dtype=np.uint32)
-    diag = weights[np.bitwise_count(sys_strings)]
-    return np.diag(diag.astype(complex))
-
-
-def exact_canonical_state(m: SpinChainModel) -> np.ndarray:
-    """Dense diagonal reduced state of the shell's equiprobable state."""
-    return _count_diagonal(m, canonical_weights(m))
-
-
-def product_weights(m: SpinChainModel) -> np.ndarray:
-    """Weights (1-p)^(k-j) p^j of the independent-spins approximation, by count."""
-    p = m.excitation_fraction
-    j = np.arange(m.k + 1)
-    return (1.0 - p) ** (m.k - j) * p**j
-
-
-def product_approximation(m: SpinChainModel) -> np.ndarray:
-    """Dense diagonal product state of k spins, each excited with probability p.
-
-    Approaches :func:`exact_canonical_state` as the chain grows at fixed k
-    and p; exact already at k=1.
-    """
-    return _count_diagonal(m, product_weights(m))
-
-
 def temperature(m: SpinChainModel) -> float:
     """Boltzmann temperature matching the product form, in units of the field energy.
 
@@ -248,9 +206,11 @@ def exact_typical_tail(m: SpinChainModel, w: TypicalWindow) -> float:
 
 
 def product_distance(m: SpinChainModel) -> float:
-    """Trace distance of :func:`exact_canonical_state` from :func:`product_approximation`,
-    sum_j C(k, j) |canonical_weights[j] - product_weights[j]|, summed exactly in
-    integers over the common denominator d_R n^k and rounded once."""
+    """Trace distance of the shell's reduced state from the product state of k
+    spins, each excited with probability p = num_excited / n: both are diagonal
+    with one weight per system excitation count j, so it is
+    sum_j C(k, j) |C(n-k, num_excited - j) / d_R - p^j (1-p)^(k-j)|, summed
+    exactly in integers over the common denominator d_R n^k and rounded once."""
     n, k, np_ = m.n, m.k, m.num_excited
     d_r, scale = m.dim_subspace, n**k
     c_env = {j: c for j, _, c in _shell_terms(m)}
@@ -271,15 +231,6 @@ def canonical_purities(m: SpinChainModel) -> tuple[float, float]:
     sys_num = sum(c_sys * c_env**2 for _, c_sys, c_env in terms)
     env_num = sum(c_env * c_sys**2 for _, c_sys, c_env in terms)
     return sys_num / d_r**2, env_num / d_r**2
-
-
-def filtered_env_purity(m: SpinChainModel, w: TypicalWindow) -> float:
-    """Purity of the environment marginal after the typical-window projector,
-    again from binomials: environment strings inherit the weight of their
-    window-compatible system partners only.
-    """
-    num = sum(c_env * c_sys**2 for j, c_sys, c_env in _shell_terms(m) if w.contains(j))
-    return num / m.dim_subspace**2
 
 
 def binomial_entropy_bounds(n: int, num_excited: int) -> tuple[float, float, int]:

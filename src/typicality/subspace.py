@@ -312,8 +312,6 @@ class ConstraintSubspace:
         check_size(shape, dense, cap)
         if dense:
             rows = complex_matrix_from_json(obj["basis"])
-            if not np.isfinite(rows).all():
-                raise ShapeMismatchError("basis entries must be finite")
             return functools.partial(from_basis_vectors, shape, rows, cap=cap)
         indices = obj["flat_indices"]
         if not isinstance(indices, list) or not all(
@@ -367,7 +365,8 @@ def from_basis_vectors(
     cap: int = DEFAULT_DIMENSION_CAP,
 ) -> ConstraintSubspace:
     """Build a subspace from spanning vectors, Gram-Schmidt orthonormalized
-    unless they are orthonormal to ``INVARIANT_ATOL``, as a saved basis is."""
+    unless they are orthonormal to ``INVARIANT_ATOL``, as a saved basis is.
+    A NaN or infinite entry raises :class:`ShapeMismatchError`."""
     check_size(shape, dense=True, cap=cap)
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.size == 0:
@@ -376,6 +375,8 @@ def from_basis_vectors(
         raise ShapeMismatchError(
             f"vectors of length {vectors.shape[1]} do not live in dimension {shape.dim}"
         )
+    if not np.isfinite(vectors).all():
+        raise ShapeMismatchError("basis entries must be finite")
     if vectors.shape[0] <= shape.dim:  # more rows are refused before a Gram matrix
         gram = vectors @ vectors.conj().T
         gram[np.diag_indices_from(gram)] -= 1.0
@@ -450,7 +451,8 @@ def build_ensemble(
     """
     omega_s, env_purity = sub.marginals(weights, divisor)
     ens = CanonicalEnsemble(sub, omega_s, env_purity, miss_weight, support_dim)
-    if abs(float(np.trace(omega_s).real) - (1.0 - miss_weight)) > 10 * INVARIANT_ATOL:
+    trace_gap = abs(float(np.trace(omega_s).real) - (1.0 - miss_weight))
+    if not trace_gap <= 10 * INVARIANT_ATOL:  # a NaN gap fails too
         raise ShapeMismatchError("system marginal lost trace")
     if not ens.degenerate and support_dim > 0:
         floor = sub.dim_subspace / support_dim - 1e-9

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import hs_norm
 
 
 def weyl_basis(dim: int) -> np.ndarray:
@@ -47,39 +46,3 @@ def coefficients(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     # Tr(U' rho) = sum_ab conj(U[a, b]) rho[a, b]
     return np.einsum("xab,ab->x", ops.conj(), rho)
 
-
-def reconstruct(ops: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Rebuild the operator from its coefficients, (1/d) sum_x C_x U^x."""
-    dim = ops.shape[1]
-    return np.einsum("x,xab->ab", np.asarray(coeffs, dtype=complex), ops) / dim
-
-
-def hs_distance_from_coefficients(
-    coeffs_a: np.ndarray, coeffs_b: np.ndarray, dim: int
-) -> float:
-    """Hilbert-Schmidt distance recovered from coefficient deviations.
-
-    Equals ``hs_norm(a - b)`` exactly, by orthogonality of the basis.
-    """
-    delta = np.asarray(coeffs_a) - np.asarray(coeffs_b)
-    return float(np.sqrt(np.sum(np.abs(delta) ** 2) / dim))
-
-
-def max_coefficient_deviation(ops: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Largest |C_x(rho) - C_x(sigma)| over the basis.
-
-    Controls the trace distance through the chain
-    ||rho - sigma||_1 <= sqrt(d) ||rho - sigma||_2 <= d * max deviation.
-    """
-    delta = coefficients(ops, np.asarray(rho) - np.asarray(sigma))
-    return float(np.max(np.abs(delta)))
-
-
-def coefficient_identity_gap(ops: np.ndarray, rho: np.ndarray, sigma: np.ndarray) -> float:
-    """|hs_norm(rho - sigma) - coefficient-space distance|, for verification."""
-    dim = ops.shape[1]
-    direct = hs_norm(np.asarray(rho) - np.asarray(sigma))
-    via_coeffs = hs_distance_from_coefficients(
-        coefficients(ops, rho), coefficients(ops, sigma), dim
-    )
-    return abs(direct - via_coeffs)

@@ -10,30 +10,33 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_hermitian
-from typicality.bounds import lipschitz_distance_report, lipschitz_expectation_report
+from helpers import (
+    coefficient_identity_gap,
+    exact_canonical_state,
+    filtered_env_purity,
+    hs_norm,
+    lipschitz_distance_report,
+    lipschitz_expectation_report,
+    max_coefficient_deviation,
+    miss_weight_by_enumeration,
+    operator_norm,
+    purity_inequality_check,
+    random_hermitian,
+)
 from typicality.cli import main as cli_main
 from typicality.experiments import (
     ExperimentConfig,
     exact_average_purity,
     mc_average_purity,
-    purity_inequality_check,
     run_distance_experiment,
 )
-from typicality.filtering import apply_filter, miss_weight_by_enumeration
-from typicality.linalg import (
-    BipartiteShape,
-    hs_norm,
-    operator_norm,
-    trace_norm,
-)
+from typicality.filtering import apply_filter
+from typicality.linalg import BipartiteShape, trace_norm
 from typicality.spin_chain import (
     SpinChainModel,
     build_subspace,
-    exact_canonical_state,
     exact_typical_tail,
     excitation_states,
-    filtered_env_purity,
     spin_chain_report,
     typical_dim_bound,
     typical_miss_bound,
@@ -43,11 +46,7 @@ from typicality.spin_chain import (
     binomial_entropy_bounds,
 )
 from typicality.subspace import canonical_ensemble, full_space, random_subspace
-from typicality.weyl import (
-    coefficient_identity_gap,
-    max_coefficient_deviation,
-    weyl_basis,
-)
+from typicality.weyl import weyl_basis
 
 
 def report(criterion: str, detail: str) -> None:

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_hermitian
+from helpers import (
+    lipschitz_distance_report,
+    lipschitz_expectation_report,
+    random_hermitian,
+    sphere_distance,
+)
 from typicality.bounds import (
     LEVY_CONSTANT,
     average_distance_bound,
@@ -12,16 +17,13 @@ from typicality.bounds import (
     expectation_tail_bound,
     filtered_distance_tail_bound,
     levy_tail,
-    lipschitz_distance_report,
-    lipschitz_expectation_report,
     operator_basis_tail_bound,
-    sphere_distance,
     sqrt_ratio,
     state_sphere_dim,
     suggested_epsilon,
     write_bound_table,
 )
-from typicality.errors import SubspaceMismatchError
+from typicality.errors import ShapeMismatchError
 from typicality.linalg import BipartiteShape
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import canonical_ensemble, full_space
@@ -227,7 +229,7 @@ def test_lipschitz_expectation_rejects_a_composite_observable(draw_states):
     sub = build_subspace(SpinChainModel(n=3, k=1, num_excited=1))
     coords, _ = draw_states(sub, 33, 0, 2)
     pair = (coords[:1], coords[1:])
-    with pytest.raises(SubspaceMismatchError):
+    with pytest.raises(ShapeMismatchError):
         lipschitz_expectation_report(np.eye(sub.shape.dim, dtype=complex), *pair)
     compressed = sub.compress_operator(np.eye(sub.shape.dim, dtype=complex))
     assert lipschitz_expectation_report(compressed, *pair).pairs_checked == 1

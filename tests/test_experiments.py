@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import partial_trace, purity_inequality_check
 from typicality import experiments, sampling
 from typicality.bounds import distance_tail_bound, expectation_tail_bound, levy_tail
 from typicality.cli import main
+from typicality.errors import ShapeMismatchError
 from typicality.experiments import (
     ExperimentConfig,
     SummaryStats,
@@ -24,14 +26,13 @@ from typicality.experiments import (
     _trial_block,
     exact_average_purity,
     mc_average_purity,
-    purity_inequality_check,
     resolve_filter,
     resolve_subspace,
     run_distance_experiment,
     summary_dict,
     write_trials_csv,
 )
-from typicality.linalg import BipartiteShape, partial_trace, purity
+from typicality.linalg import BipartiteShape, purity
 from typicality.sampling import (
     SampleStream,
     reduced_state_from_coords,
@@ -84,6 +85,7 @@ def test_config_bytes_are_pinned():
 def test_resolve_subspace_kinds(tmp_path):
     sub = resolve_subspace(CHAIN_SPEC)
     assert sub.dim_subspace == 3
+    assert resolve_subspace({**CHAIN_SPEC, "num_excited": 0}).dim_subspace == 1
     full = resolve_subspace({"kind": "full", "dim_system": 2, "dim_environment": 2})
     assert full.dim_subspace == 4
     path = tmp_path / "sub.json"
@@ -93,6 +95,26 @@ def test_resolve_subspace_kinds(tmp_path):
     assert loaded.dim_subspace == 2
     with pytest.raises(ValueError):
         resolve_subspace({"kind": "nope"})
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "spin-chain", "n": 8.9, "k": 2, "num_excited": 4},
+    {"kind": "spin-chain", "n": 8, "k": 2.0, "num_excited": 4},
+    {"kind": "spin-chain", "n": 8, "k": 2, "num_excited": 4.0},
+    {"kind": "spin-chain", "n": 8, "k": True, "num_excited": 4},
+    {"kind": "spin-chain", "n": 8, "k": 2, "num_excited": False},
+    {"kind": "full", "dim_system": 2.5, "dim_environment": 2},
+    {"kind": "full", "dim_system": 2, "dim_environment": True},
+])
+def test_resolve_subspace_refuses_non_integer_fields(spec):
+    # a float is not truncated: the run would differ from the spec it echoes
+    with pytest.raises(ShapeMismatchError, match="must be an integer"):
+        resolve_subspace(spec)
+    with pytest.raises(ShapeMismatchError, match="must be an integer"):
+        run_distance_experiment(ExperimentConfig(subspace=spec, trials=2, seed=1))
+    if spec["kind"] == "spin-chain":
+        with pytest.raises(ShapeMismatchError, match="must be an integer"):
+            resolve_filter({"kind": "typical-window", "half_width": 1.0}, spec)
 
 
 def test_exact_average_purity_full_space():
@@ -685,8 +707,9 @@ def test_kernel_frees_the_weyl_stack_before_it_draws(monkeypatch):
 
 
 def test_a_run_holds_its_records_once():
-    # distance, purity and Weyl deviation: 24 B per trial, in one (3, trials) array
-    trials = 200_000
+    # distance, purity and Weyl deviation: 24 B per trial, in one (3, trials) array;
+    # records held twice (about 56 B per trial in all) pass the bound below 65 000 trials
+    trials = 100_000
     spec = {"kind": "spin-chain", "n": 8, "k": 2, "num_excited": 4}
     # modules the first run imports (numpy.random) are not part of this check
     run_distance_experiment(ExperimentConfig(subspace=spec, trials=2, seed=1))
@@ -735,6 +758,40 @@ def test_benchmark_imports_resolve():
             if module is not None and not hasattr(module, node.attr):
                 missing.append(f"{module.__name__}.{node.attr}")
     assert missing == []
+
+
+def test_every_package_definition_is_reached():
+    # a module-level function or class of the package must be named (as an AST
+    # name or attribute) by a reached definition, starting from cli.main and
+    # module-level code outside __init__, by a benchmark file (strings too: the
+    # traced run patches attributes by name) or by the README's python block
+    root = Path(__file__).resolve().parent.parent
+
+    def named(tree):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    defs, seeds = {}, {"main"}
+    for path in sorted((root / "src" / "typicality").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif path.name != "__init__.py":
+                seeds |= named(node)
+    for path in (root / "benchmarks").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        seeds |= named(tree) | {node.value for node in ast.walk(tree)
+                                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    seeds |= named(ast.parse(readme.split("```python\n")[1].split("```")[0]))
+    reached, todo = set(), list(seeds & defs.keys())
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in defs[name]:
+                todo.extend(named(node) & defs.keys())
+    assert sorted(defs.keys() - reached) == []
 
 
 BAD_EPSILONS = (-1.0, 0.0, math.nan, math.inf, 1e200)

@@ -3,17 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from typicality.errors import HermiticityError, OperatorRangeError, ShapeMismatchError
-from typicality.experiments import resolve_filter, resolve_subspace
-from typicality.filtering import (
-    MeasurementFilter,
-    apply_filter,
+from helpers import (
     filtered_state,
     miss_weight_by_enumeration,
     omega_shift_check,
+    partial_trace,
     perturbation_bound_check,
 )
-from typicality.linalg import BipartiteShape, partial_trace, purity
+from typicality.errors import HermiticityError, OperatorRangeError, ShapeMismatchError
+from typicality.experiments import resolve_filter, resolve_subspace
+from typicality.filtering import MeasurementFilter, apply_filter
+from typicality.linalg import BipartiteShape, purity
 from typicality.spin_chain import (
     SpinChainModel,
     build_subspace,
@@ -53,6 +53,19 @@ def test_diagonal_filter_construction_validation():
         MeasurementFilter(np.ones((2, 2, 2), dtype=complex))
     with pytest.raises(ShapeMismatchError):
         MeasurementFilter([])
+
+
+@pytest.mark.parametrize("entries", [
+    np.array([0.5, np.nan]),
+    np.array([np.inf, 0.5]),
+    np.diag([0.5, np.nan]),
+    np.diag([0.5, np.inf]),
+    np.full((2, 2), np.inf),
+])
+def test_filter_refuses_non_finite_entries(entries):
+    # refused before the skew of an inf matrix raises a RuntimeWarning
+    with pytest.raises(OperatorRangeError, match="must be finite"):
+        MeasurementFilter(entries)
 
 
 def test_apply_filter_rejects_diagonal_of_wrong_length():

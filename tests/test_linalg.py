@@ -6,18 +6,21 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from helpers import random_density, random_hermitian
+from helpers import (
+    check_density_matrix,
+    hs_norm,
+    operator_norm,
+    partial_trace,
+    random_density,
+    random_hermitian,
+    sqrt_psd,
+)
 from typicality.errors import HermiticityError, ShapeMismatchError
 from typicality.linalg import (
     BipartiteShape,
     add_product,
-    check_density_matrix,
     complex_matrix_from_json,
     complex_matrix_to_json,
-    hs_norm,
-    operator_norm,
-    partial_trace,
-    sqrt_psd,
     trace_norm,
 )
 

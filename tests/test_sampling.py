@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import partial_trace
 from typicality import sampling
-from typicality.linalg import BipartiteShape, partial_trace, trace_norm
+from typicality.linalg import BipartiteShape, trace_norm
 from typicality.sampling import (
     SampleStream,
     StateReducer,

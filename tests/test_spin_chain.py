@@ -6,6 +6,13 @@ from math import comb
 import numpy as np
 import pytest
 
+from helpers import (
+    canonical_weights,
+    exact_canonical_state,
+    filtered_env_purity,
+    product_approximation,
+    product_weights,
+)
 from typicality.bounds import LEVY_CONSTANT
 from typicality.errors import DimensionCapError, EmptyWindowError
 from typicality.linalg import trace_norm
@@ -17,13 +24,8 @@ from typicality.spin_chain import (
     binomial_entropy_bounds,
     build_subspace,
     canonical_purities,
-    canonical_weights,
-    exact_canonical_state,
     exact_typical_tail,
     excitation_states,
-    filtered_env_purity,
-    product_approximation,
-    product_weights,
     spin_chain_report,
     temperature,
     typical_dim_bound,

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import partial_trace
 from typicality.errors import (
     DimensionCapError,
     RankDeficiencyError,
     ShapeMismatchError,
     TypicalityError,
 )
-from typicality.linalg import BipartiteShape, partial_trace, purity
+from typicality.linalg import BipartiteShape, purity
 from typicality.spin_chain import SpinChainModel, build_subspace
 from typicality.subspace import (
     ConstraintSubspace,
@@ -300,12 +301,22 @@ def test_ensemble_builder_checks_trace_and_floor():
     assert (ens.miss_weight, ens.support_dim, ens.degenerate) == (0.0, 2, False)
     with pytest.raises(ShapeMismatchError, match="lost trace"):
         build_ensemble(sub, np.ones(4), 4, 0.5, 2)
+    with pytest.raises(ShapeMismatchError, match="lost trace"):  # a NaN trace too
+        build_ensemble(sub, np.full(4, np.nan), 4, 0.0, 2)
     # d_eff = 2 misses the floor d_R / support = 4 of a one-dimensional support
     with pytest.raises(TypicalityError, match="fell below"):
         build_ensemble(sub, np.ones(4), 4, 0.0, 1)
     # a degenerate ensemble is flagged, not held to the floor
     empty = build_ensemble(sub, np.zeros(4), 4, 1.0, 1)
     assert empty.degenerate and empty.effective_env_dim == float("inf")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_from_basis_vectors_refuses_non_finite_entries(bad):
+    vectors = np.eye(2, 4, dtype=complex)
+    vectors[1, 3] = bad
+    with pytest.raises(ShapeMismatchError, match="basis entries must be finite"):
+        from_basis_vectors(SHAPE22, vectors)
 
 
 def test_json_roundtrip(tmp_path):

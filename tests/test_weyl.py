@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import random_density
-from typicality.errors import ShapeMismatchError
-from typicality.linalg import hs_norm, trace_norm
-from typicality.weyl import (
+from helpers import (
     coefficient_identity_gap,
-    coefficients,
     hs_distance_from_coefficients,
+    hs_norm,
     max_coefficient_deviation,
+    random_density,
     reconstruct,
-    weyl_basis,
 )
+from typicality.errors import ShapeMismatchError
+from typicality.linalg import trace_norm
+from typicality.weyl import coefficients, weyl_basis
 
 
 def test_qubit_basis_is_i_x_z_miy():
