@@ -8,11 +8,11 @@ files are byte-stable under ``workers``.
 
 The kernel draws its states through ``sampling.sample_states``, the one
 draw path, a stack of up to ``sampling._CHUNK`` at a time.  It evaluates a
-stack with a few stacked calls: a purity sum, one eigensolve per system block
-and a product for the Weyl coefficients.  Each of these works row by row or
-matrix by matrix, with the same arithmetic for a trial wherever it sits in
-the stack, so a record does not depend on where the stack and worker
-boundaries fall.  Folding the trials of a stack into one matrix-matrix
+stack with a few stacked calls: a purity sum, one eigensolve per occupied
+system block and a product for the Weyl coefficients.  Each of these works
+row by row or matrix by matrix, with the same arithmetic for a trial
+wherever it sits in the stack, so a record does not depend on where the
+stack and worker boundaries fall.  Folding the trials of a stack into one matrix-matrix
 product would not keep that: the product's rows can change in the last bits
 with the number of rows.
 """
@@ -291,17 +291,18 @@ def _trial_block(
     None; the deviation is NaN then and when d_S > ``_COEFF_TRACK_MAX_DIM``,
     else the block builds the Weyl family's tables (``_weyl_table``).
 
-    The distance sums |eigenvalue| over one stacked eigensolve per system
-    block (``sub.system_blocks``; a dense subspace is one block), in block
-    order.  It takes ``mean_state`` to be zero off those blocks, as rho is;
-    ``run_distance_experiment`` passes Omega_S, which is.
+    The distance sums |eigenvalue| over one stacked eigensolve per occupied
+    system block (``sub.block_slabs``, the blocks the reducer fills; a dense
+    subspace is one block), in block order.  It takes ``mean_state`` to be
+    zero off those blocks, as rho is, also on system indices no basis vector
+    uses; ``run_distance_experiment`` passes Omega_S, which is.
     """
     d_s = sub.shape.dim_system
     records = np.full((3, count), np.nan)
     tracked = mean_state is not None and d_s <= _COEFF_TRACK_MAX_DIM
     if tracked:
         shift, phases = _weyl_table(d_s)
-    keys = [(slice(None), *np.ix_(idx, idx)) for idx in sub.system_blocks]
+    keys = [(slice(None), *np.ix_(idx, idx)) for idx, *_ in sub.block_slabs[0]]
     for lo, _, rho in sample_states(sub, seed, start, count):
         distance, purities, devs = records[:, lo : lo + rho.shape[0]]
         purities[:] = (np.abs(rho) ** 2).sum(axis=(1, 2))
@@ -317,8 +318,10 @@ def _trial_block(
 
 
 def _split_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (start, count) blocks, at most one per worker and per CPU."""
-    workers = max(1, min(workers, trials, os.cpu_count() or 1))
+    """Contiguous (start, count) blocks, at most one per worker and per CPU
+    this process may run on (its affinity mask, where the platform has one)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(workers, trials, cpus or 1))
     base, extra = divmod(trials, workers)
     blocks = []
     start = 0

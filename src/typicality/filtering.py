@@ -54,41 +54,25 @@ class MeasurementFilter:
         frozen.setflags(write=False)
         object.__setattr__(self, "matrix", frozen)
 
-    def subspace_matrix(self, sub: ConstraintSubspace) -> np.ndarray:
-        """The filter on the coordinates of ``sub``, checked against d_R; 1-d if a diagonal."""
-        if len(self.matrix) != sub.dim_subspace:  # a diagonal, or square by construction
-            raise ShapeMismatchError("filter does not act on the subspace coordinates")
-        return self.matrix
-
-    def support_dim_system(self, sub: ConstraintSubspace) -> int:
-        """Rank of the environment trace of the filter, at tolerance 1e-8.
-
-        The filter is embedded through the subspace isometry before tracing.
-        For the window projector P_S (x) 1_E on a chain shell, as a diagonal
-        or compressed, this counts the window strings that occur in the shell.
-        """
-        x = self.subspace_matrix(sub)
-        traced = sub.marginals(x.real if x.ndim == 1 else x)[0]
-        eigs = np.linalg.eigvalsh(traced)
-        return int(np.sum(eigs > SUPPORT_RANK_TOL))
-
 
 def apply_filter(sub: ConstraintSubspace, f: MeasurementFilter) -> CanonicalEnsemble:
     """Condition the equiprobable state on ``f``.
 
     The filtered state on subspace coordinates is sqrt(X) (1/d_R) sqrt(X)
     = X / d_R.  Its system marginal and environment purity are the subspace
-    marginals of X / d_R; a diagonal X (1-d) takes the index-count route of
-    ``ConstraintSubspace.marginals`` and builds no d_R x d_R matrix.
+    marginals of X / d_R, one pass of ``ConstraintSubspace.marginals``; a
+    diagonal X (1-d) takes its index-count route and builds no d_R x d_R
+    matrix.  The filter's system support rank, that of Tr_E X, counts the
+    marginal's eigenvalues above ``SUPPORT_RANK_TOL`` / d_R.  For the window
+    projector P_S (x) 1_E on a chain shell, as a diagonal or compressed,
+    that is the number of window strings that occur in the shell.
     """
-    e_tilde = f.subspace_matrix(sub) / sub.dim_subspace
-    miss = 1.0 - float(_diagonal(e_tilde).sum().real)
-    miss = min(max(miss, 0.0), 1.0)
-    weights = e_tilde.real if e_tilde.ndim == 1 else e_tilde
-    return build_ensemble(sub, weights, 1.0, miss, f.support_dim_system(sub))
-
-
-def _diagonal(x: np.ndarray) -> np.ndarray:
-    """Diagonal of a subspace matrix, which a 1-d one already is."""
-    return x if x.ndim == 1 else np.diagonal(x)
-
+    d_r = sub.dim_subspace
+    if len(f.matrix) != d_r:  # a diagonal, or square by construction
+        raise ShapeMismatchError("filter does not act on the subspace coordinates")
+    e_tilde = f.matrix / d_r
+    diagonal = e_tilde if e_tilde.ndim == 1 else np.diagonal(e_tilde)
+    miss = min(max(1.0 - float(diagonal.sum().real), 0.0), 1.0)
+    omega_s, env_purity = sub.marginals(e_tilde.real if e_tilde.ndim == 1 else e_tilde)
+    support = int(np.sum(np.linalg.eigvalsh(omega_s) > SUPPORT_RANK_TOL / d_r))
+    return build_ensemble(sub, (omega_s, env_purity), miss, support)

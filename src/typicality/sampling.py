@@ -17,8 +17,9 @@ States are drawn one way: ``sample_states`` yields a range of indices as
 stacks of coordinates and reduced states.  ``normalize_draws`` normalizes a
 stack and ``StateReducer`` reduces it, each with one call per quantity for
 the whole stack and the same arithmetic for a row wherever it sits in it.
-Both forms of subspace are reduced on one path, one product per block slab
-(``ConstraintSubspace.block_slabs``), which only fills the slabs by form.
+Both forms of subspace are reduced on one path, one product per occupied
+system block, over the blocks of ``ConstraintSubspace.block_slabs``, the
+list the trial kernel's eigensolves read too; only the slabs' fill is by form.
 ``sample_coords`` (also the redraw of a short row) and
 ``reduced_state_from_coords`` are the same code on a stack of one, so a
 state's bits do not depend on how many are drawn together.
@@ -195,18 +196,19 @@ class StateReducer:
     each state's matrix M, laid out as ``sub.block_slabs``: in index form by
     one gather of its coordinates, in dense form by one product lifting the
     stack by the basis (a stack of one is lifted as two rows: numpy sends one
-    row to gemv, which rounds differently).  Then, block by block, rho is the
-    block's (size, groups) slab of M times its conjugate transpose, one
-    stacked ``add_product`` per block, matrix by matrix, from reused work
-    rows; the block products lie end to end in ``products`` and one gather
-    puts them into rho in computational order, zero off the blocks.  So a
+    row to gemv, which rounds differently).  Then, for each occupied block
+    in the list, rho is the block's (size, groups) slab of M times its
+    conjugate transpose, one stacked ``add_product`` per block, matrix by
+    matrix, from reused work rows; the block products lie end to end in
+    ``products`` and one gather puts them into rho in computational order,
+    zero off the blocks, unused system indices included.  So a
     state's bits depend neither on the stack nor on the BLAS thread count.
     """
 
     def __init__(self, sub: ConstraintSubspace, chunk: int) -> None:
         width, products = StateReducer.sizes(sub)
         self.products = np.empty((chunk, products), dtype=complex)
-        self._source, self._holes, self._slabs, self._gather = sub.block_slabs
+        self._blocks, self._source, self._holes, self._gather = sub.block_slabs
         if self._source is None:
             self._basis = sub.basis
             self._pad = np.zeros((2, sub.dim_subspace), dtype=complex)
@@ -219,8 +221,8 @@ class StateReducer:
         """Complex entries per state of ``sub`` of the matrix M, its slabs end
         to end (d_R for a spin chain, d_S d_E in dense form), and of the
         packed block products, with their zero in index form."""
-        _, _, slabs, gather = sub.block_slabs
-        return slabs[-1][1], int(gather.max()) + 1
+        blocks, _, _, gather = sub.block_slabs
+        return blocks[-1][2], int(gather.max()) + 1
 
     def __call__(self, coords: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rho of each row of ``coords``, written to ``out`` (c, d_S, d_S)."""
@@ -240,7 +242,8 @@ class StateReducer:
         products = self.products[:c]
         products.fill(0)  # add_product adds to it; its last column is rho off the blocks
         flat = out.reshape(c, out.shape[1] * out.shape[2])  # also for c = 0
-        for lo, hi, (size, groups), pos in self._slabs:
+        for idx, lo, hi, groups, pos in self._blocks:
+            size = idx.size
             slab = m[:, lo:hi].reshape(c, size, groups)
             slab_conj = m_conj[:, lo:hi].reshape(c, size, groups).transpose(0, 2, 1)
             block = products[:, pos : pos + size * size].reshape(c, size, size)

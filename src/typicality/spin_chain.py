@@ -193,8 +193,8 @@ def typical_miss_bound(k: int, p: float, half_width: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
+    if not half_width >= 0:  # NaN too
+        raise ValueError("half_width must be non-negative")
     return 2.0 * math.exp(-(half_width**2) / (4.0 * k * p * (1.0 - p)))
 
 

@@ -128,39 +128,37 @@ class ConstraintSubspace:
         return self._flat // d_e, self._flat % d_e
 
     @functools.cached_property
-    def env_groups(self) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Basis vectors grouped by environment index; None unless in index form.
+    def block_slabs(self) -> tuple[list[tuple], np.ndarray | None, np.ndarray | None, np.ndarray]:
+        """A subspace's occupied system blocks, and a state's amplitudes laid out by them.
 
-        Returns (group id per basis vector, system index per basis vector, group
-        count).  Basis vectors sharing an environment string are the only ones
-        whose interference survives the environment trace, so a state's reduced
-        system matrix is a sum of rank-one blocks over these groups.
+        Two system indices share a block when some environment index pairs
+        with both, so the environment trace of an operator on the subspace (a
+        state, the canonical or a filtered ensemble) is zero off the blocks,
+        also on the system indices that no basis vector uses.  A spin chain's
+        blocks are its occupied excitation shells; a dense basis is one block.
+        Returns (blocks, the basis vector at each slab entry, the slab entries
+        no basis vector fills, the product entry of each flat (d_S x d_S)
+        index).  ``blocks`` lists each block once, by its first index, as (its
+        system indices in increasing order, slab start, slab end, groups,
+        product start); its (size, groups) slab has those indices as rows and
+        the environment indices paired with them, in increasing order, as
+        columns.  The slabs lie end to end, and so do the size x size
+        products; entries off the blocks gather the zero past the last one.
+        A chain's slabs are full (a string pairs with every string of the
+        complementary shell), d_R entries in all.  A dense basis is one
+        (d_S, d_E) slab, the lifted state: it has no source, and the gather
+        is the identity.
         """
+        d_s = self.shape.dim_system
         if self._flat is None:
-            return None
+            everything = (np.arange(d_s), 0, self.shape.dim, self.shape.dim_environment, 0)
+            return [everything], None, None, np.arange(d_s * d_s)
         sys_idx, env_idx = self.one_hot
         _, group = np.unique(env_idx, return_inverse=True)
-        return group, sys_idx, int(group.max()) + 1
-
-    @functools.cached_property
-    def system_blocks(self) -> tuple[np.ndarray, ...]:
-        """System indices partitioned into blocks; a dense subspace is one block.
-
-        Two system indices share a block when some environment group holds
-        both, so the environment trace of every operator on the subspace (a
-        state, the canonical or a filtered ensemble) is zero off the blocks:
-        it pairs only basis vectors of one group.  For a spin chain the
-        blocks are the system's excitation shells; a full space is one
-        block.  Each block lists its indices in increasing order, blocks are
-        ordered by their first index, and a system index no basis vector
-        uses is a block of its own.
-        """
-        if self._flat is None:
-            return (np.arange(self.shape.dim_system),)
-        group, sys_idx, n_groups = self.env_groups
+        n_groups = int(group.max()) + 1
         # every index takes the smallest label among the groups it is in,
         # each label then its own label's, until nothing moves
-        label = np.arange(self.shape.dim_system)
+        label = np.arange(d_s)
         while True:
             low = np.full(n_groups, label.size)
             np.minimum.at(low, group, label[sys_idx])
@@ -170,43 +168,20 @@ class ConstraintSubspace:
             if np.array_equal(moved, label):
                 break
             label = moved
-        order = np.argsort(label, kind="stable")
-        return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
-
-    @functools.cached_property
-    def block_slabs(self) -> tuple[np.ndarray | None, np.ndarray | None, list[tuple], np.ndarray]:
-        """A state's amplitudes laid out block by block.
-
-        Block b of ``system_blocks`` gets a (size, groups) slab: its system
-        indices as rows and the environment groups that hold them, in
-        increasing order, as columns.  The slabs lie end to end in block
-        order, and so do the blocks' size x size products.  Returns (the basis
-        vector at each slab entry, the slab entries no basis vector fills, one
-        (slab start, slab end, (size, groups), product start) per block that
-        has groups, the product entry of each flat (d_S x d_S) index).  Entries
-        off the blocks point one past the last product, at a zero.  A spin
-        chain's slabs have no unfilled entries, since a group holds every
-        string of the complementary system shell, so they hold d_R entries in
-        all.  A dense basis is one block: a lifted state is its (d_S, d_E)
-        slab, so there is no source to gather, and the gather is the identity.
-        """
-        d_s = self.shape.dim_system
-        if self._flat is None:
-            slab = (0, self.shape.dim, (d_s, self.shape.dim_environment), 0)
-            return None, None, [slab], np.arange(d_s * d_s)
-        group, sys_idx, n_groups = self.env_groups
-        blocks = self.system_blocks
-        sizes = np.array([idx.size for idx in blocks])
+        used = np.flatnonzero(np.bincount(sys_idx, minlength=d_s))
+        order = used[np.argsort(label[used], kind="stable")]
+        members = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+        sizes = np.array([idx.size for idx in members])
         firsts = np.cumsum(np.concatenate([[0], sizes**2]))
         gather = np.full(d_s * d_s, firsts[-1])
         block_of, local = np.empty((2, d_s), dtype=np.int64)
-        for b, idx in enumerate(blocks):
+        for b, idx in enumerate(members):
             block_of[idx], local[idx] = b, np.arange(idx.size)
             gather[(idx[:, None] * d_s + idx).ravel()] = firsts[b] + np.arange(idx.size**2)
         # the slab columns: (block, group) pairs in order
         block = block_of[sys_idx]
         pairs, column = np.unique(block * n_groups + group, return_inverse=True)
-        counts = np.bincount(pairs // n_groups, minlength=len(blocks))
+        counts = np.bincount(pairs // n_groups, minlength=len(members))
         ends = np.cumsum(counts * sizes)
         starts = ends - counts * sizes
         column -= (np.cumsum(counts) - counts)[block]  # within its block
@@ -215,12 +190,9 @@ class ConstraintSubspace:
         source[offsets] = np.arange(offsets.size)
         filled = np.zeros(ends[-1], dtype=bool)
         filled[offsets] = True
-        slabs = [
-            (int(lo), int(hi), (int(size), int(n)), int(first))
-            for lo, hi, n, size, first in zip(starts, ends, counts, sizes, firsts)
-            if n
-        ]
-        return source, np.flatnonzero(~filled), slabs, gather
+        blocks = [(idx, int(lo), int(hi), int(n), int(first))
+                  for idx, lo, hi, n, first in zip(members, starts, ends, counts, firsts)]
+        return blocks, source, np.flatnonzero(~filled), gather
 
     def embed(self, coords: np.ndarray) -> np.ndarray:
         """Lift coordinates on the subspace to a composite vector."""
@@ -439,17 +411,18 @@ class CanonicalEnsemble:
 
 
 def build_ensemble(
-    sub: ConstraintSubspace, weights: np.ndarray, divisor: float,
+    sub: ConstraintSubspace, marginals: tuple[np.ndarray, float],
     miss_weight: float, support_dim: int,
 ) -> CanonicalEnsemble:
-    """The ensemble of W = weights / divisor (see ``marginals``), with its invariants checked.
+    """The ensemble of an operator's ``marginals`` on ``sub``, (Tr_E W, Tr (Tr_S W)^2)
+    as ``ConstraintSubspace.marginals`` gives them, with its invariants checked.
 
     The system marginal must keep trace 1 - ``miss_weight``, else
     :class:`ShapeMismatchError`.  Unless the ensemble is degenerate, the
     effective environment dimension must reach d_R / ``support_dim``, else
     :class:`TypicalityError`.
     """
-    omega_s, env_purity = sub.marginals(weights, divisor)
+    omega_s, env_purity = marginals
     ens = CanonicalEnsemble(sub, omega_s, env_purity, miss_weight, support_dim)
     trace_gap = abs(float(np.trace(omega_s).real) - (1.0 - miss_weight))
     if not trace_gap <= 10 * INVARIANT_ATOL:  # a NaN gap fails too
@@ -467,4 +440,4 @@ def build_ensemble(
 def canonical_ensemble(sub: ConstraintSubspace) -> CanonicalEnsemble:
     """Reduced states of the equiprobable state P_R / d_R, without materializing it."""
     d_r = sub.dim_subspace
-    return build_ensemble(sub, np.ones(d_r), d_r, 0.0, sub.shape.dim_system)
+    return build_ensemble(sub, sub.marginals(np.ones(d_r), d_r), 0.0, sub.shape.dim_system)

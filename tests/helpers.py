@@ -1,14 +1,16 @@
 """Test-only code: random matrices, reference oracles and the paper's probes.
 
 The package keeps what its commands run.  The tests check it against the
-dense references here (partial traces, norms, Weyl reconstruction, the
-chain's dense reduced and product states) and run the paper's probes
+dense references here (partial traces, norms, Weyl reconstruction, a
+subspace's system blocks by union-find, the chain's dense reduced and
+product states, a filter's two-pass support rank) and run the paper's probes
 (Lipschitz ratios, filter perturbation, the Omega_S shift, the purity
 inequality) on its states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +23,7 @@ from typicality.errors import (
     TypicalityError,
 )
 from typicality.experiments import exact_average_purity
-from typicality.filtering import MeasurementFilter, _diagonal
+from typicality.filtering import SUPPORT_RANK_TOL, MeasurementFilter
 from typicality.linalg import (
     HERMITICITY_ATOL,
     INVARIANT_ATOL,
@@ -112,6 +114,36 @@ def sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(eigs)) @ vecs.conj().T
 
 
+# -- subspace blocks ---------------------------------------------------------
+
+
+@functools.cache
+def occupied_blocks(sub: ConstraintSubspace) -> list[np.ndarray]:
+    """The system blocks of ``sub``, found without its slab layout: the
+    connected components of ``one_hot``'s (system, environment) pairs, by a
+    plain union-find.  Each block lists the system indices it holds in
+    increasing order, blocks are ordered by their first index, and a system
+    index no basis vector uses is in none; a dense subspace is one block.
+    """
+    if sub.one_hot is None:
+        return [np.arange(sub.shape.dim_system)]
+    parent: dict = {}
+
+    def find(node):
+        while parent.setdefault(node, node) != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    sys_idx, env_idx = (a.tolist() for a in sub.one_hot)
+    for s, e in zip(sys_idx, env_idx):
+        parent[find(("system", s))] = find(("environment", e))
+    blocks: dict = {}
+    for s in sorted(set(sys_idx)):
+        blocks.setdefault(find(("system", s)), []).append(s)
+    return [np.array(b) for b in blocks.values()]
+
+
 # -- Weyl expansions ---------------------------------------------------------
 
 
@@ -159,7 +191,17 @@ def miss_weight_by_enumeration(sub: ConstraintSubspace, f: MeasurementFilter) ->
     """Second route to the miss weight: one minus the mean of the diagonal
     entries <b_i|X|b_i>, where ``apply_filter`` sums the trace of X / d_R.
     """
-    return 1.0 - float(np.mean(_diagonal(f.subspace_matrix(sub)).real))
+    x = f.matrix
+    return 1.0 - float(np.mean((x if x.ndim == 1 else np.diagonal(x)).real))
+
+
+def support_dim_two_pass(sub: ConstraintSubspace, f: MeasurementFilter) -> int:
+    """Second route to the filter's system support rank: the eigenvalues of
+    Tr_E X above ``SUPPORT_RANK_TOL``, from a marginal pass of its own, where
+    ``apply_filter`` ranks the marginal of X / d_R that it keeps."""
+    x = f.matrix
+    traced = sub.marginals(x.real if x.ndim == 1 else x)[0]
+    return int(np.sum(np.linalg.eigvalsh(traced) > SUPPORT_RANK_TOL))
 
 
 def filtered_state(
@@ -223,7 +265,7 @@ def omega_shift_check(
 def _root_times(sub: ConstraintSubspace, f: MeasurementFilter, coords: np.ndarray) -> np.ndarray:
     """sqrt(X) applied to a coordinate vector, or to each row of a stack, the
     spectrum of X clipped into [0, 1]."""
-    x_sub = f.subspace_matrix(sub)
+    x_sub = f.matrix
     if x_sub.ndim == 1:
         return np.sqrt(np.clip(x_sub.real, 0.0, 1.0)) * coords
     return coords @ sqrt_psd(x_sub).T

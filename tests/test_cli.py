@@ -200,6 +200,31 @@ def test_subspace_file_with_non_integer_dimension_exits_2(tmp_path, capsys, dims
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("chain, miss", [(("8", "2", "4"), 2.0), (("24", "12", "12"), 2.0)])
+def test_spin_chain_accepts_a_zero_half_width_as_experiment_does(tmp_path, capsys, chain, miss):
+    # the Chernoff cap 2 exp(-xi^2 / (4 k p (1 - p))) is 2 at xi = 0
+    n, k, np_ = chain
+    code, out, err = run_cli(capsys, "spin-chain", "--n", n, "--k", k, "--np", np_, "--xi", "0")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["half_width"], report["miss_bound"]) == (0.0, miss)
+    if chain == ("8", "2", "4"):
+        code, _, err = run_cli(capsys, "experiment", "--spin-chain", n, k, np_, "--xi", "0",
+                               "--trials", "20", "--seed", "1", "--output", str(tmp_path))
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command", [
+    ["experiment", "--spin-chain", "9", "3", "4", "--seed", "1"],
+    ["spin-chain", "--n", "9", "--k", "3", "--np", "4"],
+])
+def test_zero_half_width_on_an_empty_window_exits_2(tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, *command, "--xi", "0", "--output", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: window [2, 1] is empty")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("xi", ["nan", "inf"])
 @pytest.mark.parametrize("command", [
     ["experiment", "--spin-chain", "8", "2", "4", "--seed", "1"],

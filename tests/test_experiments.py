@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import partial_trace, purity_inequality_check
+from helpers import occupied_blocks, partial_trace, purity_inequality_check
 from typicality import experiments, sampling
 from typicality.bounds import distance_tail_bound, expectation_tail_bound, levy_tail
 from typicality.cli import main
@@ -58,7 +58,7 @@ def _blockwise_distance(sub, rho, mean):
     """
     diff = rho - mean
     total = 0.0
-    for idx in sub.system_blocks:
+    for idx in occupied_blocks(sub):
         total += np.sum(np.abs(np.linalg.eigvalsh(diff[np.ix_(idx, idx)])))
     return float(total)
 
@@ -147,7 +147,6 @@ def test_exact_average_purity_one_hot_matches_dense_route():
 def test_chain_ensemble_and_oracle_allocate_no_environment_matrix():
     # (12,1,6) has d_E = 2048: a dense environment marginal alone would be 64 MB
     sub = build_subspace(SpinChainModel(n=12, k=1, num_excited=6))
-    sub.env_groups  # the cached grouping is not part of this check
     tracemalloc.start()
     try:
         canonical_ensemble(sub)
@@ -354,6 +353,7 @@ def test_filter_file_spec_is_rejected_even_for_a_valid_filter_file(tmp_path):
 
 def test_experiment_deterministic_across_workers(monkeypatch):
     # three blocks on any host, so the pool's blocks can complete out of order
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     base = dict(subspace={"kind": "spin-chain", "n": 4, "k": 2, "num_excited": 2},
                 trials=300, seed=17)
@@ -373,6 +373,8 @@ def test_experiment_deterministic_across_workers(monkeypatch):
 
 
 def test_split_blocks_caps_blocks_at_cpu_count(monkeypatch):
+    # a platform without affinity masks: os.cpu_count caps the blocks
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
     blocks = _split_blocks(10**6, 10_000)
     assert blocks == [(0, 250_000), (250_000, 250_000), (500_000, 250_000), (750_000, 250_000)]
@@ -380,6 +382,15 @@ def test_split_blocks_caps_blocks_at_cpu_count(monkeypatch):
     assert _split_blocks(10, 3) == [(0, 4), (4, 3), (7, 3)]
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
     assert _split_blocks(10, 8) == [(0, 10)]
+
+
+def test_split_blocks_caps_blocks_at_the_affinity_mask(monkeypatch):
+    # pinned to one CPU of a larger host: one block, so one worker process
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _split_blocks(1000, 4) == [(0, 1000)]
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert _split_blocks(1000, 4) == [(0, 334), (334, 333), (667, 333)]
 
 
 def test_monte_carlo_runs_share_trial_records():
@@ -548,11 +559,49 @@ def test_canonical_state_is_zero_off_the_system_blocks(case):
     sub, omega = _kernel_case(case)[:2]
     d_s = sub.shape.dim_system
     on_blocks = np.zeros((d_s, d_s), dtype=bool)
-    for idx in sub.system_blocks:
+    blocks = [idx for idx, *_ in sub.block_slabs[0]]
+    for idx in blocks:
         on_blocks[np.ix_(idx, idx)] = True
-    assert len(sub.system_blocks) > 1
+    assert len(blocks) > 1
     assert np.trace(omega).real == pytest.approx(1.0)
     assert not omega[~on_blocks].any()
+
+
+#: Subspaces with system indices no basis vector uses: the (9,3,1) chain
+#: (shells 0 and 1 of 4), then random basis states, (d_S, d_E, d_R, seed):
+#: one block with unfilled slab entries, and five small blocks.
+UNUSED_INDEX_CASES = ((9, 3, 1), (8, 6, 12, 5), (8, 16, 12, 1))
+
+
+@pytest.mark.parametrize("case", UNUSED_INDEX_CASES)
+def test_kernel_eigensolves_only_the_occupied_blocks(monkeypatch, case):
+    if len(case) == 3:
+        sub = build_subspace(SpinChainModel(*case))
+    else:
+        d_s, d_e, d_r, seed = case
+        flat = np.random.default_rng(seed).choice(d_s * d_e, size=d_r, replace=False)
+        sub = ConstraintSubspace(BipartiteShape(d_s, d_e), flat_indices=flat)
+    d_s = sub.shape.dim_system
+    blocks, _, holes, _ = sub.block_slabs
+    unused = np.setdiff1d(np.arange(d_s), sub.one_hot[0])
+    assert unused.size
+    assert holes.size or len(case) == 3  # a chain's slabs are full
+    assert [b[0].tolist() for b in blocks] == [b.tolist() for b in occupied_blocks(sub)]
+    omega = canonical_ensemble(sub).system_state
+    assert not omega[unused].any() and not omega[:, unused].any()
+
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(sampling, "_CHUNK", 16)
+    records = _trial_block(sub, omega, 5, 0, 40)  # stacks of 16, 16 and 8
+    monkeypatch.undo()
+    assert calls == [(c, b[0].size, b[0].size) for c in (16, 16, 8) for b in blocks]
+    ops = weyl_basis(d_s)
+    for i, row in enumerate(records.T):
+        rho = reduced_state_from_coords(sub, sample_coords(sub.dim_subspace, SampleStream(5, i)))
+        assert row[0] == _blockwise_distance(sub, rho, omega)
+        assert row[1] == purity(rho)
+        assert abs(row[2] - np.max(np.abs(coefficients(ops, rho - omega)))) <= 1e-14
 
 
 @pytest.mark.parametrize("case", [(6, 2, 3), "dense"])

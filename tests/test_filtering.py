@@ -9,8 +9,14 @@ from helpers import (
     omega_shift_check,
     partial_trace,
     perturbation_bound_check,
+    support_dim_two_pass,
 )
-from typicality.errors import HermiticityError, OperatorRangeError, ShapeMismatchError
+from typicality.errors import (
+    EmptyWindowError,
+    HermiticityError,
+    OperatorRangeError,
+    ShapeMismatchError,
+)
 from typicality.experiments import resolve_filter, resolve_subspace
 from typicality.filtering import MeasurementFilter, apply_filter
 from typicality.linalg import BipartiteShape, purity
@@ -21,7 +27,12 @@ from typicality.spin_chain import (
     typical_projector,
     typical_window,
 )
-from typicality.subspace import canonical_ensemble, from_basis_vectors, random_subspace
+from typicality.subspace import (
+    ConstraintSubspace,
+    canonical_ensemble,
+    from_basis_vectors,
+    random_subspace,
+)
 
 CHAIN = SpinChainModel(n=3, k=1, num_excited=1)
 
@@ -214,7 +225,7 @@ def test_filtered_state_routes(draw_states):
     coords = np.array([0.0, 0.0, 1.0], dtype=complex)  # string 100, last in order
     assert np.linalg.norm(filtered_state(sub, coords, filt)) == pytest.approx(0.0, abs=1e-12)
 
-    x_sub = filt.subspace_matrix(sub)
+    x_sub = filt.matrix
     for phi in draw_states(sub, 9, 0, 20)[0]:
         tilde = filtered_state(sub, phi, filt)
         quad = float(np.vdot(phi, x_sub * phi).real)
@@ -266,4 +277,44 @@ def test_support_dim_of_product_filter():
     model = SpinChainModel(n=4, k=2, num_excited=2)
     window = typical_window(model, 0.5)  # only |s| = 1
     filt = typical_projector(model, window)
-    assert filt.support_dim_system(build_subspace(model)) == 2
+    assert apply_filter(build_subspace(model), filt).support_dim == 2
+
+
+def test_apply_filter_makes_one_marginal_pass(monkeypatch):
+    # the chain and window of ``experiment --spin-chain 9 3 4 --xi 1``
+    model = SpinChainModel(n=9, k=3, num_excited=4)
+    sub = build_subspace(model)
+    filt = typical_projector(model, typical_window(model, 1.0))
+    marginals, calls = ConstraintSubspace.marginals, []
+    with monkeypatch.context() as patch:
+        patch.setattr(ConstraintSubspace, "marginals",
+                      lambda self, *args: calls.append(args) or marginals(self, *args))
+        filtered = apply_filter(sub, filt)
+    assert len(calls) == 1
+    assert filtered.support_dim == support_dim_two_pass(sub, filt) == 6  # shells 1 and 2
+
+
+def test_support_rank_of_the_kept_marginal_equals_the_two_pass_rank():
+    # the windows of six chains, then random projectors on three dense
+    # subspaces, as diagonals and as matrices, of every rank up to d_R
+    cases = []
+    for n, k, num_excited in ((4, 2, 2), (6, 2, 3), (7, 3, 3), (8, 3, 4), (9, 3, 4), (8, 2, 4)):
+        model = SpinChainModel(n=n, k=k, num_excited=num_excited)
+        sub = build_subspace(model)
+        for xi in (0.0, 0.5, 1.0, 1.5, float(k)):
+            try:
+                cases.append((sub, typical_projector(model, typical_window(model, xi))))
+            except EmptyWindowError:
+                continue
+    rng = np.random.default_rng(31)
+    for d_s, d_e, d_r in ((4, 1, 3), (4, 2, 5), (3, 4, 6)):
+        sub = random_subspace(BipartiteShape(d_s, d_e), d_r, rng)
+        for rank in range(d_r + 1):
+            diagonal = np.zeros(d_r, dtype=complex)
+            diagonal[rng.permutation(d_r)[:rank]] = 1.0
+            g = rng.standard_normal((d_r, rank)) + 1j * rng.standard_normal((d_r, rank))
+            q = np.linalg.qr(g)[0]
+            cases += [(sub, MeasurementFilter(diagonal)), (sub, MeasurementFilter(q @ q.conj().T))]
+    ranks = [(apply_filter(sub, f).support_dim, support_dim_two_pass(sub, f)) for sub, f in cases]
+    assert all(one == two for one, two in ranks)
+    assert len({rank for rank, _ in ranks}) > 4

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import partial_trace
+from helpers import occupied_blocks, partial_trace
 from typicality import sampling
 from typicality.linalg import BipartiteShape, trace_norm
 from typicality.sampling import (
@@ -122,21 +122,20 @@ def _per_trial_draw(rng, dim_subspace):
 
 
 def _per_trial_reduction(sub, coords):
-    """The reduction one state at a time: in index form, per system block a
-    2-d scatter into its (group, block index) matrix and one product; in
-    dense form the embedding as a product of two rows (the state, then
-    zeros) with the basis, summed in order over pieces of 128 coordinates,
-    then one product."""
+    """The reduction one state at a time: in index form, per system block
+    (``occupied_blocks``) a 2-d scatter into its (environment index, block
+    index) matrix and one product; in dense form the embedding as a product
+    of two rows (the state, then zeros) with the basis, summed in order over
+    pieces of 128 coordinates, then one product."""
     d_s = sub.shape.dim_system
-    groups = sub.env_groups
-    if groups is not None:
-        group, sys_idx, _ = groups
+    if sub.one_hot is not None:
+        sys_idx, env_idx = sub.one_hot
         rho = np.zeros((d_s, d_s), dtype=complex)
-        for idx in sub.system_blocks:
+        for idx in occupied_blocks(sub):
             members = np.isin(sys_idx, idx)
-            rows = np.unique(group[members])
+            rows = np.unique(env_idx[members])
             m = np.zeros((rows.size, idx.size), dtype=complex)
-            m[np.searchsorted(rows, group[members]), np.searchsorted(idx, sys_idx[members])] = (
+            m[np.searchsorted(rows, env_idx[members]), np.searchsorted(idx, sys_idx[members])] = (
                 coords[members]
             )
             rho[np.ix_(idx, idx)] = m.T @ m.conj()
@@ -202,16 +201,17 @@ def _block_case(case):
 def test_system_blocks_partition_the_system_and_hold_every_reduced_state(case):
     sub = _block_case(case)
     d_s = sub.shape.dim_system
-    blocks = sub.system_blocks
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(d_s))
+    blocks = [idx for idx, *_ in sub.block_slabs[0]]
+    # the blocks partition the system indices some basis vector uses
+    used = np.arange(d_s) if sub.one_hot is None else np.unique(sub.one_hot[0])
+    assert np.array_equal(np.sort(np.concatenate(blocks)), used)
     assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
     assert all(np.array_equal(b, np.sort(b)) for b in blocks)
+    assert [b.tolist() for b in blocks] == [b.tolist() for b in occupied_blocks(sub)]
     if case[0] == "chain":
-        # the occupied excitation shells, and each string of an empty shell alone
+        # the occupied excitation shells
         shells = np.bitwise_count(np.arange(d_s))
-        used = set(shells[sub.one_hot[0]].tolist())
-        want = [np.flatnonzero(shells == m) for m in used]
-        want += [np.array([s]) for s in range(d_s) if shells[s] not in used]
+        want = [np.flatnonzero(shells == m) for m in set(shells[sub.one_hot[0]].tolist())]
         assert sorted(map(tuple, blocks)) == sorted(map(tuple, want))
     if case[0] in ("full", "dense"):
         assert len(blocks) == 1
@@ -226,6 +226,8 @@ def test_system_blocks_partition_the_system_and_hold_every_reduced_state(case):
         want = partial_trace(np.outer(v, v.conj()), sub.shape)
         assert np.abs(rho[j] - want).max() <= 1e-14
         assert not rho[j][~on_blocks].any()
+        unused = np.setdiff1d(np.arange(d_s), used)
+        assert not rho[j][unused].any() and not rho[j][:, unused].any()
 
 
 def test_block_work_rows_of_a_half_filled_chain_hold_d_r_entries():

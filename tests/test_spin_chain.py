@@ -233,6 +233,14 @@ def test_miss_bound_values():
     assert exact <= 2 * math.exp(-3) + 1e-12
 
 
+def test_miss_bound_takes_a_zero_half_width_and_refuses_negative_and_nan():
+    assert typical_miss_bound(16, 0.5, 0.0) == 2.0
+    assert typical_miss_bound(4, 0.25, -0.0) == 2.0
+    for half_width in (-1e-300, -1.0, math.nan):
+        with pytest.raises(ValueError, match="half_width must be non-negative"):
+            typical_miss_bound(16, 0.5, half_width)
+
+
 @pytest.mark.parametrize("p_num,p_den", [(1, 4), (1, 3), (1, 2)])
 def test_chernoff_dominates_exact_tail(p_num, p_den):
     # subset of the acceptance grid

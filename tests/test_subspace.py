@@ -297,17 +297,18 @@ def test_full_space_follows_the_index_rule_of_its_file():
 
 def test_ensemble_builder_checks_trace_and_floor():
     sub = full_space(SHAPE22)
-    ens = build_ensemble(sub, np.ones(4), 4, 0.0, 2)
+    canonical = sub.marginals(np.ones(4), 4)
+    ens = build_ensemble(sub, canonical, 0.0, 2)
     assert (ens.miss_weight, ens.support_dim, ens.degenerate) == (0.0, 2, False)
     with pytest.raises(ShapeMismatchError, match="lost trace"):
-        build_ensemble(sub, np.ones(4), 4, 0.5, 2)
+        build_ensemble(sub, canonical, 0.5, 2)
     with pytest.raises(ShapeMismatchError, match="lost trace"):  # a NaN trace too
-        build_ensemble(sub, np.full(4, np.nan), 4, 0.0, 2)
+        build_ensemble(sub, sub.marginals(np.full(4, np.nan), 4), 0.0, 2)
     # d_eff = 2 misses the floor d_R / support = 4 of a one-dimensional support
     with pytest.raises(TypicalityError, match="fell below"):
-        build_ensemble(sub, np.ones(4), 4, 0.0, 1)
+        build_ensemble(sub, canonical, 0.0, 1)
     # a degenerate ensemble is flagged, not held to the floor
-    empty = build_ensemble(sub, np.zeros(4), 4, 1.0, 1)
+    empty = build_ensemble(sub, sub.marginals(np.zeros(4), 4), 1.0, 1)
     assert empty.degenerate and empty.effective_env_dim == float("inf")
 
 
@@ -377,7 +378,9 @@ def test_index_form_saves_its_flat_indices(tmp_path, sub):
     assert list(saved) == ["dimS", "dimE", "flat_indices"]
     loaded = ConstraintSubspace.load(tmp_path / "subspace.json")
     assert loaded.one_hot is not None and loaded.equals(sub)
-    assert [b.tolist() for b in loaded.system_blocks] == [b.tolist() for b in sub.system_blocks]
+    assert [b[0].tolist() for b in loaded.block_slabs[0]] == [
+        b[0].tolist() for b in sub.block_slabs[0]
+    ]
 
 
 def test_save_writes_the_bytes_of_json_dump(tmp_path):
